@@ -26,19 +26,20 @@ def main():
         ("graded r=2", make_graded_mesh(1.0, 96, 2.0)),
         ("node-dependent", make_r_variable_mesh(1.0, 96, alpha)),
     ]:
-        report = check_psd(mesh, alpha)
+        # one kernel table feeds every check
+        table = build_kernel_table(mesh, alpha)
+        report = check_psd(table)
         print(f"{name}: eigenvalues of M + M^T in "
               f"[{report.min_eigenvalue:.3e}, {report.max_eigenvalue:.3e}] "
               f"-> {'PSD' if report.passed else 'NOT PSD'}")
         print(f"  certificate g_k > 0 for all k: {bool(np.all(report.g > 0.0))} "
               f"(min {float(np.min(report.g)):.3e})")
 
-        p_viol = check_properties_P(mesh, alpha)
-        q_viol = check_properties_Q(mesh, alpha)
+        p_viol = check_properties_P(table)
+        q_viol = check_properties_Q(table)
         print(f"  sign/monotonicity violations: {len(p_viol)}, "
               f"integral-bound violations: {len(q_viol)}")
 
-        table = build_kernel_table(mesh, alpha)
         comp = build_complementary_kernel(table)
         product = comp @ table.matrix()
         rows, cols = np.tril_indices(table.n)

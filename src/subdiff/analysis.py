@@ -23,20 +23,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularDiagonalError, ValidationError
-from .kernel import (
-    FractionalOrder,
-    KernelTable,
-    QuadratureSettings,
-    as_fractional_order,
-    build_kernel_table,
-    closed_coefficient_tables,
-)
+from .kernel import KernelTable, build_kernel_table
 from .meshes import (
     TimeMesh,
     admissibility_thresholds,
     certify_mesh,
     ratio_condition_margins,
 )
+
+# Unused here: build_kernel_table and this alias stay only because
+# perfbench/spans.py wraps both names in this module.
+closed_coefficient_tables = build_kernel_table
 
 __all__ = [
     "Violation",
@@ -99,44 +96,6 @@ class PsdReport:
         }
 
 
-def _dense_tables(
-    mesh: TimeMesh,
-    order: FractionalOrder,
-    n: int,
-    backend: str,
-    settings: QuadratureSettings | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """1-based dense tables (A, C, D, M) for levels up to ``n``, NaN padded."""
-    size = n + 1
-    a_tab = np.full((size, size), np.nan)
-    c_tab = np.full((size, size), np.nan)
-    m_tab = np.full((size, size), np.nan)
-    alpha, sigma = order.alpha, order.sigma
-    tau = mesh.steps
-    diag = sigma ** (1.0 - alpha) / ((1.0 - alpha) * tau[:n] ** alpha)
-    if backend == "closed":
-        a_tab, c_tab = closed_coefficient_tables(mesh, order, n)
-        m_tab[1, 1] = diag[0]
-        rows = np.arange(2, n + 1)
-        m_tab[rows, 1] = -a_tab[rows, 1]
-        m_tab[rows, rows] = c_tab[rows, rows - 1] + diag[rows - 1]
-    else:
-        table = build_kernel_table(mesh, order, n, backend, settings)
-        for row in table:
-            k = row.k
-            m_tab[k, 1 : k + 1] = row.m_row
-            if k >= 2:
-                a_tab[k, 1:k] = row.a
-                c_tab[k, 1:k] = row.c
-    d_tab = np.full((size, size), np.nan)
-    d_tab[:, 2:] = c_tab[:, 1:-1] - a_tab[:, 2:]
-    if backend == "closed" and n >= 3:
-        kk, jj = np.indices((size, size))
-        interior = (kk >= 3) & (jj >= 2) & (jj <= kk - 1)
-        m_tab = np.where(interior, d_tab, m_tab)
-    return a_tab, c_tab, d_tab, m_tab
-
-
 def ratio_condition_holds(mesh: TimeMesh, n: int | None = None) -> bool:
     """Whether the reciprocal consecutive-ratio condition holds up to level n.
 
@@ -150,14 +109,7 @@ def ratio_condition_holds(mesh: TimeMesh, n: int | None = None) -> bool:
     return bool(np.all(ratio_condition_margins(rho) >= 0.0))
 
 
-def check_properties_P(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    n: int | None = None,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
-    tol: float = 1e-12,
-) -> list[Violation]:
+def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation]:
     """Sign and monotonicity checks P1-P10 on the coefficient tables.
 
     P1-P8 hold on every mesh; P9/P10 are guaranteed only under the
@@ -167,21 +119,21 @@ def check_properties_P(
     are themselves tiny differences of full-magnitude coefficients (P4, P10)
     additionally allow a few ulps of the differenced operands.
     """
-    order = as_fractional_order(order)
-    n = _check_n(mesh, n)
-    a_tab, c_tab, d_tab, _ = _dense_tables(mesh, order, n, _check_backend(backend), settings)
-    kk, jj = np.indices((n + 1, n + 1))
+    n = table.n
+    # the weights d_j^k are the interior of the history matrix
+    a_tab, c_tab, d_tab = table.a, table.c, table.matrix()
+    kk, jj = np.indices((n, n)) + 1  # 1-based level and interval of each entry
 
     def shift(t: np.ndarray) -> np.ndarray:
         # shift[k, j] = t[k+1, j]
-        return np.vstack([t[1:], np.full((1, n + 1), np.nan)])
+        return np.vstack([t[1:], np.zeros((1, n))])
 
     a_up, c_up, d_up = shift(a_tab), shift(c_tab), shift(d_tab)
     zero = np.zeros_like(a_tab)
 
-    tri = (kk >= 2) & (jj >= 1) & (jj <= kk - 1)
+    tri = (kk >= 2) & (jj <= kk - 1)
     tri_x = tri & (kk <= n - 1)
-    inner = (kk >= 3) & (jj >= 1) & (jj <= kk - 2)
+    inner = (kk >= 3) & (jj <= kk - 2)
     inner_x = inner & (kk <= n - 1)
     dtri = (kk >= 3) & (jj >= 2) & (jj <= kk - 1)
     dtri_x = dtri & (kk <= n - 1)
@@ -193,12 +145,8 @@ def check_properties_P(
     d_r = np.roll(d_tab, -1, axis=1)
     d_ur = np.roll(d_up, -1, axis=1)
 
-    p4_floor = _ROUNDING_ALLOWANCE * np.fmax.reduce(
-        np.abs(np.stack([a_ur, a_up, a_r, a_tab]))
-    )
-    p10_floor = _ROUNDING_ALLOWANCE * np.fmax.reduce(
-        np.abs(np.stack([d_r, d_tab, d_ur, d_up]))
-    )
+    p4_floor = _ROUNDING_ALLOWANCE * np.max(np.abs([a_ur, a_up, a_r, a_tab]), axis=0)
+    p10_floor = _ROUNDING_ALLOWANCE * np.max(np.abs([d_r, d_tab, d_ur, d_up]), axis=0)
 
     viol: list[Violation] = []
     _collect("P1", zero, a_tab, tri, tol, viol)
@@ -209,7 +157,7 @@ def check_properties_P(
     _collect("P6", c_tab, c_up, tri_x, tol, viol)
     _collect("P7", d_tab, zero, dtri, tol, viol)
     _collect("P8", d_tab, d_up, dtri_x, tol, viol)
-    if ratio_condition_holds(mesh, n):
+    if ratio_condition_holds(table.mesh, n):
         _collect("P9", d_r, d_tab, dinner, tol, viol)
         _collect("P10", d_r - d_tab, d_ur - d_up, dinner_x, tol, viol, floor=p10_floor)
     else:
@@ -219,14 +167,7 @@ def check_properties_P(
     return viol
 
 
-def check_properties_Q(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    n: int | None = None,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
-    tol: float = 1e-12,
-) -> list[Violation]:
+def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation]:
     """Integral lower-bound checks Q1-Q3 on the history rows.
 
     Q1 bounds every row entry from below by a weighted kernel integral over
@@ -238,11 +179,10 @@ def check_properties_Q(
     are skipped).  The theory guarantees Q1-Q3 on admissible meshes with all
     ratios at or above ``eta``.
     """
-    order = as_fractional_order(order)
-    n = _check_n(mesh, n)
-    alpha, sigma = order.alpha, order.sigma
-    a_tab, _, _, m_tab = _dense_tables(mesh, order, n, _check_backend(backend), settings)
-    nodes, tau = mesh.nodes, mesh.steps
+    n = table.n
+    alpha, sigma = table.order.alpha, table.order.sigma
+    a_tab, m_tab = table.a, table.matrix()
+    nodes, tau = table.mesh.nodes, table.mesh.steps
     rho_star, eta = admissibility_thresholds()
     levels = np.arange(1, n + 1)
     viol: list[Violation] = []
@@ -251,8 +191,8 @@ def check_properties_Q(
     # as w0^(1-alpha)*(1-(w1/w0)^(1-alpha)) via expm1/log1p because the
     # naive power difference cancels catastrophically when the interval is
     # many orders of magnitude shorter than its distance to the offset point
-    kk, jj = np.indices((n + 1, n + 1))
-    mask = (kk >= 1) & (jj >= 1) & (jj <= kk)
+    kk, jj = np.indices((n, n)) + 1  # 1-based level and interval of each entry
+    mask = jj <= kk
     ks, js = kk[mask], jj[mask]
     ts = nodes[ks - 1] + sigma * tau[ks - 1]
     w0 = ts - nodes[js - 1]
@@ -264,7 +204,7 @@ def check_properties_Q(
         w0 > 0.0, w0 ** (1.0 - alpha) * factor / (1.0 - alpha), 0.0
     )
     rhs = rho_star / ((1.0 + rho_star) * tau[js - 1]) * integral
-    lhs = m_tab[ks, js]
+    lhs = m_tab[ks - 1, js - 1]
     _collect_flat("Q1", lhs, rhs, ks, js, tol, viol)
 
     # Q2 interior: row increments against the remainder identity of a_j
@@ -272,16 +212,16 @@ def check_properties_Q(
     ks, js = kk[mask], jj[mask]
     ts = nodes[ks - 1] + sigma * tau[ks - 1]
     w0 = ts - nodes[js - 1]
-    lhs = m_tab[ks, js] - m_tab[ks, js - 1]
-    rhs = -a_tab[ks, js] - w0 ** (-alpha)
+    lhs = m_tab[ks - 1, js - 1] - m_tab[ks - 1, js - 2]
+    rhs = -a_tab[ks - 1, js - 1] - w0 ** (-alpha)
     floor = _ROUNDING_ALLOWANCE * np.maximum(
-        np.abs(m_tab[ks, js]), np.abs(m_tab[ks, js - 1])
+        np.abs(m_tab[ks - 1, js - 1]), np.abs(m_tab[ks - 1, js - 2])
     )
     _collect_flat("Q2", lhs, rhs, ks, js, tol, viol, floor=floor)
 
     # Q2 diagonal increment, k >= 2
     ks = levels[levels >= 2]
-    lhs = m_tab[ks, ks] - m_tab[ks, ks - 1]
+    lhs = m_tab[ks - 1, ks - 1] - m_tab[ks - 1, ks - 2]
     rhs = alpha / (2.0 * (1.0 - alpha) * (sigma * tau[ks - 1]) ** alpha)
     _collect_flat("Q2diag", lhs, rhs, ks, ks, tol, viol)
 
@@ -291,21 +231,15 @@ def check_properties_Q(
     ks = ks_all[rho_k >= eta]
     if ks.size < ks_all.size:
         logger.info("Q3 skipped at %d levels with ratio below eta", ks_all.size - ks.size)
-    lhs = (1.0 - alpha) / sigma * m_tab[ks, ks] - m_tab[ks, ks - 1]
-    slack = tol * np.abs(m_tab[ks, ks])
+    lhs = (1.0 - alpha) / sigma * m_tab[ks - 1, ks - 1] - m_tab[ks - 1, ks - 2]
+    slack = tol * np.abs(m_tab[ks - 1, ks - 1])
     bad = ~(lhs >= -slack)
     for i in np.nonzero(bad)[0]:
         viol.append(Violation("Q3", int(ks[i]), int(ks[i]), float(lhs[i])))
     return viol
 
 
-def positivity_certificate(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    n: int | None = None,
-    backend: str = "closed",
-    settings: QuadratureSettings | None = None,
-) -> np.ndarray:
+def positivity_certificate(table: KernelTable) -> np.ndarray:
     """Per-level certificate values ``g_k`` (positive on admissible meshes).
 
     ``g_k`` combines the current-interval coefficient with a closed-form
@@ -314,17 +248,11 @@ def positivity_certificate(
     two-level corner case).  The certified diagonal lower bounds are
     ``g_k / (2*(1-alpha))``.
     """
-    order = as_fractional_order(order)
-    n = _check_n(mesh, n)
-    alpha, sigma = order.alpha, order.sigma
-    tau = mesh.steps
-    rho = mesh.ratios
-    if _check_backend(backend) == "closed":
-        _, c_tab = closed_coefficient_tables(mesh, order, n)
-        c_last = c_tab[np.arange(2, n + 1), np.arange(1, n)]
-    else:
-        table = build_kernel_table(mesh, order, n, backend, settings)
-        c_last = np.array([table.row(k).c[-1] for k in range(2, n + 1)])
+    n = table.n
+    alpha, sigma = table.order.alpha, table.order.sigma
+    tau = table.mesh.steps
+    rho = table.mesh.ratios
+    c_last = table.c[np.arange(1, n), np.arange(n - 1)]  # c_{k-1}^k, k = 2..n
 
     def bound_integral(r: np.ndarray) -> np.ndarray:
         # closed form of int_0^1 s*(r + s)/(sigma*r + s) ds
@@ -351,14 +279,7 @@ def positivity_certificate(
     return g
 
 
-def check_psd(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    n: int | None = None,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
-    rel_tol: float = 1e-10,
-) -> PsdReport:
+def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
     """Eigenvalue positivity of the symmetrized history matrix.
 
     ``passed`` requires the smallest eigenvalue of ``M + M^T`` to stay above
@@ -367,22 +288,19 @@ def check_psd(
     verdict for context (inadmissible meshes may still pass numerically, and
     the converse cannot happen on a certified mesh).
     """
-    order = as_fractional_order(order)
-    n = _check_n(mesh, n)
-    _, _, _, m_tab = _dense_tables(mesh, order, n, _check_backend(backend), settings)
-    m = np.nan_to_num(m_tab[1:, 1:], nan=0.0)
+    m = table.matrix()
     eigs = np.linalg.eigvalsh(m + m.T)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
-    g = positivity_certificate(mesh, order, n, backend="closed")
+    g = positivity_certificate(table)
     report = PsdReport(
-        n=n,
+        n=table.n,
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         passed=min_eig >= -rel_tol * max_eig,
-        mesh_admissible=certify_mesh(mesh).satisfied,
+        mesh_admissible=certify_mesh(table.mesh).satisfied,
         rel_tol=float(rel_tol),
         g=g,
-        diagonal_B_lower=g / (2.0 * (1.0 - order.alpha)),
+        diagonal_B_lower=g / (2.0 * (1.0 - table.order.alpha)),
     )
     if not report.passed:
         logger.warning(
@@ -416,30 +334,24 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     return p
 
 
-def _direct_splitting_diagonal(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    n: int | None = None,
-    backend: str = "closed",
-    settings: QuadratureSettings | None = None,
-) -> np.ndarray:
+def _direct_splitting_diagonal(table: KernelTable) -> np.ndarray:
     """Exact diagonal of the symmetric splitting remainder (levels 1..n).
 
     Needs n >= 3; used to validate that the certified lower bounds in
     :class:`PsdReport` really are lower bounds.
     """
-    order = as_fractional_order(order)
-    n = _check_n(mesh, n)
+    n = table.n
     if n < 3:
         raise ValidationError(f"direct splitting diagonal needs n >= 3, got {n}")
-    a_tab, _, d_tab, m_tab = _dense_tables(mesh, order, n, _check_backend(backend), settings)
+    # entry [k-1, j-1] holds level k, interval j; d_j^k is m[k-1, j-1]
+    a, m = table.a, table.matrix()
     beta = np.empty(n)
-    beta[0] = -a_tab[2, 1] / 2.0
-    beta[1] = (d_tab[3, 2] + a_tab[3, 1] - a_tab[2, 1]) / 2.0
+    beta[0] = -a[1, 0] / 2.0
+    beta[1] = (m[2, 1] + a[2, 0] - a[1, 0]) / 2.0
     for k in range(3, n):
-        beta[k - 1] = (d_tab[k + 1, k] + d_tab[k, k - 1] - d_tab[k + 1, k - 1]) / 2.0
-    beta[n - 1] = d_tab[n, n - 1] / 2.0
-    return m_tab[np.arange(1, n + 1), np.arange(1, n + 1)] - beta
+        beta[k - 1] = (m[k, k - 1] + m[k - 1, k - 2] - m[k, k - 2]) / 2.0
+    beta[n - 1] = m[n - 1, n - 2] / 2.0
+    return np.diag(m) - beta
 
 
 def _collect(
@@ -453,7 +365,7 @@ def _collect(
 ) -> None:
     ks, js = np.nonzero(mask)
     f = floor[ks, js] if floor is not None else None
-    _collect_flat(name, lhs[ks, js], rhs[ks, js], ks, js, tol, viol, floor=f)
+    _collect_flat(name, lhs[ks, js], rhs[ks, js], ks + 1, js + 1, tol, viol, floor=f)
 
 
 def _collect_flat(
@@ -473,20 +385,3 @@ def _collect_flat(
     bad = ~((lhs - rhs) > -slack)
     for i in np.nonzero(bad)[0]:
         viol.append(Violation(name, int(ks[i]), int(js[i]), float(lhs[i] - rhs[i])))
-
-
-def _check_n(mesh: TimeMesh, n: int | None) -> int:
-    if n is None:
-        return mesh.num_steps
-    n = int(n)
-    if not 1 <= n <= mesh.num_steps:
-        raise ValidationError(f"n must lie in [1, {mesh.num_steps}], got {n}")
-    return n
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in ("quadrature", "closed"):
-        raise ValidationError(
-            f"backend must be 'quadrature' or 'closed', got {backend!r}"
-        )
-    return backend

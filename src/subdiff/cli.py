@@ -46,11 +46,9 @@ from .kernel import build_kernel_table, dump_kernel_csv
 from .meshes import certify_mesh, read_mesh, write_mesh
 from .provenance import reproducibility_header
 from .solver import (
-    DirichletLine,
     Problem,
     discrete_norms,
-    manufactured_problem_1d,
-    manufactured_problem_2d,
+    manufactured_problem,
     parse_space,
     solve,
     write_diagnostics_csv,
@@ -306,10 +304,10 @@ def _cmd_mesh_certify(args) -> int:
 def _cmd_analyze(args) -> int:
     family, mesh = _mesh_from_args(args)
     n = args.levels if args.levels is not None else min(mesh.num_steps, 128)
-    psd = check_psd(mesh, args.alpha, n=n, backend=args.backend)
-    p_violations = check_properties_P(mesh, args.alpha, n=n, backend=args.backend)
-    q_violations = check_properties_Q(mesh, args.alpha, n=n, backend=args.backend)
     table = build_kernel_table(mesh, args.alpha, n=n, backend=args.backend)
+    psd = check_psd(table)
+    p_violations = check_properties_P(table)
+    q_violations = check_properties_Q(table)
     complementary = build_complementary_kernel(table)
     matrix = table.matrix()
     product = complementary @ matrix
@@ -317,7 +315,7 @@ def _cmd_analyze(args) -> int:
     lower = np.tril_indices(n)
     identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
     min_entry = float(np.min(complementary[lower]))
-    g = positivity_certificate(mesh, args.alpha, n=n)
+    g = positivity_certificate(table)
     checks_ok = (
         psd.passed
         and not p_violations
@@ -358,15 +356,9 @@ def _cmd_analyze(args) -> int:
 
 def _build_problem(args, space) -> Problem:
     if args.problem == "manufactured":
-        if isinstance(space, DirichletLine):
-            return manufactured_problem_1d(args.alpha, intervals=space.intervals)
-        return manufactured_problem_2d(args.alpha, modes=space.modes)
-    if isinstance(space, DirichletLine):
-        mode = np.sin(space.grid)
-    else:
-        xx, yy = space.grid
-        mode = np.sin(xx) * np.sin(yy)
-    return Problem(order=args.alpha, space=space, source=None, initial=mode, name="decay")
+        return manufactured_problem(args.alpha, space)
+    return Problem(order=args.alpha, space=space, source=None, initial=space.first_mode(),
+                   name="decay")
 
 
 def _cmd_solve(args) -> int:

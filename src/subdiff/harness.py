@@ -49,11 +49,9 @@ from .meshes import (
 )
 from .provenance import reproducibility_header
 from .solver import (
-    DirichletLine,
     Problem,
     discrete_norms,
-    manufactured_problem_1d,
-    manufactured_problem_2d,
+    manufactured_problem,
     parse_space,
     solve,
 )
@@ -346,7 +344,6 @@ class CellResult:
     argmax_level: int
     l2_error: np.ndarray = field(repr=False)
     residual_max: float = 0.0
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -483,13 +480,6 @@ def _resolve_workers(explicit: int | None) -> int:
     return value
 
 
-def _benchmark_problem(alpha: float, space_descriptor: str) -> Problem:
-    space = parse_space(space_descriptor)
-    if isinstance(space, DirichletLine):
-        return manufactured_problem_1d(alpha, intervals=space.intervals)
-    return manufactured_problem_2d(alpha, modes=space.modes)
-
-
 def _run_cell(
     spec: ExperimentSpec,
     problem: Problem,
@@ -515,14 +505,14 @@ def _run_cell(
         argmax_level=norms.argmax_level,
         l2_error=norms.l2_error,
         residual_max=norms.residual_max,
-        wall_time=wall,
     )
 
 
 def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
     """Run all cells of the spec; flush completed cells if one fails."""
     settings = spec.quadrature_settings()
-    problems = {alpha: _benchmark_problem(alpha, spec.space) for alpha in spec.alphas}
+    space = parse_space(spec.space)
+    problems = {alpha: manufactured_problem(alpha, space) for alpha in spec.alphas}
     jobs = [
         (problems[alpha], family, k)
         for alpha in spec.alphas
@@ -805,7 +795,7 @@ def run_pointwise_comparison(
     num_steps = int(num_steps)
     if num_steps < 1:
         raise ValidationError(f"num_steps must be >= 1, got {num_steps}")
-    problem = _benchmark_problem(order.alpha, space)
+    problem = manufactured_problem(order.alpha, parse_space(space))
     curves: list[PointwiseCurve] = []
     for family in families:
         mesh = family.build(alpha=order.alpha, horizon=horizon, num_steps=num_steps)
@@ -948,11 +938,7 @@ def run_stability_soak(
     num_steps = mesh.num_steps
     horizon = mesh.horizon
     space_obj = parse_space(space)
-    if isinstance(space_obj, DirichletLine):
-        mode = np.sin(space_obj.grid)
-    else:
-        xx, yy = space_obj.grid
-        mode = np.sin(xx) * np.sin(yy)
+    mode = space_obj.first_mode()
     if zero_source:
         source = None
     else:

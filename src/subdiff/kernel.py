@@ -32,6 +32,7 @@ from scipy.integrate import quad, quad_vec
 
 from .errors import (
     DimensionMismatchError,
+    NumericalError,
     QuadratureConvergenceError,
     SingularDiagonalError,
     ValidationError,
@@ -112,63 +113,80 @@ _DEFAULT_SETTINGS = QuadratureSettings()
 
 @dataclass(frozen=True)
 class KernelRow:
-    """All level-``k`` kernel data.
+    """All level-``k`` kernel data, as read-only views into a :class:`KernelTable`.
 
     ``a, b, c`` have length ``k-1`` (entry ``j-1`` holds the coefficient for
     history interval ``j``); ``a < 0 < b, c`` and ``a + b + c = 0``.  ``d``
-    holds ``d_j = c_{j-1} - a_j`` for ``j = 2..k-1`` (length ``k-2``).
-    ``m_row`` is the history row ``m_{k,1..k}`` and ``t_star`` the offset
-    evaluation time of the level.  ``b`` is stored as ``-(a + c)``; the
-    independently integrated value is available from :func:`coeff_quadrature`.
+    holds ``d_j = c_{j-1} - a_j`` for ``j = 2..k-1`` (length ``k-2``), the
+    interior of the history row ``m_row = m_{k,1..k}``; ``t_star`` is the
+    offset evaluation time of the level.  ``b`` is derived on access as
+    ``-(a + c)``; the independently integrated value is available from
+    :func:`coeff_quadrature`.
     """
 
     k: int
     a: np.ndarray
-    b: np.ndarray
     c: np.ndarray
     d: np.ndarray
     m_row: np.ndarray
     t_star: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d", "m_row"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.m_row[-1] <= 0.0 or not np.isfinite(self.m_row[-1]):
-            raise SingularDiagonalError(
-                f"level {self.k}: diagonal entry {self.m_row[-1]!r} is not positive"
-            )
+    @property
+    def b(self) -> np.ndarray:
+        return -(self.a + self.c)
 
 
 class KernelTable:
-    """Immutable cache of kernel rows for levels ``1..n`` on one mesh."""
+    """Kernel data for levels ``1..n`` on one mesh, assembled once.
 
-    def __init__(self, mesh: TimeMesh, order: FractionalOrder, rows: Sequence[KernelRow], backend: str):
+    ``a`` and ``c`` are ``(n, n)`` arrays with ``a[k-1, j-1] = a_j^k`` for
+    ``1 <= j < k`` and zero elsewhere; ``m`` is the lower-triangular history
+    matrix ``M`` (row ``k-1`` holds ``m_{k,1..k}``, its interior the weights
+    ``d_j``) and ``t_star[k-1]`` the offset point of level ``k``.  All are
+    read-only, and rows are views into them.
+    """
+
+    def __init__(
+        self,
+        mesh: TimeMesh,
+        order: FractionalOrder,
+        backend: str,
+        a: np.ndarray,
+        c: np.ndarray,
+        m: np.ndarray,
+        t_star: np.ndarray,
+    ):
         self.mesh = mesh
         self.order = order
         self.backend = backend
-        self._rows = tuple(rows)
+        for arr in (a, c, m, t_star):
+            arr.flags.writeable = False
+        self.a, self.c, self.m, self.t_star = a, c, m, t_star
 
     @property
     def n(self) -> int:
-        return len(self._rows)
+        return self.m.shape[0]
 
     def row(self, k: int) -> KernelRow:
         """Row for level ``k`` (1-based)."""
         if not 1 <= k <= self.n:
             raise ValidationError(f"level must lie in [1, {self.n}], got {k}")
-        return self._rows[k - 1]
+        i = k - 1
+        return KernelRow(
+            k=k,
+            a=self.a[i, :i],
+            c=self.c[i, :i],
+            d=self.m[i, 1:i],
+            m_row=self.m[i, :k],
+            t_star=float(self.t_star[i]),
+        )
 
     def __iter__(self):
-        return iter(self._rows)
+        return (self.row(k) for k in range(1, self.n + 1))
 
     def matrix(self) -> np.ndarray:
         """Dense lower-triangular history matrix ``M`` of shape (n, n)."""
-        m = np.zeros((self.n, self.n))
-        for row in self._rows:
-            m[row.k - 1, : row.k] = row.m_row
-        return m
+        return self.m
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +270,17 @@ def _closed_row_a_c(
     return _closed_a_c(tau[j - 1], tau[j], t_star - nodes[j - 1], order.alpha)
 
 
-def closed_coefficient_tables(
-    mesh: TimeMesh, order: "float | FractionalOrder", n: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense 1-based tables ``A[k, j] = a_j^k`` and ``C[k, j] = c_j^k``.
+def _closed_triangle(mesh: TimeMesh, order: FractionalOrder, a: np.ndarray, c: np.ndarray) -> None:
+    """Fill the ``(n, n)`` coefficient triangles ``a`` and ``c`` in closed form.
 
-    Returns two ``(n+1, n+1)`` arrays filled with NaN outside the defined
-    range ``2 <= k <= n``, ``1 <= j <= k-1``.  The whole triangle is computed
-    in one vectorized pass, which keeps large diagnostic sweeps cheap.
+    The whole triangle is evaluated in one vectorized pass, which keeps large
+    tables and diagnostic sweeps cheap.
     """
-    order = as_fractional_order(order)
-    n = _check_levels(mesh, n)
-    a_tab = np.full((n + 1, n + 1), np.nan)
-    c_tab = np.full((n + 1, n + 1), np.nan)
-    if n < 2:
-        return a_tab, c_tab
-    ks, js = np.tril_indices(n + 1, k=-1)
-    keep = (js >= 1) & (ks >= 2)
-    ks, js = ks[keep], js[keep]
+    ks, js = np.tril_indices(a.shape[0], k=-1)  # entry (k-1, j-1) for 1 <= j < k
     tau = mesh.steps
     nodes = mesh.nodes
-    t_star = nodes[ks - 1] + order.sigma * tau[ks - 1]
-    a_flat, c_flat = _closed_a_c(
-        tau[js - 1], tau[js], t_star - nodes[js - 1], order.alpha
-    )
-    a_tab[ks, js] = a_flat
-    c_tab[ks, js] = c_flat
-    return a_tab, c_tab
+    t_star = nodes[ks] + order.sigma * tau[ks]
+    a[ks, js], c[ks, js] = _closed_a_c(tau[js], tau[js + 1], t_star - nodes[js], order.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -411,30 +413,6 @@ def _quadrature_row_a_c(
 # ---------------------------------------------------------------------------
 
 
-def _assemble_row(
-    mesh: TimeMesh,
-    order: FractionalOrder,
-    k: int,
-    a: np.ndarray,
-    c: np.ndarray,
-) -> KernelRow:
-    tau = mesh.steps
-    t_star = float(mesh.nodes[k - 1] + order.sigma * tau[k - 1])
-    diag = order.sigma ** (1.0 - order.alpha) / (
-        (1.0 - order.alpha) * tau[k - 1] ** order.alpha
-    )
-    if k == 1:
-        empty = np.zeros(0)
-        return KernelRow(k=1, a=empty, b=empty, c=empty, d=empty,
-                         m_row=np.array([diag]), t_star=t_star)
-    d = c[:-1] - a[1:]
-    m_row = np.empty(k)
-    m_row[0] = -a[0]
-    m_row[1 : k - 1] = d
-    m_row[k - 1] = c[k - 2] + diag
-    return KernelRow(k=k, a=a, b=-(a + c), c=c, d=d, m_row=m_row, t_star=t_star)
-
-
 def build_kernel_row(
     mesh: TimeMesh,
     order: "float | FractionalOrder",
@@ -443,20 +421,8 @@ def build_kernel_row(
     settings: QuadratureSettings | None = None,
 ) -> KernelRow:
     """Build the level-``k`` kernel row with the chosen backend."""
-    order = as_fractional_order(order)
-    _check_backend(backend)
-    if not 1 <= int(k) <= mesh.num_steps:
-        raise ValidationError(
-            f"level must lie in [1, {mesh.num_steps}], got {k}"
-        )
     k = int(k)
-    if k == 1:
-        return _assemble_row(mesh, order, 1, np.zeros(0), np.zeros(0))
-    if backend == "closed":
-        a, c = _closed_row_a_c(mesh, order, k)
-    else:
-        a, c = _quadrature_row_a_c(mesh, order, k, settings or _DEFAULT_SETTINGS)
-    return _assemble_row(mesh, order, k, a, c)
+    return build_kernel_table(mesh, order, n=k, backend=backend, settings=settings).row(k)
 
 
 def build_kernel_table(
@@ -466,23 +432,53 @@ def build_kernel_table(
     backend: str = "quadrature",
     settings: QuadratureSettings | None = None,
 ) -> KernelTable:
-    """Build and cache kernel rows for levels ``1..n`` (default: all steps)."""
+    """Assemble the kernel table for levels ``1..n`` (default: all steps).
+
+    The closed backend fills the coefficient triangles in one vectorized
+    pass, the quadrature backend row by row; the history matrix is then
+    assembled from them at once.  Raises :class:`SingularDiagonalError` when
+    a diagonal entry is not positive and :class:`NumericalError` when any
+    coefficient is not finite.
+    """
     order = as_fractional_order(order)
     _check_backend(backend)
     n = _check_levels(mesh, n)
-    rows = []
+    tau = mesh.steps
+    a = np.zeros((n, n))
+    c = np.zeros((n, n))
     if backend == "closed":
-        a_tab, c_tab = closed_coefficient_tables(mesh, order, n)
-        rows.append(_assemble_row(mesh, order, 1, np.zeros(0), np.zeros(0)))
-        for k in range(2, n + 1):
-            rows.append(
-                _assemble_row(mesh, order, k, a_tab[k, 1:k].copy(), c_tab[k, 1:k].copy())
-            )
+        _closed_triangle(mesh, order, a, c)
     else:
-        for k in range(1, n + 1):
-            rows.append(build_kernel_row(mesh, order, k, backend, settings))
+        settings = settings or _DEFAULT_SETTINGS
+        for k in range(2, n + 1):
+            a[k - 1, : k - 1], c[k - 1, : k - 1] = _quadrature_row_a_c(mesh, order, k, settings)
+    # one scalar power per level: a vectorized power can differ in the last
+    # bit, which would change every solution the march writes
+    diag = np.array([
+        order.sigma ** (1.0 - order.alpha) / ((1.0 - order.alpha) * t**order.alpha)
+        for t in tau[:n]
+    ])
+    m = np.empty((n, n))
+    # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it, zero above it
+    np.subtract(c[:, :-1], a[:, 1:], out=m[:, 1:])
+    m[:, 0] = -a[:, 0]
+    m[np.diag_indices(n)] += diag
+    diag_m = np.diag(m)
+    bad = np.flatnonzero(~(np.isfinite(diag_m) & (diag_m > 0.0)))
+    if bad.size:
+        raise SingularDiagonalError(
+            f"level {bad[0] + 1}: diagonal entry {diag_m[bad[0]]!r} is not positive"
+        )
+    # every a_j and c_j enters one entry of M, so this covers them too
+    bad = np.flatnonzero(~np.all(np.isfinite(m), axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"{backend} kernel table: {bad.size} of {n} levels hold non-finite "
+            f"coefficients (first at level {bad[0] + 1})"
+        )
+    t_star = mesh.nodes[:n] + order.sigma * tau[:n]
     logger.debug("built %s kernel table with %d levels", backend, n)
-    return KernelTable(mesh, order, rows, backend)
+    return KernelTable(mesh, order, backend, a, c, m, t_star)
 
 
 def apply_operator(
@@ -593,9 +589,10 @@ def dump_kernel_csv(table: KernelTable, path: "str | Path", header_lines: Sequen
     lines.append("level,interval,t_star,a,b,c,d,m")
     for row in table:
         k = row.k
+        row_b = row.b
         for j in range(1, k + 1):
             a = f"{row.a[j - 1]:.17g}" if j <= k - 1 else ""
-            b = f"{row.b[j - 1]:.17g}" if j <= k - 1 else ""
+            b = f"{row_b[j - 1]:.17g}" if j <= k - 1 else ""
             c = f"{row.c[j - 1]:.17g}" if j <= k - 1 else ""
             d = f"{row.d[j - 2]:.17g}" if 2 <= j <= k - 1 else ""
             m = f"{row.m_row[j - 1]:.17g}"

@@ -25,7 +25,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -49,6 +49,7 @@ __all__ = [
     "SolverState",
     "NormReport",
     "parse_space",
+    "manufactured_problem",
     "manufactured_problem_1d",
     "manufactured_problem_2d",
     "initialize_state",
@@ -76,6 +77,7 @@ class DirichletLine:
 
     intervals: int
     length: float = 2.0 * math.pi
+    ndim: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if int(self.intervals) < 3:
@@ -102,6 +104,10 @@ class DirichletLine:
     def zero_field(self) -> np.ndarray:
         return np.zeros(self.intervals - 1)
 
+    def first_mode(self) -> np.ndarray:
+        """``sin x`` on the grid."""
+        return np.sin(self.grid)
+
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         """Central second difference with zero boundary values."""
         padded = np.concatenate([[0.0], v, [0.0]])
@@ -123,6 +129,7 @@ class PeriodicSquare:
 
     modes: int
     length: float = 2.0 * math.pi
+    ndim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if int(self.modes) < 3:
@@ -158,6 +165,11 @@ class PeriodicSquare:
 
     def zero_field(self) -> np.ndarray:
         return np.zeros((self.modes, self.modes))
+
+    def first_mode(self) -> np.ndarray:
+        """``sin x * sin y`` on the grid."""
+        xx, yy = self.grid
+        return np.sin(xx) * np.sin(yy)
 
     def l2_norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.h**2 * np.sum(np.square(v))))
@@ -216,50 +228,43 @@ class Problem:
             object.__setattr__(self, "initial", initial)
 
 
-def manufactured_problem_1d(
-    order: "float | FractionalOrder", intervals: int = 4096
+def manufactured_problem(
+    order: "float | FractionalOrder", space: "DirichletLine | PeriodicSquare"
 ) -> Problem:
-    """Problem with exact solution ``t^alpha * sin(x)`` on the Dirichlet line.
+    """Problem with exact solution ``t^alpha`` times the space's first mode.
 
-    The matching source is ``(Gamma(1+alpha) + t^alpha) * sin(x)``; the
-    initial value is zero.  The exact solution has the characteristic weak
-    temporal singularity at ``t = 0`` that graded meshes are built for.
+    ``-Lap`` maps the first mode to ``ndim`` times itself, so the matching
+    source is ``(Gamma(1+alpha) + ndim*t^alpha)`` times the mode; the initial
+    value is zero.  The exact solution has the characteristic weak temporal
+    singularity at ``t = 0`` that graded meshes are built for.
     """
     order = as_fractional_order(order)
-    space = DirichletLine(intervals)
-    sin_x = np.sin(space.grid)
+    mode = space.first_mode()
     alpha = order.alpha
     gamma_factor = math.gamma(1.0 + alpha)
 
     def source(t: float) -> np.ndarray:
-        return (gamma_factor + t**alpha) * sin_x
-
-    def exact(t: float) -> np.ndarray:
-        return t**alpha * sin_x
-
-    return Problem(order=order, space=space, source=source, exact=exact,
-                   name="manufactured-1d")
-
-
-def manufactured_problem_2d(
-    order: "float | FractionalOrder", modes: int = 64
-) -> Problem:
-    """Problem with exact solution ``t^alpha * sin(x)*sin(y)``, periodic."""
-    order = as_fractional_order(order)
-    space = PeriodicSquare(modes)
-    xx, yy = space.grid
-    mode = np.sin(xx) * np.sin(yy)
-    alpha = order.alpha
-    gamma_factor = math.gamma(1.0 + alpha)
-
-    def source(t: float) -> np.ndarray:
-        return (gamma_factor + 2.0 * t**alpha) * mode
+        return (gamma_factor + space.ndim * t**alpha) * mode
 
     def exact(t: float) -> np.ndarray:
         return t**alpha * mode
 
     return Problem(order=order, space=space, source=source, exact=exact,
-                   name="manufactured-2d")
+                   name=f"manufactured-{space.ndim}d")
+
+
+def manufactured_problem_1d(
+    order: "float | FractionalOrder", intervals: int = 4096
+) -> Problem:
+    """:func:`manufactured_problem` with ``sin x`` on the Dirichlet line."""
+    return manufactured_problem(order, DirichletLine(intervals))
+
+
+def manufactured_problem_2d(
+    order: "float | FractionalOrder", modes: int = 64
+) -> Problem:
+    """:func:`manufactured_problem` with ``sin x * sin y``, periodic."""
+    return manufactured_problem(order, PeriodicSquare(modes))
 
 
 @dataclass

@@ -219,7 +219,7 @@ def test_criterion_04_operator_positivity(fuzzed_admissible, announce):
             (alpha, make_r_variable_mesh(1.0, FUZZ_LEVELS, alpha), "rvariable", "quadrature")
         )
     for alpha, mesh, name, backend in named:
-        report = check_psd(mesh, alpha, backend=backend)
+        report = check_psd(build_kernel_table(mesh, alpha, backend=backend))
         if not report.passed:
             bad.append(
                 f"{name} alpha={alpha:g}: min eig {report.min_eigenvalue:.3e} "
@@ -229,7 +229,7 @@ def test_criterion_04_operator_positivity(fuzzed_admissible, announce):
             bad.append(f"{name} alpha={alpha:g}: nonpositive certificate value")
     for i, mesh in enumerate(fuzzed_admissible):
         alpha = benchmarks.ALPHAS[i % 3]
-        report = check_psd(mesh, alpha, backend="closed")
+        report = check_psd(build_kernel_table(mesh, alpha, backend="closed"))
         if not report.passed:
             bad.append(
                 f"fuzz #{i} alpha={alpha:g}: min eig {report.min_eigenvalue:.3e} "
@@ -259,8 +259,9 @@ def test_criterion_05_structure_properties(
     bad = []
     for i, mesh in enumerate(fuzzed_admissible):
         alpha = benchmarks.ALPHAS[i % 3]
-        p_viol = check_properties_P(mesh, alpha, backend="closed")
-        q_viol = check_properties_Q(mesh, alpha, backend="closed")
+        table = build_kernel_table(mesh, alpha, backend="closed")
+        p_viol = check_properties_P(table)
+        q_viol = check_properties_Q(table)
         for v in itertools.chain(p_viol, q_viol):
             bad.append(
                 f"admissible fuzz #{i} alpha={alpha:g}: {v.check} at "
@@ -268,7 +269,7 @@ def test_criterion_05_structure_properties(
             )
     for i, mesh in enumerate(fuzzed_unrestricted):
         alpha = benchmarks.ALPHAS[i % 3]
-        for v in check_properties_P(mesh, alpha, backend="closed"):
+        for v in check_properties_P(build_kernel_table(mesh, alpha, backend="closed")):
             bad.append(
                 f"unrestricted fuzz #{i} alpha={alpha:g}: {v.check} at "
                 f"(k={v.level}, j={v.interval}), margin {v.amount:.3e}"

@@ -30,20 +30,23 @@ def mesh_from_ratios(ratios, first_step=1.0):
 @pytest.mark.parametrize("grading", [1.0, 4.0])
 def test_properties_all_hold_closed(alpha, grading):
     mesh = make_graded_mesh(1.0, 48, grading)
-    assert check_properties_P(mesh, alpha, backend="closed") == []
-    assert check_properties_Q(mesh, alpha, backend="closed") == []
+    table = build_kernel_table(mesh, alpha, backend="closed")
+    assert check_properties_P(table) == []
+    assert check_properties_Q(table) == []
 
 
 def test_properties_all_hold_quadrature():
     mesh = make_graded_mesh(1.0, 16, 2.0 / 0.5)
-    assert check_properties_P(mesh, 0.5, backend="quadrature") == []
-    assert check_properties_Q(mesh, 0.5, backend="quadrature") == []
+    table = build_kernel_table(mesh, 0.5, backend="quadrature")
+    assert check_properties_P(table) == []
+    assert check_properties_Q(table) == []
 
 
 def test_properties_on_r_variable_mesh():
     mesh = make_r_variable_mesh(1.0, 48, 0.7)
-    assert check_properties_P(mesh, 0.7, backend="closed") == []
-    assert check_properties_Q(mesh, 0.7, backend="closed") == []
+    table = build_kernel_table(mesh, 0.7, backend="closed")
+    assert check_properties_P(table) == []
+    assert check_properties_Q(table) == []
 
 
 def test_ratio_condition_gate():
@@ -52,7 +55,7 @@ def test_ratio_condition_gate():
     # monotonicity checks that rest on it are skipped rather than reported
     mesh = mesh_from_ratios([0.36, 0.38])
     assert not ratio_condition_holds(mesh)
-    violations = check_properties_P(mesh, 0.5, backend="closed")
+    violations = check_properties_P(build_kernel_table(mesh, 0.5, backend="closed"))
     assert [v for v in violations if v.check in ("P9", "P10")] == []
 
 
@@ -60,7 +63,7 @@ def test_sign_properties_hold_even_on_inadmissible_meshes():
     # admissibility protects positivity of the operator, but P1-P8 are
     # unconditional; a clearly inadmissible mesh must still satisfy them
     mesh = mesh_from_ratios([0.2, 3.0, 0.1, 2.5, 0.3])
-    violations = check_properties_P(mesh, 0.5, backend="closed")
+    violations = check_properties_P(build_kernel_table(mesh, 0.5, backend="closed"))
     assert [v for v in violations if v.check.startswith("P")] == []
 
 
@@ -94,7 +97,7 @@ def test_violation_records_are_informative():
     # public path: shrink one ratio far below the hard threshold and check
     # that any reported violation carries plausible indices
     mesh = mesh_from_ratios([0.05, 0.05, 0.05])
-    violations = check_properties_Q(mesh, 0.9, backend="closed")
+    violations = check_properties_Q(build_kernel_table(mesh, 0.9, backend="closed"))
     for v in violations:
         assert 1 <= v.level <= 4
         assert 1 <= v.interval <= v.level
@@ -103,7 +106,7 @@ def test_violation_records_are_informative():
 def test_psd_on_benchmark_meshes():
     for alpha in (0.3, 0.5, 0.7):
         mesh = make_graded_mesh(1.0, 64, 2.0 / alpha)
-        report = check_psd(mesh, alpha, backend="closed")
+        report = check_psd(build_kernel_table(mesh, alpha, backend="closed"))
         assert report.passed
         assert report.mesh_admissible
         assert report.min_eigenvalue >= -report.rel_tol * report.max_eigenvalue
@@ -116,7 +119,7 @@ def test_psd_on_benchmark_meshes():
 
 def test_psd_report_shapes_and_dict():
     mesh = make_uniform_mesh(1.0, 16)
-    report = check_psd(mesh, 0.5, n=10, backend="closed")
+    report = check_psd(build_kernel_table(mesh, 0.5, n=10, backend="closed"))
     assert report.n == 10
     assert report.g.shape == (10,)
     payload = report.to_dict()
@@ -130,7 +133,7 @@ def test_positivity_certificate_first_value_uniform():
     # (sigma*tau)^(-alpha) * (2*sigma - (1-alpha))
     alpha, sigma = 0.5, 0.75
     mesh = make_uniform_mesh(8.0, 8)
-    g = positivity_certificate(mesh, alpha)
+    g = positivity_certificate(build_kernel_table(mesh, alpha, backend="closed"))
     expected = sigma ** (-alpha) * (2.0 * sigma - (1.0 - alpha))
     assert g[0] == pytest.approx(expected, rel=1e-13)
     assert np.all(g > 0.0)
@@ -138,7 +141,7 @@ def test_positivity_certificate_first_value_uniform():
 
 def test_positivity_certificate_single_level():
     mesh = TimeMesh([0.0, 0.5])
-    g = positivity_certificate(mesh, 0.5)
+    g = positivity_certificate(build_kernel_table(mesh, 0.5, backend="closed"))
     assert g.shape == (1,)
     assert g[0] == pytest.approx((0.75 * 0.5) ** (-0.5), rel=1e-14)
 
@@ -150,8 +153,9 @@ def test_certificate_bounds_splitting_diagonal():
 
     for alpha, grading in ((0.3, 1.0), (0.5, 2.0), (0.7, 2.0 / 0.7)):
         mesh = make_graded_mesh(1.0, 32, grading)
-        report = check_psd(mesh, alpha, backend="closed")
-        direct = _direct_splitting_diagonal(mesh, alpha)
+        table = build_kernel_table(mesh, alpha, backend="closed")
+        report = check_psd(table)
+        direct = _direct_splitting_diagonal(table)
         assert np.all(
             report.diagonal_B_lower <= direct + 1e-12 * np.abs(direct)
         )
@@ -197,13 +201,13 @@ def test_complementary_kernel_errors():
 
 def test_check_psd_records_inadmissibility():
     mesh = mesh_from_ratios([0.2, 0.2])
-    report = check_psd(mesh, 0.5, backend="closed")
+    report = check_psd(build_kernel_table(mesh, 0.5, backend="closed"))
     assert not report.mesh_admissible
 
 
 def test_analysis_backend_validation():
     mesh = make_uniform_mesh(1.0, 4)
     with pytest.raises(ValidationError):
-        check_properties_P(mesh, 0.5, backend="spectral")
+        check_properties_P(build_kernel_table(mesh, 0.5, backend="spectral"))
     with pytest.raises(ValidationError):
-        check_psd(mesh, 0.5, n=9)
+        check_psd(build_kernel_table(mesh, 0.5, n=9))

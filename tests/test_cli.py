@@ -118,6 +118,27 @@ def test_analyze_passes_on_graded_mesh(tmp_path, capsys):
     assert "level,interval,t_star,a,b,c,d,m" in kernel_lines
 
 
+def test_analyze_builds_one_table(monkeypatch, capsys):
+    # every check reads the one table the command builds: a single closed
+    # pass over the coefficient triangle
+    import subdiff.kernel
+
+    passes = []
+    original = subdiff.kernel._closed_a_c
+
+    def counting(*args):
+        passes.append(args[0].size)
+        return original(*args)
+
+    monkeypatch.setattr(subdiff.kernel, "_closed_a_c", counting)
+    code, _, _ = run_cli(
+        capsys, "analyze", "--alpha", "0.5", "--mesh", "graded:r=2", "--K", "16",
+        "--levels", "12", "--backend", "closed",
+    )
+    assert code == EXIT_OK
+    assert passes == [12 * 11 // 2]
+
+
 def test_solve_manufactured_known_error(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,

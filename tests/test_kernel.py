@@ -19,7 +19,7 @@ from subdiff import (
     make_graded_mesh,
     make_uniform_mesh,
 )
-from subdiff.errors import DimensionMismatchError, ValidationError
+from subdiff.errors import DimensionMismatchError, NumericalError, ValidationError
 
 # Coefficient triples (a, b, c) on the nodes below at order 0.35, integrated
 # with 40-digit arithmetic (mpmath.quad of the three reconstruction-weight
@@ -135,6 +135,32 @@ def test_kernel_table_accessors():
         build_kernel_table(mesh, 0.5, n=9)
     with pytest.raises(ValidationError):
         build_kernel_table(mesh, 0.5, backend="magic")
+
+
+def test_rows_are_read_only_views_of_one_matrix():
+    mesh = make_graded_mesh(1.0, 8, 2.0)
+    table = build_kernel_table(mesh, 0.5, backend="closed")
+    m = table.matrix()
+    assert m is table.matrix()
+    for row in table:
+        assert np.shares_memory(row.m_row, m)
+        assert not row.m_row.flags.writeable and not row.a.flags.writeable
+    assert np.shares_memory(table.row(5).d, m)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+def test_non_finite_coefficients_are_refused():
+    # admissible but steep at alpha = 1e-3: the quadrature scale underflows
+    # on the far intervals of levels 6..40, so that build must raise instead
+    # of handing out NaN; the closed forms stay finite on the same mesh
+    mesh = make_graded_mesh(1, 200, 60).head(40)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError):
+            build_kernel_table(mesh, 1e-3, backend="quadrature")
+    table = build_kernel_table(mesh, 1e-3, backend="closed")
+    for arr in (table.a, table.c, table.matrix()):
+        assert np.all(np.isfinite(arr))
 
 
 def test_single_step_table():
