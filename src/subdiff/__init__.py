@@ -99,8 +99,6 @@ from .solver import (
     manufactured_problem_2d,
     parse_space,
     solve,
-    solve_1d_dirichlet,
-    solve_2d_periodic,
     step,
     write_diagnostics_csv,
     write_snapshot_csv,
@@ -168,8 +166,6 @@ __all__ = [
     "initialize_state",
     "step",
     "solve",
-    "solve_1d_dirichlet",
-    "solve_2d_periodic",
     "discrete_norms",
     "write_snapshot_csv",
     "write_diagnostics_csv",

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import SingularDiagonalError, ValidationError
 from .kernel import KernelTable, build_kernel_table
@@ -314,7 +315,7 @@ def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
 def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray:
     """Discrete resolvent rows ``P`` with ``P M`` the all-ones lower triangle.
 
-    Forward substitution on the history matrix so that
+    Solves the triangular system so that
     ``sum_l P[k,l] M[l,j] = 1`` for every ``j <= k``; on admissible meshes
     all entries are nonnegative, which is what makes the operator's inverse
     order-preserving.  Accepts a kernel table or a dense lower-triangular
@@ -326,12 +327,10 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     n = m.shape[0]
     if np.any(np.diag(m) <= 0.0):
         raise SingularDiagonalError("history matrix needs a positive diagonal")
-    p = np.zeros_like(m)
-    for k in range(n):
-        p[k, k] = 1.0 / m[k, k]
-        for j in range(k - 1, -1, -1):
-            p[k, j] = (1.0 - np.dot(p[k, j + 1 : k + 1], m[j + 1 : k + 1, j])) / m[j, j]
-    return p
+    # P M = L (L the all-ones lower triangle) is M^T P^T = L^T, one
+    # upper-triangular solve for all columns of P^T at once
+    ones_upper = np.triu(np.ones((n, n)))
+    return solve_triangular(m.T, ones_upper, lower=False).T
 
 
 def _direct_splitting_diagonal(table: KernelTable) -> np.ndarray:

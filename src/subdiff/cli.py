@@ -14,7 +14,6 @@ variable sets the default worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -44,7 +43,7 @@ from .harness import (
 )
 from .kernel import build_kernel_table, dump_kernel_csv
 from .meshes import certify_mesh, read_mesh, write_mesh
-from .provenance import reproducibility_header
+from .provenance import json_text, reproducibility_header, write_json
 from .solver import (
     Problem,
     discrete_norms,
@@ -258,10 +257,6 @@ def _mesh_from_args(args):
     return family, mesh
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _cmd_mesh_generate(args) -> int:
     family, mesh = _mesh_from_args(args)
     certificate = certify_mesh(mesh)
@@ -284,20 +279,16 @@ def _cmd_mesh_certify(args) -> int:
     family, mesh = _mesh_from_args(args)
     report = certify_mesh(mesh)
     payload = {
-        "version": __version__,
-        "kind": "mesh-certificate",
         "mesh": family.label,
         "num_steps": mesh.num_steps,
         "horizon": mesh.horizon,
         **report.to_dict(),
     }
-    _print_json(payload)
+    print(json_text("mesh-certificate", payload))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "certificate.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out_dir / "certificate.json", "mesh-certificate", payload)
     return EXIT_OK if report.satisfied else EXIT_VERDICT
 
 
@@ -315,18 +306,18 @@ def _cmd_analyze(args) -> int:
     lower = np.tril_indices(n)
     identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
     min_entry = float(np.min(complementary[lower]))
+    # rounding in P scales with its largest entry (up to ~1e9 on steep meshes)
+    min_entry_floor = -1e-13 * max(1.0, float(np.max(complementary)))
     g = positivity_certificate(table)
     checks_ok = (
         psd.passed
         and not p_violations
         and not q_violations
-        and min_entry >= -1e-13
+        and min_entry >= min_entry_floor
         and identity_residual <= 1e-11
         and bool(np.all(g > 0.0))
     )
     payload = {
-        "version": __version__,
-        "kind": "operator-analysis",
         "mesh": family.label,
         "alpha": args.alpha,
         "levels": n,
@@ -339,13 +330,11 @@ def _cmd_analyze(args) -> int:
         "diagonal_certificate_min": float(np.min(g)),
         "passed": checks_ok,
     }
-    _print_json(payload)
+    print(json_text("operator-analysis", payload))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "analysis.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out_dir / "analysis.json", "operator-analysis", payload)
         header = reproducibility_header(
             "kernel-coefficients",
             {"mesh": family.label, "alpha": args.alpha, "levels": n, "backend": args.backend},
@@ -381,8 +370,6 @@ def _cmd_solve(args) -> int:
         write_snapshot_csv(state, str(out_dir / "snapshot.csv"))
         write_diagnostics_csv(state, str(out_dir / "diagnostics.csv"))
         payload = {
-            "version": __version__,
-            "kind": "solve-summary",
             "alpha": args.alpha,
             "mesh": family.label,
             "num_steps": mesh.num_steps,
@@ -395,9 +382,7 @@ def _cmd_solve(args) -> int:
             "h1_seminorm_final": float(state.h1_seminorm[state.level]),
             "residual_max": norms.residual_max,
         }
-        with open(out_dir / "summary.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out_dir / "summary.json", "solve-summary", payload)
     return EXIT_OK
 
 
@@ -501,7 +486,7 @@ def _cmd_soak(args) -> int:
         plateau_factor=args.plateau_factor,
         out_dir=args.out_dir,
     )
-    _print_json({"version": __version__, "kind": "stability-soak", **report.to_dict()})
+    print(json_text("stability-soak", report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 

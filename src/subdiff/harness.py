@@ -20,8 +20,6 @@ does not change any output.
 """
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 import os
@@ -35,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import benchmarks
-from ._version import __version__
 from .errors import ValidationError
 from .kernel import BACKENDS, QuadratureSettings, as_fractional_order
 from .meshes import (
@@ -47,7 +44,7 @@ from .meshes import (
     make_uniform_mesh,
     read_mesh,
 )
-from .provenance import reproducibility_header
+from .provenance import reproducibility_header, write_csv, write_json
 from .solver import (
     Problem,
     discrete_norms,
@@ -548,21 +545,15 @@ def _flush_partial(spec: ExperimentSpec, cells: list[CellResult], exc: Exception
         spec.tolerances(),
         extra=[f"# incomplete = {type(exc).__name__}"],
     )
-    with open(path, "w", newline="") as handle:
-        for line in header:
-            handle.write(line + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["alpha", "family", "num_steps", "max_l2_error", "argmax_level"])
-        for cell in cells:
-            writer.writerow(
-                [
-                    repr(cell.alpha),
-                    cell.family_label,
-                    cell.num_steps,
-                    repr(cell.max_l2_error),
-                    cell.argmax_level,
-                ]
-            )
+    write_csv(
+        path,
+        header,
+        ["alpha", "family", "num_steps", "max_l2_error", "argmax_level"],
+        (
+            [c.alpha, c.family_label, c.num_steps, c.max_l2_error, c.argmax_level]
+            for c in cells
+        ),
+    )
     logger.warning("experiment aborted; %d finished cells flushed to %s", len(cells), path)
 
 
@@ -621,41 +612,20 @@ def _write_alpha_table(
         for v in report.verdicts
         if abs(v.alpha - alpha) < 1e-12
     }
-    with open(path, "w", newline="") as handle:
-        for line in header:
-            handle.write(line + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["family", "metric"] + [f"K={k}" for k in spec.step_counts])
-        for family in spec.families:
-            errors = report.max_errors(alpha, family.label)
-            orders = report.observed_orders(alpha, family.label)
-            writer.writerow(
-                [family.label, "error"] + [repr(float(e)) for e in errors]
-            )
-            writer.writerow(
-                [family.label, "order", ""] + [f"{o:.4f}" for o in orders]
-            )
-            if with_references:
-                refs = [
-                    verdict_by[(alpha, family.label, k)] for k in spec.step_counts
-                ]
-                writer.writerow(
-                    [family.label, "reference"] + [repr(v.reference) for v in refs]
-                )
-                writer.writerow(
-                    [family.label, "rel_deviation"] + [f"{v.rel_dev:.2e}" for v in refs]
-                )
-                writer.writerow(
-                    [family.label, "verdict"]
-                    + ["pass" if v.passed else "FAIL" for v in refs]
-                )
-
-
-def _write_summary_json(path: Path, report: ErrorReport, kind: str) -> None:
-    payload = {"version": __version__, "kind": kind, **report.to_dict()}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    rows = []
+    for family in spec.families:
+        errors = report.max_errors(alpha, family.label)
+        orders = report.observed_orders(alpha, family.label)
+        rows.append([family.label, "error", *errors])
+        rows.append([family.label, "order", "", *(f"{o:.4f}" for o in orders)])
+        if with_references:
+            refs = [verdict_by[(alpha, family.label, k)] for k in spec.step_counts]
+            rows.append([family.label, "reference", *(v.reference for v in refs)])
+            rows.append([family.label, "rel_deviation", *(f"{v.rel_dev:.2e}" for v in refs)])
+            rows.append([family.label, "verdict", *("pass" if v.passed else "FAIL" for v in refs)])
+    write_csv(
+        path, header, ["family", "metric"] + [f"K={k}" for k in spec.step_counts], rows
+    )
 
 
 def _write_report_files(report: ErrorReport, kind: str, with_references: bool) -> None:
@@ -666,7 +636,7 @@ def _write_report_files(report: ErrorReport, kind: str, with_references: bool) -
     for alpha in spec.alphas:
         path = out_dir / f"{kind}_alpha{_alpha_slug(alpha)}.csv"
         _write_alpha_table(path, spec, alpha, report, kind, with_references)
-    _write_summary_json(out_dir / f"{kind}_summary.json", report, kind)
+    write_json(out_dir / f"{kind}_summary.json", kind, report.to_dict())
     logger.info("wrote %s outputs to %s", kind, out_dir)
 
 
@@ -830,20 +800,12 @@ def run_pointwise_comparison(
                     "backend": backend,
                 },
             )
-            with open(out_path / name, "w", newline="") as handle:
-                for line in header:
-                    handle.write(line + "\n")
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(["level", "t", "step", "l2_error"])
-                for k in range(num_steps):
-                    writer.writerow(
-                        [
-                            k + 1,
-                            repr(float(curve.times[k])),
-                            repr(float(curve.steps[k])),
-                            repr(float(curve.l2_error[k])),
-                        ]
-                    )
+            write_csv(
+                out_path / name,
+                header,
+                ["level", "t", "step", "l2_error"],
+                zip(range(1, num_steps + 1), curve.times, curve.steps, curve.l2_error),
+            )
     return curves
 
 
@@ -997,19 +959,13 @@ def run_stability_soak(
         header = reproducibility_header(
             "stability-soak", params, {"plateau_factor": plateau_factor}
         )
-        with open(out_path / "soak_trajectory.csv", "w", newline="") as handle:
-            for line in header:
-                handle.write(line + "\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["level", "t", "l2_norm", "h1_seminorm"])
-            for k in range(levels):
-                writer.writerow(
-                    [k, repr(float(mesh.nodes[k])), repr(float(l2[k])), repr(float(h1[k]))]
-                )
-        with open(out_path / "soak_summary.json", "w") as handle:
-            payload = {"version": __version__, "kind": "stability-soak", **report.to_dict()}
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_csv(
+            out_path / "soak_trajectory.csv",
+            header,
+            ["level", "t", "l2_norm", "h1_seminorm"],
+            zip(range(levels), mesh.nodes, l2, h1),
+        )
+        write_json(out_path / "soak_summary.json", "stability-soak", report.to_dict())
     logger.info(
         "soak alpha=%g: growth ratio %.6f (plateau %s), residual max %.2e",
         order.alpha, growth_ratio, "ok" if plateau_ok else "FAIL",

@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .meshes import TimeMesh
+from .provenance import write_csv
 
 __all__ = [
     "FractionalOrder",
@@ -374,6 +375,9 @@ def _quadrature_row_a_c(
     wj = t_star - nodes[j]
     a_ref, c_ref = _closed_row_a_c(mesh, order, k)
     a_scale = np.abs(a_ref)
+    # far intervals of steep meshes at small alpha underflow c_ref to zero
+    # or a subnormal; those components are integrated unscaled
+    c_scale = np.where(c_ref > np.finfo(float).tiny, c_ref, 1.0)
     c_pref = alpha * tj**3 / (tj1 * (tj + tj1))
 
     def integrand(theta: float) -> np.ndarray:
@@ -381,7 +385,7 @@ def _quadrature_row_a_c(
             (tj + tj1) * (w0 - theta * tj) ** alpha
         )
         fc = c_pref * theta * (1.0 - theta) * (wj + theta * tj) ** (-alpha - 1.0)
-        return np.concatenate([fa / a_scale, fc / c_ref])
+        return np.concatenate([fa / a_scale, fc / c_scale])
 
     res, err, info = quad_vec(
         integrand,
@@ -405,7 +409,7 @@ def _quadrature_row_a_c(
             f"(error estimate {err:.3e}, tolerance {achieved:.3e})"
         )
     m = k - 1
-    return res[:m] * a_scale, res[m:] * c_ref
+    return res[:m] * a_scale, res[m:] * c_scale
 
 
 # ---------------------------------------------------------------------------
@@ -579,25 +583,26 @@ def dump_kernel_csv(table: KernelTable, path: "str | Path", header_lines: Sequen
     One line per (level, interval) pair; fields outside a coefficient's
     defined range are left empty.  '#' header lines carry provenance.
     """
-    path = Path(path)
-    lines = ["# subdiff kernel table"]
     # header lines may arrive pre-formatted as comments
-    lines.extend(
-        text if text.startswith("#") else f"# {text}" for text in header_lines
-    )
-    lines.append(f"# backend: {table.backend}")
-    lines.append("level,interval,t_star,a,b,c,d,m")
-    for row in table:
-        k = row.k
-        row_b = row.b
-        for j in range(1, k + 1):
-            a = f"{row.a[j - 1]:.17g}" if j <= k - 1 else ""
-            b = f"{row_b[j - 1]:.17g}" if j <= k - 1 else ""
-            c = f"{row.c[j - 1]:.17g}" if j <= k - 1 else ""
-            d = f"{row.d[j - 2]:.17g}" if 2 <= j <= k - 1 else ""
-            m = f"{row.m_row[j - 1]:.17g}"
-            lines.append(f"{k},{j},{row.t_star:.17g},{a},{b},{c},{d},{m}")
-    path.write_text("\n".join(lines) + "\n")
+    header = [
+        "# subdiff kernel table",
+        *(text if text.startswith("#") else f"# {text}" for text in header_lines),
+        f"# backend: {table.backend}",
+    ]
+
+    def rows():
+        for row in table:
+            k = row.k
+            row_b = row.b
+            for j in range(1, k + 1):
+                a = f"{row.a[j - 1]:.17g}" if j <= k - 1 else ""
+                b = f"{row_b[j - 1]:.17g}" if j <= k - 1 else ""
+                c = f"{row.c[j - 1]:.17g}" if j <= k - 1 else ""
+                d = f"{row.d[j - 2]:.17g}" if 2 <= j <= k - 1 else ""
+                m = f"{row.m_row[j - 1]:.17g}"
+                yield [k, j, f"{row.t_star:.17g}", a, b, c, d, m]
+
+    write_csv(path, header, ["level", "interval", "t_star", "a", "b", "c", "d", "m"], rows())
     logger.info("wrote kernel table (%d levels) to %s", table.n, path)
 
 

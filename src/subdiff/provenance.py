@@ -1,17 +1,28 @@
-"""Reproducibility headers for every file the package writes.
+"""The one writer for every CSV and JSON file the package emits.
 
-Each output file (CSV or JSON sidecar) starts with comment lines naming the
-package version, the producing command or function, the parameters of the
-run, and the numerical tolerances in force.  Headers carry no timestamps or
-host information so identical runs produce bit-identical files.
+CSV files open with ``#`` comment lines naming the package version, the
+producing command or function, the parameters of the run and the numerical
+tolerances in force; the column row and the data rows follow.  JSON files
+and the JSON the command line prints are sorted, indented objects carrying
+``version`` and ``kind`` keys.  Nothing written carries timestamps or host
+information, so identical runs produce bit-identical files.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+import csv
+import json
+from collections.abc import Iterable, Mapping, Sequence
+from pathlib import Path
 
 from ._version import __version__
 
-__all__ = ["format_value", "reproducibility_header"]
+__all__ = [
+    "format_value",
+    "reproducibility_header",
+    "write_csv",
+    "json_text",
+    "write_json",
+]
 
 
 def format_value(value: object) -> str:
@@ -41,3 +52,40 @@ def reproducibility_header(
         lines.append(f"# tolerance:{key} = {format_value(value)}")
     lines.extend(extra)
     return lines
+
+
+def write_csv(
+    path: "str | Path",
+    header_lines: Iterable[str],
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+) -> None:
+    """Write the header lines, the column row, then one line per row.
+
+    Lines end in ``\\n``.  Floats, numpy's included, are written with
+    ``repr``: the shortest text that reads back to the same value.  Other
+    fields are written as ``str`` gives them.
+    """
+    # the builtin open (not Path.write_text), so a caller that shadows
+    # ``open`` in this module sees every output file
+    with open(path, "w", newline="") as handle:
+        for line in header_lines:
+            handle.write(line + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def json_text(kind: str, payload: Mapping[str, object]) -> str:
+    """The payload as sorted, indented JSON with ``version`` and ``kind`` keys."""
+    return json.dumps(
+        {"version": __version__, "kind": kind, **payload}, indent=2, sort_keys=True
+    )
+
+
+def write_json(path: "str | Path", kind: str, payload: Mapping[str, object]) -> None:
+    """Write :func:`json_text` plus a trailing newline."""
+    with open(path, "w") as handle:
+        handle.write(json_text(kind, payload) + "\n")

@@ -20,7 +20,6 @@ inputs.
 """
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .kernel import (
     build_kernel_table,
 )
 from .meshes import TimeMesh
-from .provenance import reproducibility_header
+from .provenance import reproducibility_header, write_csv
 
 __all__ = [
     "DirichletLine",
@@ -55,8 +54,6 @@ __all__ = [
     "initialize_state",
     "step",
     "solve",
-    "solve_1d_dirichlet",
-    "solve_2d_periodic",
     "discrete_norms",
     "write_snapshot_csv",
     "write_diagnostics_csv",
@@ -408,32 +405,6 @@ def solve(
     return state
 
 
-def solve_1d_dirichlet(
-    problem: Problem,
-    mesh: TimeMesh,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
-    table: KernelTable | None = None,
-) -> SolverState:
-    """Solve a problem posed on :class:`DirichletLine`."""
-    if not isinstance(problem.space, DirichletLine):
-        raise ValidationError("solve_1d_dirichlet needs a DirichletLine problem")
-    return solve(problem, mesh, backend, settings, table)
-
-
-def solve_2d_periodic(
-    problem: Problem,
-    mesh: TimeMesh,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
-    table: KernelTable | None = None,
-) -> SolverState:
-    """Solve a problem posed on :class:`PeriodicSquare`."""
-    if not isinstance(problem.space, PeriodicSquare):
-        raise ValidationError("solve_2d_periodic needs a PeriodicSquare problem")
-    return solve(problem, mesh, backend, settings, table)
-
-
 def discrete_norms(state: SolverState) -> NormReport:
     """Error and energy metrics of a run (through the reached level).
 
@@ -464,13 +435,6 @@ def discrete_norms(state: SolverState) -> NormReport:
     )
 
 
-def _open_csv(path: str, header_lines: list[str]):
-    handle = open(path, "w", newline="")
-    for line in header_lines:
-        handle.write(line + "\n")
-    return handle
-
-
 def write_snapshot_csv(state: SolverState, path: str, level: int | None = None) -> None:
     """Write the solution field at one time level as CSV.
 
@@ -497,18 +461,9 @@ def write_snapshot_csv(state: SolverState, path: str, level: int | None = None) 
             "t": t,
         },
     )
-    field_u = state.history[level]
-    with _open_csv(path, header) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        if isinstance(space, DirichletLine):
-            writer.writerow(["x", "u"])
-            for x, u in zip(space.grid, field_u):
-                writer.writerow([repr(float(x)), repr(float(u))])
-        else:
-            xx, yy = space.grid
-            writer.writerow(["x", "y", "u"])
-            for x, y, u in zip(xx.ravel(), yy.ravel(), field_u.ravel()):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(u))])
+    coords = [space.grid] if space.ndim == 1 else [g.ravel() for g in space.grid]
+    columns = ["x", "y"][: space.ndim] + ["u"]
+    write_csv(path, header, columns, zip(*coords, state.history[level].ravel()))
 
 
 def write_diagnostics_csv(state: SolverState, path: str) -> None:
@@ -529,11 +484,11 @@ def write_diagnostics_csv(state: SolverState, path: str) -> None:
             "horizon": state.mesh.horizon,
         },
     )
-    with _open_csv(path, header) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["level", "t", "l2_error", "h1_seminorm"])
-        for k in range(state.level + 1):
-            err = "" if report.l2_error is None else repr(float(report.l2_error[k]))
-            writer.writerow(
-                [k, repr(float(state.mesh.nodes[k])), err, repr(float(state.h1_seminorm[k]))]
-            )
+    levels = state.level + 1
+    errors = [""] * levels if report.l2_error is None else report.l2_error
+    write_csv(
+        path,
+        header,
+        ["level", "t", "l2_error", "h1_seminorm"],
+        zip(range(levels), state.mesh.nodes, errors, state.h1_seminorm[:levels]),
+    )

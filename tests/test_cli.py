@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from subdiff import TimeMesh, make_graded_mesh, read_mesh, write_mesh
+from subdiff import TimeMesh, admissibility_thresholds, make_graded_mesh, read_mesh, write_mesh
 from subdiff.cli import EXIT_INVALID, EXIT_OK, EXIT_VERDICT, dispatch
 
 
@@ -137,6 +137,26 @@ def test_analyze_builds_one_table(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert passes == [12 * 11 // 2]
+
+
+@pytest.mark.parametrize("seed, index", [(407, 12), (2204, 48)])
+def test_analyze_floor_scales_with_the_complementary_kernel(tmp_path, capsys, seed, index):
+    # admissible meshes with step ratios uniform in [eta, 3], built as the
+    # operator-fuzz benchmark builds them: P has entries near 1e9, and
+    # rounding leaves its smallest entry near -1e-13 (-2.2e-13 on the
+    # second), which a fixed -1e-13 floor would fail
+    rng = np.random.default_rng(seed)
+    _, eta = admissibility_thresholds()
+    for _ in range(index + 1):
+        ratios = rng.uniform(eta, 3.0, size=127)
+    steps = np.cumprod(np.concatenate([[1.0], ratios]))
+    path = tmp_path / "mesh.txt"
+    path.write_text("".join(f"{t:.17g}\n" for t in np.concatenate([[0.0], np.cumsum(steps)])))
+    code, stdout, _ = run_cli(
+        capsys, "analyze", "--file", str(path), "--alpha", "0.3", "--backend", "closed"
+    )
+    payload = json.loads(stdout)
+    assert code == EXIT_OK and payload["passed"] is True
 
 
 def test_solve_manufactured_known_error(tmp_path, capsys):

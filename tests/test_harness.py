@@ -235,6 +235,35 @@ def test_convergence_outputs_are_deterministic(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_failed_experiment_flushes_finished_cells(tmp_path):
+    # a stored 8-step mesh serves K=8 and is refused at K=16: the finished
+    # cell goes to partial_cells.csv, then the error propagates
+    mesh_path = tmp_path / "m8.txt"
+    write_mesh(make_graded_mesh(1.0, 8, 2.0), mesh_path)
+    out_dir = tmp_path / "out"
+    spec = ExperimentSpec(
+        alphas=(0.5,),
+        families=(f"file:{mesh_path}",),
+        step_counts=(8, 16),
+        space="d1:32",
+        backend="closed",
+        out_dir=str(out_dir),
+    )
+    with pytest.raises(ValidationError, match="asks for 16"):
+        run_convergence(spec)
+    lines = (out_dir / "partial_cells.csv").read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    data = [line for line in lines if not line.startswith("#")]
+    assert header[0] == "# subdiff 0.1.0 partial-convergence-cells"
+    assert header[-1] == "# incomplete = ValidationError"
+    assert data[0] == "alpha,family,num_steps,max_l2_error,argmax_level"
+    assert len(data) == 2
+    alpha, family, num_steps, error, argmax = data[1].split(",")
+    assert (alpha, family, num_steps) == ("0.5", f"file:{mesh_path}", "8")
+    assert 0.0 < float(error) < 1.0 and 1 <= int(argmax) <= 8
+    assert not (out_dir / "convergence_summary.json").exists()
+
+
 def test_alpha_table_layout(tmp_path):
     run_convergence(small_spec(out_dir=tmp_path))
     lines = (tmp_path / "convergence_alpha0p5.csv").read_text().splitlines()

@@ -1,10 +1,12 @@
 """Kernel coefficients against a frozen high-precision oracle, row assembly,
 operator application, and the fractional-derivative reference integrator."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import subdiff.kernel as kernel_module
 from subdiff import (
     FractionalOrder,
     QuadratureSettings,
@@ -150,17 +152,34 @@ def test_rows_are_read_only_views_of_one_matrix():
         m[0, 0] = 1.0
 
 
-def test_non_finite_coefficients_are_refused():
-    # admissible but steep at alpha = 1e-3: the quadrature scale underflows
-    # on the far intervals of levels 6..40, so that build must raise instead
-    # of handing out NaN; the closed forms stay finite on the same mesh
+def test_non_finite_coefficients_are_refused(monkeypatch):
+    # admissible but steep at alpha = 1e-3: the closed-form scale of c
+    # underflows on the far intervals of levels 6..40; the quadrature
+    # integrates those components unscaled and stays finite and close to
+    # the closed forms, without a floating-point warning
     mesh = make_graded_mesh(1, 200, 60).head(40)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            build_kernel_table(mesh, 1e-3, backend="quadrature")
-    table = build_kernel_table(mesh, 1e-3, backend="closed")
-    for arr in (table.a, table.c, table.matrix()):
+    closed = build_kernel_table(mesh, 1e-3, backend="closed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quad = build_kernel_table(mesh, 1e-3, backend="quadrature")
+    for arr in (closed.a, closed.c, closed.matrix(), quad.matrix()):
         assert np.all(np.isfinite(arr))
+    m_closed = closed.matrix()
+    assert np.max(np.abs(quad.matrix() - m_closed)) <= 1e-13 * np.max(np.abs(m_closed))
+
+    # a NaN handed out by one quadrature row must stop the build
+    original = kernel_module._quadrature_row_a_c
+
+    def poisoned(mesh, order, k, settings):
+        a, c = original(mesh, order, k, settings)
+        if k == 7:
+            c = c.copy()
+            c[2] = np.nan
+        return a, c
+
+    monkeypatch.setattr(kernel_module, "_quadrature_row_a_c", poisoned)
+    with pytest.raises(NumericalError, match="first at level 7"):
+        build_kernel_table(make_graded_mesh(1.0, 10, 2.0), 0.5, backend="quadrature")
 
 
 def test_single_step_table():

@@ -1,0 +1,50 @@
+"""The one output writer: exact bytes of the CSV and JSON formats."""
+import builtins
+
+import numpy as np
+
+from subdiff import provenance
+from subdiff.provenance import json_text, reproducibility_header, write_csv, write_json
+
+
+def test_writer_bytes(tmp_path, monkeypatch):
+    # every output file is opened through the builtin ``open`` looked up in
+    # the writer's module, so shadowing it there sees each file
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(provenance, "open", recording_open, raising=False)
+
+    header = reproducibility_header("demo", {"alpha": 0.5, "K": [8, 16]}, {"rel": 1e-13})
+    rows = [[1, np.float64(0.1)], [2.5e-300, "a b"], ["", "0.5"]]
+    write_csv(tmp_path / "t.csv", header, ["x", "y"], rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"# subdiff 0.1.0 demo\n"
+        b"# alpha = 0.5\n"
+        b"# K = 8,16\n"
+        b"# tolerance:rel = 1e-13\n"
+        b"x,y\n"
+        b"1,0.1\n"
+        b"2.5e-300,a b\n"
+        b",0.5\n"
+    )
+
+    text = (
+        '{\n'
+        '  "a": [\n'
+        '    1.5,\n'
+        '    null\n'
+        '  ],\n'
+        '  "b": true,\n'
+        '  "kind": "demo",\n'
+        '  "version": "0.1.0"\n'
+        '}'
+    )
+    payload = {"b": True, "a": [1.5, None]}
+    assert json_text("demo", payload) == text
+    write_json(tmp_path / "s.json", "demo", payload)
+    assert (tmp_path / "s.json").read_bytes() == (text + "\n").encode()
+    assert opened == [str(tmp_path / "t.csv"), str(tmp_path / "s.json")]

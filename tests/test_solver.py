@@ -20,8 +20,6 @@ from subdiff import (
     manufactured_problem_2d,
     parse_space,
     solve,
-    solve_1d_dirichlet,
-    solve_2d_periodic,
     step,
     write_diagnostics_csv,
     write_snapshot_csv,
@@ -118,7 +116,7 @@ def test_steady_state_reproduced_exactly():
 def test_manufactured_1d_accuracy_and_residual():
     problem = manufactured_problem_1d(0.5, intervals=2048)
     mesh = make_graded_mesh(1.0, 40, 4.0)
-    state = solve_1d_dirichlet(problem, mesh, backend="closed")
+    state = solve(problem, mesh, backend="closed")
     report = discrete_norms(state)
     assert report.residual_max <= 1e-10
     # graded at the error-optimal exponent: comfortably below the
@@ -129,21 +127,11 @@ def test_manufactured_1d_accuracy_and_residual():
     assert report.l2_error[0] == 0.0
 
 
-def test_manufactured_rejects_wrong_solver():
-    problem_1d = manufactured_problem_1d(0.5, intervals=16)
-    problem_2d = manufactured_problem_2d(0.5, modes=8)
-    mesh = make_uniform_mesh(1.0, 2)
-    with pytest.raises(ValidationError):
-        solve_2d_periodic(problem_1d, mesh)
-    with pytest.raises(ValidationError):
-        solve_1d_dirichlet(problem_2d, mesh)
-
-
 def test_single_mode_2d_stays_spectrally_pure():
     # the data excite only the (+-1, +-1) Fourier modes; the marching must
     # not leak energy into any other mode
     problem = manufactured_problem_2d(0.5, modes=16)
-    state = solve_2d_periodic(problem, make_graded_mesh(1.0, 12, 4.0), backend="closed")
+    state = solve(problem, make_graded_mesh(1.0, 12, 4.0), backend="closed")
     spectrum = np.abs(np.fft.fft2(state.history[-1]))
     active = np.zeros((16, 16), dtype=bool)
     active[1, 1] = active[1, -1] = active[-1, 1] = active[-1, -1] = True
