@@ -63,6 +63,9 @@ BACKENDS = ("quadrature", "closed")
 # series; above it direct expm1/log1p evaluation is already stable.
 _SERIES_CUTOFF = 0.6
 
+# Rows of the closed coefficient triangle filled per vectorized pass.
+_BLOCK_ROWS = 128
+
 
 @dataclass(frozen=True)
 class FractionalOrder:
@@ -204,27 +207,42 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     all relative accuracy for small ``x``.  Below ``_SERIES_CUTOFF`` they are
     summed as explicit power series with positive terms; above it the direct
     expm1/log1p forms are used.  Inputs must satisfy ``0 < delta < 1``.
+
+    Each series entry stops on its own.  The entries are sorted by ``delta``,
+    so those still running form a suffix, and every iteration drops the leading
+    run that has converged.  This gives the same bits as summing every entry
+    until the slowest converges: once an entry passes the test its term and
+    its increment to ``psi`` are below half an ulp of their sums, and both
+    keep shrinking for ``x <= 0.6`` (the term ratio is ``x*(alpha+m-3)/m``),
+    so each later addition rounds back to the same sum.
     """
     delta = np.asarray(delta, dtype=float)
     phi = np.empty_like(delta)
     psi = np.empty_like(delta)
     small = delta <= _SERIES_CUTOFF
     if np.any(small):
-        x = delta[small]
+        idx = np.flatnonzero(small)
+        idx = idx[np.argsort(delta[idx], kind="stable")]
+        x = delta[idx]
         term = 0.5 * x * x
         sphi = term.copy()
         spsi = np.zeros_like(x)
+        lo = 0  # entries lo: are still running; term holds their last term
         for m in range(3, 201):
-            term = term * x * (alpha + m - 3.0) / m
-            sphi += term
+            term = term * x[lo:] * (alpha + m - 3.0) / m
+            sphi[lo:] += term
             inc = term * (m - 2.0)
-            spsi += inc
-            if np.all(inc <= 1e-17 * np.maximum(spsi, 1e-300)) and np.all(
-                term <= 1e-17 * sphi
-            ):
+            spsi[lo:] += inc
+            done = (inc <= 1e-17 * np.maximum(spsi[lo:], 1e-300)) & (
+                term <= 1e-17 * sphi[lo:]
+            )
+            step = done.size if done.all() else int(np.argmin(done))
+            lo += step
+            if lo == x.size:
                 break
-        phi[small] = (1.0 - alpha) * sphi
-        psi[small] = (1.0 - alpha) * spsi
+            term = term[step:]
+        phi[idx] = (1.0 - alpha) * sphi
+        psi[idx] = (1.0 - alpha) * spsi
     big = ~small
     if np.any(big):
         x = delta[big]
@@ -274,14 +292,22 @@ def _closed_row_a_c(
 def _closed_triangle(mesh: TimeMesh, order: FractionalOrder, a: np.ndarray, c: np.ndarray) -> None:
     """Fill the ``(n, n)`` coefficient triangles ``a`` and ``c`` in closed form.
 
-    The whole triangle is evaluated in one vectorized pass, which keeps large
-    tables and diagnostic sweeps cheap.
+    The triangle is filled in blocks of ``_BLOCK_ROWS`` rows, each in one
+    vectorized pass, so the temporaries scale with ``_BLOCK_ROWS * n``
+    rather than with the whole triangle.  Every entry's series stops on its
+    own (see :func:`_phi_psi`), so the blocking does not change a bit of the
+    result.
     """
-    ks, js = np.tril_indices(a.shape[0], k=-1)  # entry (k-1, j-1) for 1 <= j < k
+    n = a.shape[0]
     tau = mesh.steps
     nodes = mesh.nodes
-    t_star = nodes[ks] + order.sigma * tau[ks]
-    a[ks, js], c[ks, js] = _closed_a_c(tau[js], tau[js + 1], t_star - nodes[js], order.alpha)
+    for k0 in range(0, n, _BLOCK_ROWS):
+        k1 = min(k0 + _BLOCK_ROWS, n)
+        # entry (k-1, j-1) for 1 <= j < k, rows k0..k1-1
+        ks, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
+        ks += k0
+        t_star = nodes[ks] + order.sigma * tau[ks]
+        a[ks, js], c[ks, js] = _closed_a_c(tau[js], tau[js + 1], t_star - nodes[js], order.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +464,12 @@ def build_kernel_table(
 ) -> KernelTable:
     """Assemble the kernel table for levels ``1..n`` (default: all steps).
 
-    The closed backend fills the coefficient triangles in one vectorized
-    pass, the quadrature backend row by row; the history matrix is then
-    assembled from them at once.  Raises :class:`SingularDiagonalError` when
-    a diagonal entry is not positive and :class:`NumericalError` when any
-    coefficient is not finite.
+    The closed backend fills the coefficient triangles in vectorized blocks
+    of rows, so its temporaries grow with ``n``, not ``n**2`` as the stored
+    ``a``, ``c`` and ``m`` do; the quadrature backend fills them row by
+    row.  The history matrix is then assembled from them at once.  Raises
+    :class:`SingularDiagonalError` when a diagonal entry is not positive and
+    :class:`NumericalError` when any coefficient is not finite.
     """
     order = as_fractional_order(order)
     _check_backend(backend)

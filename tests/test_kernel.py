@@ -1,10 +1,13 @@
 """Kernel coefficients against a frozen high-precision oracle, row assembly,
 operator application, and the fractional-derivative reference integrator."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subdiff.kernel as kernel_module
 from subdiff import (
@@ -191,6 +194,86 @@ def test_single_step_table():
     assert row.m_row[0] == pytest.approx(
         sigma ** (1 - alpha) / ((1 - alpha) * 0.3**alpha), rel=1e-14
     )
+
+
+def _phi_psi_shared_stop(delta, alpha):
+    # reference: every series entry runs until the slowest one converges
+    delta = np.asarray(delta, dtype=float)
+    phi = np.empty_like(delta)
+    psi = np.empty_like(delta)
+    small = delta <= kernel_module._SERIES_CUTOFF
+    if np.any(small):
+        x = delta[small]
+        term = 0.5 * x * x
+        sphi = term.copy()
+        spsi = np.zeros_like(x)
+        for m in range(3, 201):
+            term = term * x * (alpha + m - 3.0) / m
+            sphi += term
+            inc = term * (m - 2.0)
+            spsi += inc
+            if np.all(inc <= 1e-17 * np.maximum(spsi, 1e-300)) and np.all(
+                term <= 1e-17 * sphi
+            ):
+                break
+        phi[small] = (1.0 - alpha) * sphi
+        psi[small] = (1.0 - alpha) * spsi
+    big = ~small
+    if np.any(big):
+        x = delta[big]
+        lp = np.log1p(-x)
+        e2 = np.expm1((2.0 - alpha) * lp)
+        phi[big] = x + e2 / (2.0 - alpha)
+        psi[big] = -2.0 * e2 / (2.0 - alpha) - x * (1.0 + np.exp((1.0 - alpha) * lp))
+    return phi, psi
+
+
+_DELTAS = st.one_of(
+    st.floats(math.log(1e-300), math.log(0.6)).map(math.exp),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    deltas=st.lists(_DELTAS, min_size=1, max_size=300),
+    alpha=st.floats(1e-3, 0.999),
+)
+def test_phi_psi_stops_each_entry_without_changing_a_bit(deltas, alpha):
+    phi, psi = kernel_module._phi_psi(np.array(deltas), alpha)
+    ref_phi, ref_psi = _phi_psi_shared_stop(np.array(deltas), alpha)
+    assert np.array_equal(phi, ref_phi) and np.array_equal(psi, ref_psi)
+
+
+def test_closed_table_is_the_same_across_block_edges():
+    block = kernel_module._BLOCK_ROWS
+    mesh = make_graded_mesh(1.0, 2 * block + 7, 2.0)
+    full = build_kernel_table(mesh, 0.4, backend="closed")
+    # reference: the whole triangle in one vectorized pass
+    ks, js = np.tril_indices(mesh.num_steps, k=-1)
+    t_star = mesh.nodes[ks] + FractionalOrder(0.4).sigma * mesh.steps[ks]
+    a, c = kernel_module._closed_a_c(
+        mesh.steps[js], mesh.steps[js + 1], t_star - mesh.nodes[js], 0.4
+    )
+    assert np.array_equal(full.a[ks, js], a) and np.array_equal(full.c[ks, js], c)
+    for k in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+        head = build_kernel_table(mesh, 0.4, n=k, backend="closed")
+        assert np.array_equal(head.matrix(), full.matrix()[:k, :k]), k
+        assert np.array_equal(head.a, full.a[:k, :k]) and np.array_equal(head.c, full.c[:k, :k])
+
+
+def test_closed_build_memory_is_bounded_by_the_stored_table():
+    # the table stores three dense n x n arrays (a, c, m); the build may
+    # add a fixed allowance on top of them, not a multiple of the triangle
+    mesh = make_graded_mesh(1.0, 1024, 2.0)
+    n = mesh.num_steps
+    tracemalloc.start()
+    try:
+        build_kernel_table(mesh, 0.5, backend="closed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n + 16 * 2**20
 
 
 def test_operator_annihilates_constants():
