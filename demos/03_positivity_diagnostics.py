@@ -30,7 +30,8 @@ def main():
         table = build_kernel_table(mesh, alpha)
         report = check_psd(table)
         print(f"{name}: eigenvalues of M + M^T in "
-              f"[{report.min_eigenvalue:.3e}, {report.max_eigenvalue:.3e}] "
+              f"[{report.min_eigenvalue:.3e}, {report.max_eigenvalue:.3e}]; "
+              f"Jacobi-scaled min {report.scaled_min_eigenvalue:.3f} "
               f"-> {'PSD' if report.passed else 'NOT PSD'}")
         print(f"  certificate g_k > 0 for all k: {bool(np.all(report.g > 0.0))} "
               f"(min {float(np.min(report.g)):.3e})")

@@ -18,6 +18,11 @@ Two independent evaluation backends are provided:
 
 Their agreement on every coefficient is a regression-tested invariant, so
 either can serve as the oracle for the other.
+
+Either backend computes the kernel in slabs of consecutive rows, each
+bounded by a fixed entry budget.  :func:`build_kernel_table` collects the
+slabs into dense tables for the analysis checks; the solver marches on them
+directly and never holds the table.
 """
 from __future__ import annotations
 
@@ -63,8 +68,10 @@ BACKENDS = ("quadrature", "closed")
 # series; above it direct expm1/log1p evaluation is already stable.
 _SERIES_CUTOFF = 0.6
 
-# Rows of the closed coefficient triangle filled per vectorized pass.
-_BLOCK_ROWS = 128
+# Entries (rows x width) of one kernel slab.  This bounds both the slab the
+# march holds and the temporaries of one vectorized closed pass, so the late
+# slabs of a long mesh hold few rows.
+_SLAB_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,13 @@ class KernelRow:
         return -(self.a + self.c)
 
 
+def _row_view(k: int, a: np.ndarray, c: np.ndarray, m: np.ndarray, t_star: float) -> KernelRow:
+    """Level-``k`` row as views into one row each of the ``a``, ``c`` and ``m`` layouts."""
+    return KernelRow(
+        k=k, a=a[: k - 1], c=c[: k - 1], d=m[1 : k - 1], m_row=m[:k], t_star=float(t_star)
+    )
+
+
 class KernelTable:
     """Kernel data for levels ``1..n`` on one mesh, assembled once.
 
@@ -147,7 +161,9 @@ class KernelTable:
     ``1 <= j < k`` and zero elsewhere; ``m`` is the lower-triangular history
     matrix ``M`` (row ``k-1`` holds ``m_{k,1..k}``, its interior the weights
     ``d_j``) and ``t_star[k-1]`` the offset point of level ``k``.  All are
-    read-only, and rows are views into them.
+    read-only, and rows are views into them.  The march does not need a
+    table (see :func:`subdiff.solver.solve`); it serves the analysis checks
+    and callers that reuse one.
     """
 
     def __init__(
@@ -176,14 +192,7 @@ class KernelTable:
         if not 1 <= k <= self.n:
             raise ValidationError(f"level must lie in [1, {self.n}], got {k}")
         i = k - 1
-        return KernelRow(
-            k=k,
-            a=self.a[i, :i],
-            c=self.c[i, :i],
-            d=self.m[i, 1:i],
-            m_row=self.m[i, :k],
-            t_star=float(self.t_star[i]),
-        )
+        return _row_view(k, self.a[i], self.c[i], self.m[i], self.t_star[i])
 
     def __iter__(self):
         return (self.row(k) for k in range(1, self.n + 1))
@@ -287,27 +296,6 @@ def _closed_row_a_c(
     t_star = nodes[k - 1] + order.sigma * tau[k - 1]
     j = np.arange(1, k)
     return _closed_a_c(tau[j - 1], tau[j], t_star - nodes[j - 1], order.alpha)
-
-
-def _closed_triangle(mesh: TimeMesh, order: FractionalOrder, a: np.ndarray, c: np.ndarray) -> None:
-    """Fill the ``(n, n)`` coefficient triangles ``a`` and ``c`` in closed form.
-
-    The triangle is filled in blocks of ``_BLOCK_ROWS`` rows, each in one
-    vectorized pass, so the temporaries scale with ``_BLOCK_ROWS * n``
-    rather than with the whole triangle.  Every entry's series stops on its
-    own (see :func:`_phi_psi`), so the blocking does not change a bit of the
-    result.
-    """
-    n = a.shape[0]
-    tau = mesh.steps
-    nodes = mesh.nodes
-    for k0 in range(0, n, _BLOCK_ROWS):
-        k1 = min(k0 + _BLOCK_ROWS, n)
-        # entry (k-1, j-1) for 1 <= j < k, rows k0..k1-1
-        ks, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-        ks += k0
-        t_star = nodes[ks] + order.sigma * tau[ks]
-        a[ks, js], c[ks, js] = _closed_a_c(tau[js], tau[js + 1], t_star - nodes[js], order.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +427,96 @@ def _quadrature_row_a_c(
 
 
 # ---------------------------------------------------------------------------
-# rows, tables, operator application
+# slabs, rows, tables, operator application
 # ---------------------------------------------------------------------------
+
+
+def _kernel_slabs(
+    mesh: TimeMesh,
+    order: FractionalOrder,
+    start: int,
+    n: int,
+    backend: str,
+    settings: QuadratureSettings | None,
+):
+    """Kernel data for levels ``start+1..n``, one slab of consecutive rows at a time.
+
+    Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
+    and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
+    a :class:`KernelTable`.  A slab holds at most ``_SLAB_ENTRIES`` entries
+    (but at least one row).  The closed backend fills a slab in one
+    vectorized pass; every entry's series stops on its own (see
+    :func:`_phi_psi`), so where slab edges fall does not change a bit.  The
+    quadrature backend fills it row by row.  Raises SingularDiagonalError
+    when a diagonal entry is not positive and NumericalError when a
+    coefficient is not finite, naming the first such level.
+    """
+    _check_backend(backend)
+    settings = settings or _DEFAULT_SETTINGS
+    alpha, sigma = order.alpha, order.sigma
+    tau = mesh.steps
+    nodes = mesh.nodes
+    k0 = start
+    while k0 < n:
+        # the most rows r with r * (k0 + r) <= _SLAB_ENTRIES
+        rows = (math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2
+        k1 = min(k0 + max(rows, 1), n)
+        a = np.zeros((k1 - k0, k1))
+        c = np.zeros((k1 - k0, k1))
+        if backend == "closed":
+            # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1
+            i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
+            w0 = nodes[i + k0] + sigma * tau[i + k0] - nodes[js]  # t_k* - t_{j-1}
+            a[i, js], c[i, js] = _closed_a_c(tau[js], tau[js + 1], w0, alpha)
+        else:
+            for k in range(max(k0 + 1, 2), k1 + 1):
+                i = k - 1 - k0
+                a[i, : k - 1], c[i, : k - 1] = _quadrature_row_a_c(mesh, order, k, settings)
+        # one scalar power per level: a vectorized power can differ in the last
+        # bit, which would change every solution the march writes
+        diag = np.array([
+            sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha) for t in tau[k0:k1]
+        ])
+        m = np.empty_like(a)
+        # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it, zero above it
+        np.subtract(c[:, :-1], a[:, 1:], out=m[:, 1:])
+        m[:, 0] = -a[:, 0]
+        on_diag = (np.arange(k1 - k0), np.arange(k0, k1))
+        m[on_diag] += diag
+        diag_m = m[on_diag]
+        bad = np.flatnonzero(~(np.isfinite(diag_m) & (diag_m > 0.0)))
+        if bad.size:
+            raise SingularDiagonalError(
+                f"level {k0 + bad[0] + 1}: diagonal entry {diag_m[bad[0]]!r} is not positive"
+            )
+        # every a_j and c_j enters one entry of M, so this covers them too
+        bad = np.flatnonzero(~np.all(np.isfinite(m), axis=1))
+        if bad.size:
+            raise NumericalError(
+                f"{backend} kernel: {bad.size} of levels {k0 + 1}..{k1} hold non-finite "
+                f"coefficients (first at level {k0 + bad[0] + 1})"
+            )
+        t_star = nodes[k0:k1] + sigma * tau[k0:k1]
+        for arr in (a, c, m, t_star):
+            arr.flags.writeable = False
+        yield k0, k1, a, c, m, t_star
+        k0 = k1
+
+
+def _kernel_rows(
+    mesh: TimeMesh,
+    order: FractionalOrder,
+    backend: str,
+    settings: QuadratureSettings | None,
+):
+    """Rows of levels ``1..mesh.num_steps``, as views into one slab at a time.
+
+    A slab is freed once the next one is filled and its rows are dropped, so
+    at most two are alive at once.
+    """
+    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend, settings):
+        for i in range(k1 - k0):
+            yield _row_view(k0 + i + 1, a[i], c[i], m[i], t_star[i])
 
 
 def build_kernel_row(
@@ -450,9 +526,14 @@ def build_kernel_row(
     backend: str = "quadrature",
     settings: QuadratureSettings | None = None,
 ) -> KernelRow:
-    """Build the level-``k`` kernel row with the chosen backend."""
-    k = int(k)
-    return build_kernel_table(mesh, order, n=k, backend=backend, settings=settings).row(k)
+    """Build the level-``k`` kernel row alone (a one-row slab), with the chosen backend.
+
+    Its entries are bit-identical to row ``k`` of :func:`build_kernel_table`.
+    """
+    order = as_fractional_order(order)
+    k = _check_levels(mesh, k)
+    _, _, a, c, m, t_star = next(_kernel_slabs(mesh, order, k - 1, k, backend, settings))
+    return _row_view(k, a[0], c[0], m[0], t_star[0])
 
 
 def build_kernel_table(
@@ -464,50 +545,22 @@ def build_kernel_table(
 ) -> KernelTable:
     """Assemble the kernel table for levels ``1..n`` (default: all steps).
 
-    The closed backend fills the coefficient triangles in vectorized blocks
-    of rows, so its temporaries grow with ``n``, not ``n**2`` as the stored
-    ``a``, ``c`` and ``m`` do; the quadrature backend fills them row by
-    row.  The history matrix is then assembled from them at once.  Raises
-    :class:`SingularDiagonalError` when a diagonal entry is not positive and
-    :class:`NumericalError` when any coefficient is not finite.
+    The table collects the slabs of rows the kernel is computed in (closed:
+    one vectorized pass per slab; quadrature: row by row), so its build
+    memory is the stored ``a``, ``c`` and ``m`` (three dense ``n x n``
+    arrays) plus one slab.  :func:`solve` does not need a table: it marches
+    on the slabs directly.  Raises :class:`SingularDiagonalError` when a
+    diagonal entry is not positive and :class:`NumericalError` when any
+    coefficient is not finite.
     """
     order = as_fractional_order(order)
-    _check_backend(backend)
     n = _check_levels(mesh, n)
-    tau = mesh.steps
     a = np.zeros((n, n))
     c = np.zeros((n, n))
-    if backend == "closed":
-        _closed_triangle(mesh, order, a, c)
-    else:
-        settings = settings or _DEFAULT_SETTINGS
-        for k in range(2, n + 1):
-            a[k - 1, : k - 1], c[k - 1, : k - 1] = _quadrature_row_a_c(mesh, order, k, settings)
-    # one scalar power per level: a vectorized power can differ in the last
-    # bit, which would change every solution the march writes
-    diag = np.array([
-        order.sigma ** (1.0 - order.alpha) / ((1.0 - order.alpha) * t**order.alpha)
-        for t in tau[:n]
-    ])
-    m = np.empty((n, n))
-    # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it, zero above it
-    np.subtract(c[:, :-1], a[:, 1:], out=m[:, 1:])
-    m[:, 0] = -a[:, 0]
-    m[np.diag_indices(n)] += diag
-    diag_m = np.diag(m)
-    bad = np.flatnonzero(~(np.isfinite(diag_m) & (diag_m > 0.0)))
-    if bad.size:
-        raise SingularDiagonalError(
-            f"level {bad[0] + 1}: diagonal entry {diag_m[bad[0]]!r} is not positive"
-        )
-    # every a_j and c_j enters one entry of M, so this covers them too
-    bad = np.flatnonzero(~np.all(np.isfinite(m), axis=1))
-    if bad.size:
-        raise NumericalError(
-            f"{backend} kernel table: {bad.size} of {n} levels hold non-finite "
-            f"coefficients (first at level {bad[0] + 1})"
-        )
-    t_star = mesh.nodes[:n] + order.sigma * tau[:n]
+    m = np.zeros((n, n))
+    t_star = np.empty(n)
+    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, 0, n, backend, settings):
+        a[k0:k1, :k1], c[k0:k1, :k1], m[k0:k1, :k1], t_star[k0:k1] = a_s, c_s, m_s, t_s
     logger.debug("built %s kernel table with %d levels", backend, n)
     return KernelTable(mesh, order, backend, a, c, m, t_star)
 

@@ -14,6 +14,9 @@ Two spatial discretizations are provided:
 * :class:`PeriodicSquare`: Fourier spectral discretization on
   ``[0, length]^2``, diagonal in frequency space.
 
+:func:`solve` streams the kernel rows in slabs and never holds the dense
+kernel table, only the solution history and one slab.
+
 The per-step linear-system residual is recorded so every run certifies its
 own algebra; it sits at rounding level (far below 1e-10) for well-posed
 inputs.
@@ -35,8 +38,9 @@ from .kernel import (
     KernelRow,
     KernelTable,
     QuadratureSettings,
+    _kernel_rows,
     as_fractional_order,
-    build_kernel_table,
+    build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
 from .meshes import TimeMesh
 from .provenance import reproducibility_header, write_csv
@@ -385,24 +389,40 @@ def solve(
 ) -> SolverState:
     """March the problem across the whole mesh and return the final state.
 
-    A prebuilt kernel table may be supplied to amortize coefficient
-    construction across runs on the same mesh and order.
+    The kernel rows are computed in slabs of consecutive rows as the march
+    reaches them, and each slab is dropped once its rows are marched.  A
+    prebuilt ``table`` may be supplied instead, by callers that reuse one;
+    its first ``mesh.num_steps`` rows are used, bit-identical to the streamed
+    ones.  A table for another order, or on a mesh whose first
+    ``mesh.num_steps + 1`` nodes differ, is refused with ValidationError.
     """
+    n = mesh.num_steps
     if table is None:
-        table = build_kernel_table(mesh, problem.order, backend=backend, settings=settings)
-    elif table.n < mesh.num_steps:
-        raise ValidationError(
-            f"kernel table covers {table.n} levels, mesh has {mesh.num_steps}"
-        )
+        rows = _kernel_rows(mesh, problem.order, backend, settings)
+    else:
+        _check_table(table, problem, mesh)
+        rows = (table.row(k) for k in range(1, n + 1))
     state = initialize_state(problem, mesh)
-    for k in range(1, mesh.num_steps + 1):
-        step(state, table.row(k))
+    for row in rows:
+        step(state, row)
     logger.debug(
         "marched %d levels; max residual %.2e",
-        mesh.num_steps,
+        n,
         float(np.max(state.residual)),
     )
     return state
+
+
+def _check_table(table: KernelTable, problem: Problem, mesh: TimeMesh) -> None:
+    """Refuse a table built for another order or mesh than the run's."""
+    n = mesh.num_steps
+    if table.n < n:
+        raise ValidationError(f"kernel table covers {table.n} levels, mesh has {n}")
+    alpha = problem.order.alpha
+    if table.order.alpha != alpha:
+        raise ValidationError(f"kernel table is for alpha {table.order.alpha}, not {alpha}")
+    if not np.array_equal(table.mesh.nodes[: n + 1], mesh.nodes):
+        raise ValidationError(f"kernel table's first {n + 1} mesh nodes differ from the run's")
 
 
 def discrete_norms(state: SolverState) -> NormReport:

@@ -110,6 +110,7 @@ def test_psd_on_benchmark_meshes():
         assert report.passed
         assert report.mesh_admissible
         assert report.min_eigenvalue >= -report.rel_tol * report.max_eigenvalue
+        assert report.scaled_min_eigenvalue >= 0.5
         assert report.max_eigenvalue > 0.0
         assert np.all(report.g > 0.0)
         assert np.allclose(
@@ -197,6 +198,26 @@ def test_complementary_kernel_errors():
         build_complementary_kernel(np.array([[0.0]]))
     with pytest.raises(ValidationError):
         build_complementary_kernel(np.zeros((2, 3)))
+
+
+def test_check_psd_fails_a_negative_eigenvalue_below_the_raw_rounding_scale(monkeypatch):
+    # M + M^T = diag(1e6, 1, ..., 1) plus S[1, 2] = S[2, 1] = 1 + 1e-5: the
+    # 2x2 block has eigenvalue -1e-5, below 1e-10 * lambda_max = 1e-4, so a
+    # verdict on min/max of M + M^T passes it; the Jacobi-scaled matrix
+    # leaves the block as it is and shows -1e-5
+    table = build_kernel_table(make_uniform_mesh(1.0, 10), 0.5, backend="closed")
+    sym = np.eye(10)
+    sym[0, 0] = 1e6
+    sym[1, 2] = sym[2, 1] = 1.0 + 1e-5
+    fake = np.tril(sym, -1) + np.diag(np.diag(sym)) / 2.0
+    monkeypatch.setattr(table, "matrix", lambda: fake)
+    report = check_psd(table)
+    assert report.min_eigenvalue == pytest.approx(-1e-5, rel=1e-6)
+    assert report.max_eigenvalue == pytest.approx(1e6)
+    assert report.min_eigenvalue >= -report.rel_tol * report.max_eigenvalue
+    assert report.scaled_min_eigenvalue == pytest.approx(-1e-5, rel=1e-6)
+    assert not report.passed
+    assert report.to_dict()["scaled_min_eigenvalue"] == report.scaled_min_eigenvalue
 
 
 def test_check_psd_records_inadmissibility():

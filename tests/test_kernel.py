@@ -246,8 +246,19 @@ def test_phi_psi_stops_each_entry_without_changing_a_bit(deltas, alpha):
 
 
 def test_closed_table_is_the_same_across_block_edges():
-    block = kernel_module._BLOCK_ROWS
-    mesh = make_graded_mesh(1.0, 2 * block + 7, 2.0)
+    mesh = make_graded_mesh(1.0, 400, 2.0)
+    # (k0, k1) of every slab the kernel is computed in, read from the generator
+    slabs = [
+        (k0, k1)
+        for k0, k1, *_ in kernel_module._kernel_slabs(
+            mesh, FractionalOrder(0.4), 0, mesh.num_steps, "closed", None
+        )
+    ]
+    edges = [k1 for _, k1 in slabs[:-1]]
+    assert len(edges) >= 3
+    assert [k0 for k0, _ in slabs] == [0] + edges and slabs[-1][1] == mesh.num_steps
+    for k0, k1 in slabs:
+        assert (k1 - k0) * k1 <= kernel_module._SLAB_ENTRIES
     full = build_kernel_table(mesh, 0.4, backend="closed")
     # reference: the whole triangle in one vectorized pass
     ks, js = np.tril_indices(mesh.num_steps, k=-1)
@@ -256,10 +267,32 @@ def test_closed_table_is_the_same_across_block_edges():
         mesh.steps[js], mesh.steps[js + 1], t_star - mesh.nodes[js], 0.4
     )
     assert np.array_equal(full.a[ks, js], a) and np.array_equal(full.c[ks, js], c)
-    for k in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+    heads = {1, 2, mesh.num_steps - 1} | {e + d for e in edges for d in (-1, 0, 1)}
+    for k in sorted(heads):
         head = build_kernel_table(mesh, 0.4, n=k, backend="closed")
         assert np.array_equal(head.matrix(), full.matrix()[:k, :k]), k
         assert np.array_equal(head.a, full.a[:k, :k]) and np.array_equal(head.c, full.c[:k, :k])
+
+
+def test_build_kernel_row_computes_one_row(monkeypatch):
+    mesh = make_graded_mesh(1.0, 12, 2.0)
+    k = 9
+    for backend in ("closed", "quadrature"):
+        row = build_kernel_row(mesh, 0.5, k, backend=backend)
+        want = build_kernel_table(mesh, 0.5, backend=backend).row(k)
+        for name in ("a", "c", "d", "m_row"):
+            assert np.array_equal(getattr(row, name), getattr(want, name)), (backend, name)
+        assert row.t_star == want.t_star
+    calls = []
+    original = kernel_module._quadrature_row_a_c
+
+    def counted(mesh, order, k, settings):
+        calls.append(k)
+        return original(mesh, order, k, settings)
+
+    monkeypatch.setattr(kernel_module, "_quadrature_row_a_c", counted)
+    build_kernel_row(mesh, 0.5, k, backend="quadrature")
+    assert calls == [k]
 
 
 def test_closed_build_memory_is_bounded_by_the_stored_table():

@@ -1,10 +1,13 @@
 """Time marching on the two model spaces: exactness cases, spectral purity,
-agreement with a scalar single-mode recursion, norms, and CSV outputs."""
+agreement with a scalar single-mode recursion, the streamed kernel rows,
+norms, and CSV outputs."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import subdiff.kernel as kernel_module
 from subdiff import (
     DirichletLine,
     FractionalOrder,
@@ -16,6 +19,7 @@ from subdiff import (
     initialize_state,
     make_graded_mesh,
     make_uniform_mesh,
+    manufactured_problem,
     manufactured_problem_1d,
     manufactured_problem_2d,
     parse_space,
@@ -24,7 +28,7 @@ from subdiff import (
     write_diagnostics_csv,
     write_snapshot_csv,
 )
-from subdiff.errors import DimensionMismatchError, ValidationError
+from subdiff.errors import DimensionMismatchError, NumericalError, ValidationError
 
 
 def test_parse_space():
@@ -222,6 +226,80 @@ def test_solve_rejects_short_table():
     table = build_kernel_table(mesh, 0.5, n=4, backend="closed")
     with pytest.raises(ValidationError):
         solve(problem, mesh, table=table)
+
+
+def test_solve_rejects_table_for_another_problem():
+    problem = manufactured_problem_1d(0.5, intervals=16)
+    mesh = make_graded_mesh(1.0, 8, 2.0)
+    with pytest.raises(ValidationError, match="alpha"):
+        solve(problem, mesh, table=build_kernel_table(mesh, 0.4, backend="closed"))
+    other = make_graded_mesh(1.0, 8, 3.0)
+    with pytest.raises(ValidationError, match="nodes"):
+        solve(problem, mesh, table=build_kernel_table(other, 0.5, backend="closed"))
+    # a table on a longer mesh with the same first nodes is reusable
+    longer = make_uniform_mesh(2.0, 16)
+    state = solve(problem, longer.head(8), table=build_kernel_table(longer, 0.5, backend="closed"))
+    assert state.level == 8
+
+
+def _closed_slab_edges(mesh, alpha):
+    slabs = kernel_module._kernel_slabs(
+        mesh, FractionalOrder(alpha), 0, mesh.num_steps, "closed", None
+    )
+    return [k1 for _, k1, *_ in slabs][:-1]
+
+
+@pytest.mark.parametrize(
+    "backend, num_steps, space", [("closed", 400, "d1:16"), ("quadrature", 24, "p2:8")]
+)
+def test_streamed_march_equals_table_march(backend, num_steps, space):
+    problem = manufactured_problem(0.5, parse_space(space))
+    mesh = make_graded_mesh(1.0, num_steps, 2.0)
+    if backend == "closed":
+        assert len(_closed_slab_edges(mesh, 0.5)) >= 3
+    streamed = solve(problem, mesh, backend=backend)
+    table = build_kernel_table(mesh, 0.5, backend=backend)
+    tabled = solve(problem, mesh, table=table)
+    assert np.array_equal(streamed.history, tabled.history)
+    assert np.array_equal(streamed.h1_seminorm, tabled.h1_seminorm)
+    assert np.array_equal(streamed.residual, tabled.residual)
+
+
+def test_streamed_march_never_holds_the_table():
+    # a table would hold a, c and m, three dense n x n float64 arrays; the
+    # streamed march holds the history (120 B per level here) and one slab
+    problem = manufactured_problem(0.5, parse_space("d1:16"))
+    mesh = make_graded_mesh(1.0, 1024, 2.0)
+    n = mesh.num_steps
+    tracemalloc.start()
+    try:
+        solve(problem, mesh, backend="closed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n * n
+
+
+def test_streamed_march_refuses_a_non_finite_slab(monkeypatch):
+    problem = manufactured_problem(0.5, parse_space("d1:16"))
+    mesh = make_graded_mesh(1.0, 400, 2.0)
+    level = _closed_slab_edges(mesh, 0.5)[1]  # last level of the second slab
+    original = kernel_module._closed_a_c
+    calls = []
+
+    def poisoned(*args):
+        a, c = original(*args)
+        calls.append(args)
+        if len(calls) == 2:
+            # the last entry of a slab's triangle is interval k1 - 1 of level
+            # k1; its a enters M off the diagonal
+            a = a.copy()
+            a[-1] = np.nan
+        return a, c
+
+    monkeypatch.setattr(kernel_module, "_closed_a_c", poisoned)
+    with pytest.raises(NumericalError, match=f"first at level {level}"):
+        solve(problem, mesh, backend="closed")
 
 
 def test_snapshot_csv_1d(tmp_path):
