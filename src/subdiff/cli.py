@@ -36,6 +36,7 @@ from .harness import (
     ExperimentSpec,
     MeshFamily,
     parse_config_file,
+    parse_config_value,
     parse_mesh_descriptor,
     reproduce_tables,
     run_convergence,
@@ -446,7 +447,11 @@ def _cmd_reproduce_tables(args) -> int:
         return EXIT_OK
     alphas = args.alpha
     if "alphas" in config:
-        alphas = [float(v) for v in config["alphas"].split(",") if v.strip()]
+        alphas = [
+            parse_config_value("alphas", v, float)
+            for v in config["alphas"].split(",")
+            if v.strip()
+        ]
     paper_exact = args.paper_exact
     if "paper_exact" in config:
         paper_exact = _parse_bool(config["paper_exact"], "paper_exact")
@@ -456,7 +461,7 @@ def _cmd_reproduce_tables(args) -> int:
     backend = config.get("backend", args.backend)
     workers = args.workers
     if "workers" in config:
-        workers = int(config["workers"])
+        workers = parse_config_value("workers", config["workers"], int)
     out_dir = config.get("out_dir", args.out_dir)
     report = reproduce_tables(
         alphas=alphas,

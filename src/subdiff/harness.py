@@ -60,6 +60,7 @@ __all__ = [
     "benchmark_families",
     "ExperimentSpec",
     "parse_config_file",
+    "parse_config_value",
     "CellResult",
     "Verdict",
     "ErrorReport",
@@ -259,23 +260,26 @@ class ExperimentSpec:
             raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
         kwargs: dict = {}
         if "alphas" in mapping:
-            kwargs["alphas"] = tuple(float(v) for v in _split_list(mapping["alphas"]))
+            kwargs["alphas"] = tuple(
+                parse_config_value("alphas", v, float) for v in _split_list(mapping["alphas"])
+            )
         if "meshes" in mapping:
             kwargs["families"] = tuple(
                 parse_mesh_descriptor(v) for v in _split_list(mapping["meshes"])
             )
         if "step_counts" in mapping:
             kwargs["step_counts"] = tuple(
-                int(v) for v in _split_list(mapping["step_counts"])
+                parse_config_value("step_counts", v, int)
+                for v in _split_list(mapping["step_counts"])
             )
         for key in ("space", "backend", "out_dir"):
             if key in mapping:
                 kwargs[key] = mapping[key]
         for key in ("horizon", "quad_rel_tol", "quad_abs_tol"):
             if key in mapping:
-                kwargs[key] = float(mapping[key])
+                kwargs[key] = parse_config_value(key, mapping[key], float)
         if "workers" in mapping:
-            kwargs["workers"] = int(mapping["workers"])
+            kwargs["workers"] = parse_config_value("workers", mapping["workers"], int)
         missing = {"alphas", "families", "step_counts"} - set(kwargs)
         if missing:
             raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
@@ -311,6 +315,17 @@ def _as_iterable(value) -> Iterable:
 def _split_list(text: str) -> list[str]:
     items = [item.strip() for item in text.split(",")]
     return [item for item in items if item]
+
+
+def parse_config_value(key: str, text: str, kind: type):
+    """Convert one config value with ``kind`` (``int`` or ``float``); a value
+    that does not convert is refused with ValidationError naming the key."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValidationError(
+            f"config key {key} needs {kind.__name__} values, got {text!r}"
+        ) from exc
 
 
 def parse_config_file(path: "str | Path") -> dict[str, str]:
@@ -877,9 +892,14 @@ def run_stability_soak(
     be nonincreasing.
 
     An inadmissible mesh triggers a RuntimeWarning (sourced from the
-    certifier) before the run starts.
+    certifier) before the run starts; a non-finite or non-positive
+    ``plateau_factor`` is refused with ValidationError.
     """
     order = as_fractional_order(order)
+    if not (math.isfinite(plateau_factor) and plateau_factor > 0.0):
+        raise ValidationError(
+            f"plateau_factor must be finite and positive, got {plateau_factor}"
+        )
     if mesh is None:
         mesh = make_graded_then_uniform(
             horizon=horizon,

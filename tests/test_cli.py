@@ -240,6 +240,30 @@ def test_reproduce_tables_config_overrides_flags(tmp_path, capsys):
     assert "alpha = 0.3" not in stdout
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("alphas", "alphas = 0.5, x"), ("workers", "workers = two"),
+     ("step_counts", "step_counts = 8, 1e1")],
+    ids=["alphas", "workers", "step_counts"],
+)
+def test_reproduce_tables_refuses_a_malformed_config_value(tmp_path, capsys, key, text):
+    config = tmp_path / "exp.cfg"
+    config.write_text(text + "\n")
+    code, _, err = run_cli(capsys, "reproduce-tables", "--config", str(config))
+    assert code == EXIT_INVALID
+    assert err.startswith(f"subdiff: error: invalid-parameter: config key {key} ")
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "-1", "0"])
+def test_soak_refuses_a_bad_plateau_factor(capsys, factor):
+    code, stdout, err = run_cli(
+        capsys, "soak", "--alpha", "0.5", "--K", "40", "--plateau-factor", factor
+    )
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert err.startswith("subdiff: error: invalid-parameter: plateau_factor")
+
+
 def test_soak_quick_run(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,

@@ -144,6 +144,35 @@ def test_single_mode_2d_stays_spectrally_pure():
     assert spectrum[~active].max() <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("descriptor", ["d1:37", "d1:10000", "p2:8", "p2:9"])
+def test_space_transform_pair_diagonalizes_the_laplacian(descriptor):
+    space = parse_space(descriptor)
+    v = np.random.default_rng(7).standard_normal(space.zero_field().shape)
+    v_hat = space.forward(v)
+    assert np.max(np.abs(space.inverse(v_hat) - v)) <= 1e-12 * np.max(np.abs(v))
+    # on the line this checks the symbol against the finite-difference operator
+    expected = -space.laplacian_symbol * v_hat
+    gap = np.max(np.abs(space.forward(space.laplacian(v)) - expected))
+    assert gap <= 1e-12 * np.max(np.abs(expected))
+
+
+def _scalar_mode_march(table, order, lam):
+    """The scheme on the single mode ``sin x`` of the manufactured 1-D
+    problem: a scalar recursion with the mode's discrete eigenvalue ``lam``."""
+    alpha = order.alpha
+    gamma_factor = math.gamma(1.0 + alpha)
+    v = np.zeros(table.n + 1)
+    for k in range(1, table.n + 1):
+        row = table.row(k)
+        m = row.m_row
+        delta_m = np.concatenate([[m[0]], np.diff(m)])
+        hist = np.dot(delta_m, v[:k]) / order.gamma_1ma
+        f = gamma_factor + row.t_star**alpha
+        rhs = -0.5 * alpha * lam * v[k - 1] + f + hist
+        v[k] = rhs / (m[-1] / order.gamma_1ma + order.sigma * lam)
+    return v
+
+
 def test_line_march_matches_scalar_mode_recursion():
     # project the 1-D run onto its single Fourier mode and re-run the same
     # scheme as a scalar recursion with the discrete mode eigenvalue;
@@ -160,19 +189,32 @@ def test_line_march_matches_scalar_mode_recursion():
     mode = np.sin(space.grid)
     weight = mode / np.dot(mode, mode)
     lam = 2.0 * (1.0 - math.cos(space.h)) / space.h**2  # discrete eigenvalue
-    gamma_factor = math.gamma(1.0 + alpha)
-    v = np.zeros(num_steps + 1)
-    for k in range(1, num_steps + 1):
-        row = table.row(k)
-        m = row.m_row
-        delta_m = np.concatenate([[m[0]], np.diff(m)])
-        hist = np.dot(delta_m, v[:k]) / order.gamma_1ma
-        f = gamma_factor + row.t_star**alpha
-        rhs = -0.5 * alpha * lam * v[k - 1] + f + hist
-        v[k] = rhs / (m[-1] / order.gamma_1ma + order.sigma * lam)
+    v = _scalar_mode_march(table, order, lam)
 
     projected = state.history @ weight
     assert np.max(np.abs(projected - v)) <= 1e-8
+
+
+def test_paper_grid_march_is_mode_exact():
+    # on the paper's reference grid d1:10000 the solution stays on sin x, so
+    # its projection per level and the written L2 error follow the scalar
+    # march to rounding; the bounds sit orders of magnitude below what an
+    # elimination solve reaches, whose rounding the grid's conditioning
+    # (about 4*sigma/h^2) amplifies
+    order = FractionalOrder(0.3)
+    mesh = make_graded_mesh(1.0, 160, 2.0 / order.alpha)
+    problem = manufactured_problem(order, parse_space("d1:10000"))
+    state = solve(problem, mesh, backend="closed")
+    space = problem.space
+    lam = (2.0 / space.h) ** 2 * math.sin(space.h / 2.0) ** 2
+    v = _scalar_mode_march(build_kernel_table(mesh, order, backend="closed"), order, lam)
+
+    mode = space.first_mode()
+    projected = state.history @ (mode / np.dot(mode, mode))
+    assert projected[0] == v[0] == 0.0
+    assert np.max(np.abs(projected[1:] - v[1:]) / np.abs(v[1:])) <= 1e-13
+    expected = np.max(np.abs(v - mesh.nodes**order.alpha)) * space.l2_norm(mode)
+    assert discrete_norms(state).max_l2_error == pytest.approx(expected, rel=1e-9)
 
 
 def test_2d_manufactured_order_near_two():
