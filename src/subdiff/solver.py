@@ -12,23 +12,35 @@ Two spatial discretizations are provided:
   with homogeneous Dirichlet ends; its eigenbasis is the sine modes
   ``sin(j*pi*i/N)`` (an orthonormal DST-I).
 * :class:`PeriodicSquare`: Fourier spectral discretization on
-  ``[0, length]^2``; its eigenbasis is the Fourier modes (a 2-D FFT).
+  ``[0, length]^2``; its eigenbasis is the Hartley modes
+  ``cas(k . x) = cos(k . x) + sin(k . x)`` (an orthonormal 2-D Hartley
+  transform, built from a real FFT).
 
 Both give ``laplacian``, its nonnegative eigenvalues ``laplacian_symbol``
-(of ``-laplacian``) and the ``forward`` and ``inverse`` transforms of their
-eigenbasis, so :func:`step` solves each level's diagonal system on mode
-coefficients with one code path for any space.
+(of ``-laplacian``) and the ``forward`` transform onto their eigenbasis,
+which is real, keeps the field's shape, is orthonormal and is its own
+``inverse``.
 
-:func:`solve` streams the kernel rows in slabs and never holds the dense
-kernel table, only the solution history and one slab.
+The scheme is diagonal in that basis, so :func:`solve` marches
+eigen-coefficients, one scalar recursion per mode, and only on the active
+set: the modes where the initial field or a source value seen so far has a
+coefficient above ``_MODE_FLOOR`` (1e-13) times the largest coefficient of
+that field.  The set only grows; a mode a source first excites at level k
+joins with its all-zero past.  What the floor drops is at most 1e-13 of its
+field, 700 times the transforms' own rounding of a single mode, and the
+largest dropped fraction is kept as ``SolverState.dropped``.  A level costs
+one transform of the source value (none without a source) and a dot over
+the active columns of the history; the history rows hold the coefficients
+during the march and become fields once, at the end.  :func:`solve` streams
+the kernel rows in slabs and never holds the dense kernel table, only the
+history and one slab.
 
-The per-step linear-system residual is recorded in physical space, so every
-run certifies its own algebra.  It is the operator applied to the rounding
-of the solve: on the line, the finite-difference Laplacian amplifies that
-rounding by about ``4*sigma/h^2``, so the residual grows with the grid
-(about 1e-9 on ``d1:10000``) while the solution stays at rounding level.
-The accuracy witness is the march's agreement with a mode-exact scalar
-recursion (``tests/test_solver.py::test_paper_grid_march_is_mode_exact``).
+The per-step residual is that of the diagonal system actually solved,
+relative to its right side: rounding level, the march's check on its own
+algebra.  The accuracy witness is the march's agreement with a mode-exact
+scalar recursion (``tests/test_solver.py::test_paper_grid_march_is_mode_exact``)
+and with a whole-field physical-space march
+(``tests/test_solver.py::test_modal_march_matches_physical_march``).
 """
 from __future__ import annotations
 
@@ -75,6 +87,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
+# A coefficient joins the active set above this fraction of the largest
+# coefficient of its field: 700x the transforms' own rounding of one mode.
+_MODE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -196,14 +211,25 @@ class PeriodicSquare:
         return np.sin(xx) * np.sin(yy)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        """Fourier coefficients (unnormalized 2-D FFT)."""
-        return scipy.fft.fft2(v)
+        """Orthonormal 2-D Hartley transform ``(Re F - Im F) / modes`` with
+        ``F`` the FFT of ``v``; real, the field's shape, and its own inverse.
 
-    def inverse(self, v_hat: np.ndarray) -> np.ndarray:
-        """Real field of Hermitian-symmetric Fourier coefficients (those of a
-        real field, times a symbol even in each frequency); only the half
-        with nonnegative second frequency is read."""
-        return scipy.fft.irfft2(v_hat[:, : self.modes // 2 + 1], s=v_hat.shape)
+        The symbol is even in each frequency, so the transform diagonalizes
+        the Laplacian as the FFT does.  It is built from the half spectrum
+        (``rfft2``): the other half is ``F`` at the negated frequencies.
+        """
+        n = self.modes
+        half = scipy.fft.rfft2(v)
+        cols = n // 2 + 1
+        out = np.empty((n, n))
+        np.subtract(half.real, half.imag, out=out[:, :cols])
+        mirror = half[:, n - cols : 0 : -1]  # columns -(cols..n-1) mod n
+        np.add(mirror[0].real, mirror[0].imag, out=out[0, cols:])
+        np.add(mirror[:0:-1].real, mirror[:0:-1].imag, out=out[1:, cols:])
+        out /= n
+        return out
+
+    inverse = forward
 
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         """Spectral Laplacian."""
@@ -213,9 +239,9 @@ class PeriodicSquare:
         return float(np.sqrt(self.h**2 * np.sum(np.square(v))))
 
     def h1_seminorm(self, v: np.ndarray) -> float:
-        vh = self.forward(v)
-        weighted = np.sum(self.laplacian_symbol * np.abs(vh) ** 2)
-        return float(np.sqrt(self.length**2 / self.modes**4 * weighted))
+        """``sqrt(h^2 * sum lam c^2)`` over the Hartley coefficients ``c``."""
+        weighted = np.sum(self.laplacian_symbol * np.square(self.forward(v)))
+        return float(np.sqrt(self.h**2 * weighted))
 
 
 def parse_space(descriptor: str) -> "DirichletLine | PeriodicSquare":
@@ -241,7 +267,8 @@ class Problem:
 
     ``source`` and ``exact`` are callables of time returning full spatial
     fields (closures over the grid); either may be None (zero source,
-    no reference solution).  ``initial`` defaults to the zero field.
+    no reference solution).  ``initial`` defaults to the zero field; a
+    non-finite one is refused with ValidationError.
     """
 
     order: FractionalOrder
@@ -263,6 +290,8 @@ class Problem:
                     f"initial field shape {initial.shape} does not match "
                     f"space shape {zero.shape}"
                 )
+            if not np.all(np.isfinite(initial)):
+                raise ValidationError("initial field has non-finite entries")
             object.__setattr__(self, "initial", initial)
 
 
@@ -307,12 +336,20 @@ def manufactured_problem_2d(
 
 @dataclass
 class SolverState:
-    """Marching state: full history plus per-step diagnostics.
+    """Marching state: full history, active modes and per-step diagnostics.
 
-    ``history[k]`` is the solution field at level ``k`` (levels through
-    ``level`` are valid).  ``residual[k]`` is the relative max-norm residual
-    of the level-``k`` linear solve and ``h1_seminorm[k]`` the energy
-    seminorm of the solution, both 0.0 at unreached levels.
+    When :func:`solve` returns, ``history[k]`` is the solution field at
+    level ``k`` (levels through ``level`` are valid).  While marching, row
+    ``k`` holds the level's eigen-coefficients instead, packed: column ``j``
+    of the flattened row is the coefficient of mode ``modes[j]`` (a flat
+    index into the space's eigenbasis), and columns from ``modes.size`` on
+    are zero.  ``modes`` is the active set in the order its modes joined,
+    and ``active`` marks them on the flattened eigenbasis.  ``dropped`` is the
+    largest coefficient, relative to the largest of its field, that the
+    initial field or a source value had on a mode outside the active set.
+    ``residual[k]`` is the relative max-norm residual of the level-``k``
+    diagonal solve and ``h1_seminorm[k]`` the energy seminorm of the
+    solution, both 0.0 at unreached levels.
     """
 
     problem: Problem
@@ -321,6 +358,9 @@ class SolverState:
     history: np.ndarray = field(repr=False)
     h1_seminorm: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
+    active: np.ndarray = field(repr=False)
+    dropped: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -335,20 +375,58 @@ class NormReport:
 
 
 def initialize_state(problem: Problem, mesh: TimeMesh) -> SolverState:
-    """Allocate the full history and seed level 0 with the initial field."""
+    """Allocate the full history and seed level 0 with the initial field's
+    coefficients on its active modes (see :class:`SolverState`)."""
     k_total = mesh.num_steps
+    space = problem.space
     history = np.zeros((k_total + 1,) + problem.initial.shape)
-    history[0] = problem.initial
     h1 = np.zeros(k_total + 1)
-    h1[0] = problem.space.h1_seminorm(problem.initial)
-    return SolverState(
+    h1[0] = space.h1_seminorm(problem.initial)
+    state = SolverState(
         problem=problem,
         mesh=mesh,
         level=0,
         history=history,
         h1_seminorm=h1,
         residual=np.zeros(k_total + 1),
+        modes=np.zeros(0, dtype=np.intp),
+        active=np.zeros(history[0].size, dtype=bool),
     )
+    coeffs = space.forward(problem.initial).ravel()
+    _activate(state, coeffs)
+    history.reshape(k_total + 1, -1)[0, : state.modes.size] = coeffs[state.modes]
+    return state
+
+
+def _activate(state: SolverState, coeffs: np.ndarray) -> None:
+    """Add to the active set the modes where a field's flat coefficients
+    exceed ``_MODE_FLOOR`` times their largest; record what stays out."""
+    magnitude = np.abs(coeffs)
+    peak = float(magnitude.max())
+    outside = ~state.active
+    joining = outside & (magnitude > _MODE_FLOOR * peak)
+    if joining.any():
+        new = np.flatnonzero(joining)
+        state.active[new] = True
+        outside[new] = False
+        state.modes = np.concatenate([state.modes, new])
+    if peak > 0.0:
+        left = float(magnitude.max(where=outside, initial=0.0))
+        state.dropped = max(state.dropped, left / peak)
+
+
+def _source_coefficients(problem: Problem, t: float, k: int) -> np.ndarray:
+    """Flat eigen-coefficients of the source at time ``t`` (level ``k``),
+    refusing a value that is not a finite field of the space's shape."""
+    f = np.asarray(problem.source(t), dtype=float)
+    if f.shape != problem.initial.shape:
+        raise DimensionMismatchError(
+            f"level {k}: source value shape {f.shape} does not match "
+            f"space shape {problem.initial.shape}"
+        )
+    if not np.all(np.isfinite(f)):
+        raise ValidationError(f"level {k}: source value has non-finite entries")
+    return problem.space.forward(f).ravel()
 
 
 def step(state: SolverState, row: KernelRow) -> SolverState:
@@ -356,9 +434,12 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
 
     The row's level must be ``state.level + 1``.  Returns the same state
     object with ``history``, ``h1_seminorm`` and ``residual`` filled at the
-    new level.  The level's linear system is diagonal in the space's
-    eigenbasis and is solved there; its residual is measured in physical
-    space against ``space.laplacian``.
+    new level.  The history rows hold packed eigen-coefficients here (see
+    :class:`SolverState`); :func:`solve` turns them into fields at the end.
+    The source value joins its modes to the active set first; then each
+    active mode solves its own scalar equation, one diagonal division, with
+    the history term a dot over the active columns only.  The residual is
+    that of the diagonal system, relative to its right side.
     """
     k = row.k
     if k != state.level + 1:
@@ -367,28 +448,44 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
         )
     problem = state.problem
     order = problem.order
-    m = row.m_row
-    delta_m = np.empty(k)
-    delta_m[0] = m[0]
-    delta_m[1:] = np.diff(m)
-    history_term = (
-        np.tensordot(delta_m, state.history[:k], axes=(0, 0)) / order.gamma_1ma
-    )
-    f = problem.source(row.t_star) if problem.source is not None else 0.0
     space = problem.space
-    diag = m[-1] / order.gamma_1ma
-    sigma = order.sigma
-    rhs = 0.5 * order.alpha * space.laplacian(state.history[k - 1]) + f + history_term
-    u = space.inverse(space.forward(rhs) / (diag + sigma * space.laplacian_symbol))
-    if not np.all(np.isfinite(u)):
+    f = 0.0
+    if problem.source is not None:
+        coeffs = _source_coefficients(problem, row.t_star, k)
+        _activate(state, coeffs)
+        f = coeffs[state.modes]
+    s = state.modes.size
+    lam = space.laplacian_symbol.ravel()[state.modes]
+    packed = state.history.reshape(state.history.shape[0], -1)
+    m = row.m_row
+    delta_m = m.copy()
+    delta_m[1:] -= m[:-1]
+    history_term = (delta_m @ packed[:k, :s]) / order.gamma_1ma
+    rhs = f - 0.5 * order.alpha * lam * packed[k - 1, :s] + history_term
+    diag = m[-1] / order.gamma_1ma + order.sigma * lam
+    c = rhs / diag
+    if not np.all(np.isfinite(c)):
         raise LinearSolveError(f"level {k}: non-finite solution")
-    res = diag * u - sigma * space.laplacian(u) - rhs
-    scale = max(float(np.max(np.abs(rhs))), _TINY)
-    state.residual[k] = float(np.max(np.abs(res))) / scale
-    state.history[k] = u
-    state.h1_seminorm[k] = space.h1_seminorm(u)
+    scale = max(float(np.max(np.abs(rhs), initial=0.0)), _TINY)
+    state.residual[k] = float(np.max(np.abs(diag * c - rhs), initial=0.0)) / scale
+    packed[k, :s] = c
+    # Parseval: the transforms are orthonormal, so the energy is a sum over modes
+    state.h1_seminorm[k] = math.sqrt(space.h**space.ndim * float(np.dot(lam * c, c)))
     state.level = k
     return state
+
+
+def _to_fields(state: SolverState) -> None:
+    """Turn the packed coefficient rows of levels ``1..level`` into fields,
+    in place, and restore level 0 to the initial field itself."""
+    space = state.problem.space
+    packed = state.history.reshape(state.history.shape[0], -1)
+    s = state.modes.size
+    coeffs = np.zeros(packed.shape[1])
+    for k in range(1, state.level + 1):
+        coeffs[state.modes] = packed[k, :s]
+        state.history[k] = space.inverse(coeffs.reshape(state.history.shape[1:]))
+    state.history[0] = state.problem.initial
 
 
 def solve(
@@ -406,6 +503,9 @@ def solve(
     its first ``mesh.num_steps`` rows are used, bit-identical to the streamed
     ones.  A table for another order, or on a mesh whose first
     ``mesh.num_steps + 1`` nodes differ, is refused with ValidationError.
+    The march runs on the active modes' coefficients (see :class:`SolverState`);
+    the returned history holds fields.  A source value that is not a finite
+    field of the space's shape is refused, naming its level.
     """
     n = mesh.num_steps
     if table is None:
@@ -416,10 +516,14 @@ def solve(
     state = initialize_state(problem, mesh)
     for row in rows:
         step(state, row)
+    _to_fields(state)
     logger.debug(
-        "marched %d levels; max residual %.2e",
+        "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,
+        state.modes.size,
+        state.active.size,
         float(np.max(state.residual)),
+        state.dropped,
     )
     return state
 

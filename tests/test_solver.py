@@ -1,11 +1,13 @@
 """Time marching on the two model spaces: exactness cases, spectral purity,
-agreement with a scalar single-mode recursion, the streamed kernel rows,
-norms, and CSV outputs."""
+agreement with a scalar single-mode recursion and with a whole-field
+physical-space march, the active mode set, the streamed kernel rows, norms,
+refusals of bad data, and CSV outputs."""
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import subdiff.kernel as kernel_module
 from subdiff import (
@@ -86,6 +88,54 @@ def test_problem_validation():
         Problem(order=0.5, space=space, initial=np.zeros(7))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
+def test_problem_refuses_non_finite_initial(descriptor, bad):
+    space = parse_space(descriptor)
+    initial = space.first_mode()
+    initial.flat[3] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        Problem(order=0.5, space=space, initial=initial)
+
+
+def _misshapen(space, value):
+    shape = space.zero_field().shape
+    return {
+        "short": np.ones(shape[0] - 1),
+        "column": np.ones((shape[0], 1)),
+        "one": np.ones(1),
+        "scalar": 1.0,
+    }[value]
+
+
+@pytest.mark.parametrize("value", ["short", "column", "one", "scalar"])
+@pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
+def test_march_refuses_a_misshapen_source(descriptor, value):
+    space = parse_space(descriptor)
+    problem = Problem(order=0.5, space=space, source=lambda t: _misshapen(space, value))
+    with pytest.raises(DimensionMismatchError, match="level 1: source"):
+        solve(problem, make_uniform_mesh(1.0, 4), backend="closed")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
+def test_march_refuses_a_non_finite_source_naming_its_level(descriptor, bad):
+    # the source turns bad at t = 0.5; on a uniform 8-step mesh of [0, 1]
+    # with sigma = 0.75 the first offset point past it is t_5* = 0.59375
+    space = parse_space(descriptor)
+    mode = space.first_mode()
+
+    def source(t):
+        value = mode.copy()
+        if t > 0.5:
+            value.flat[2] = bad
+        return value
+
+    problem = Problem(order=0.5, space=space, source=source)
+    with pytest.raises(ValidationError, match="level 5: source value has non-finite"):
+        solve(problem, make_uniform_mesh(1.0, 8), backend="closed")
+
+
 def test_zero_problem_stays_zero():
     problem = Problem(order=0.5, space=DirichletLine(32))
     state = solve(problem, make_graded_mesh(1.0, 10, 2.0), backend="closed")
@@ -149,6 +199,10 @@ def test_space_transform_pair_diagonalizes_the_laplacian(descriptor):
     space = parse_space(descriptor)
     v = np.random.default_rng(7).standard_normal(space.zero_field().shape)
     v_hat = space.forward(v)
+    # real, shape-keeping, orthonormal (Parseval) and its own inverse
+    assert np.isrealobj(v_hat) and v_hat.shape == v.shape
+    assert type(space).inverse is type(space).forward
+    assert np.sum(np.square(v_hat)) == pytest.approx(np.sum(np.square(v)), rel=1e-12)
     assert np.max(np.abs(space.inverse(v_hat) - v)) <= 1e-12 * np.max(np.abs(v))
     # on the line this checks the symbol against the finite-difference operator
     expected = -space.laplacian_symbol * v_hat
@@ -156,18 +210,26 @@ def test_space_transform_pair_diagonalizes_the_laplacian(descriptor):
     assert gap <= 1e-12 * np.max(np.abs(expected))
 
 
-def _scalar_mode_march(table, order, lam):
-    """The scheme on the single mode ``sin x`` of the manufactured 1-D
-    problem: a scalar recursion with the mode's discrete eigenvalue ``lam``."""
+def _scalar_mode_march(table, order, lam, forcing=None, start=0.0):
+    """The scheme on one mode: a scalar recursion with the mode's discrete
+    eigenvalue ``lam``, the mode's source amplitude ``forcing(t)`` and
+    initial amplitude ``start``.  The default forcing is that of the
+    manufactured problem, ``Gamma(1+alpha) + t^alpha``."""
     alpha = order.alpha
-    gamma_factor = math.gamma(1.0 + alpha)
+    if forcing is None:
+        gamma_factor = math.gamma(1.0 + alpha)
+
+        def forcing(t):
+            return gamma_factor + t**alpha
+
     v = np.zeros(table.n + 1)
+    v[0] = start
     for k in range(1, table.n + 1):
         row = table.row(k)
         m = row.m_row
         delta_m = np.concatenate([[m[0]], np.diff(m)])
         hist = np.dot(delta_m, v[:k]) / order.gamma_1ma
-        f = gamma_factor + row.t_star**alpha
+        f = forcing(row.t_star)
         rhs = -0.5 * alpha * lam * v[k - 1] + f + hist
         v[k] = rhs / (m[-1] / order.gamma_1ma + order.sigma * lam)
     return v
@@ -215,6 +277,172 @@ def test_paper_grid_march_is_mode_exact():
     assert np.max(np.abs(projected[1:] - v[1:]) / np.abs(v[1:])) <= 1e-13
     expected = np.max(np.abs(v - mesh.nodes**order.alpha)) * space.l2_norm(mode)
     assert discrete_norms(state).max_l2_error == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("modes", [8, 9, 16])
+def test_square_forward_is_the_hartley_transform(modes):
+    space = PeriodicSquare(modes)
+    v = np.random.default_rng(3).standard_normal((modes, modes))
+    spectrum = np.fft.fft2(v)
+    expected = (spectrum.real - spectrum.imag) / modes
+    assert np.max(np.abs(space.forward(v) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def _physical_march(problem, table):
+    """Whole-field oracle march: the history term on full physical fields
+    (``tensordot`` over every past level) and the semi-implicit Laplacian
+    applied in physical space, each level solved by an FFT-family transform
+    taken here, not from the space.  It is the arithmetic of a march without
+    mode selection, kept as an independent witness."""
+    space = problem.space
+    order = problem.order
+    lam = space.laplacian_symbol
+    if space.ndim == 1:
+        def lap(u):
+            return space.laplacian(u)
+
+        def solve_diag(rhs, diag):
+            hat = scipy.fft.dst(rhs, type=1, norm="ortho") / (diag + order.sigma * lam)
+            return scipy.fft.dst(hat, type=1, norm="ortho")
+    else:
+        def lap(u):
+            return np.fft.ifft2(-lam * np.fft.fft2(u)).real
+
+        def solve_diag(rhs, diag):
+            return np.fft.ifft2(np.fft.fft2(rhs) / (diag + order.sigma * lam)).real
+
+    u = np.zeros((table.n + 1,) + problem.initial.shape)
+    u[0] = problem.initial
+    for k in range(1, table.n + 1):
+        m = table.row(k).m_row
+        delta_m = np.concatenate([[m[0]], np.diff(m)])
+        history_term = np.tensordot(delta_m, u[:k], axes=(0, 0)) / order.gamma_1ma
+        f = problem.source(table.row(k).t_star) if problem.source is not None else 0.0
+        rhs = 0.5 * order.alpha * lap(u[k - 1]) + f + history_term
+        u[k] = solve_diag(rhs, m[-1] / order.gamma_1ma)
+    return u
+
+
+@pytest.mark.parametrize("descriptor", ["d1:64", "p2:16", "p2:9"])
+def test_modal_march_matches_physical_march(descriptor):
+    space = parse_space(descriptor)
+    rng = np.random.default_rng(11)
+    initial = rng.standard_normal(space.zero_field().shape)
+    source = None
+    if space.ndim == 1:
+        x = space.grid
+        two_modes = np.sin(x), np.sin(3.0 * x)
+
+        def source(t):
+            return (1.0 + t) * two_modes[0] + t**2 * two_modes[1]
+
+    problem = Problem(order=0.4, space=space, source=source, initial=initial)
+    mesh = make_graded_mesh(1.0, 40, 2.5)
+    table = build_kernel_table(mesh, 0.4, backend="closed")
+    state = solve(problem, mesh, table=table)
+    assert state.modes.size == initial.size  # a random field occupies every mode
+    oracle = _physical_march(problem, table)
+    for k in range(mesh.num_steps + 1):
+        scale = np.max(np.abs(oracle[k]))
+        assert np.max(np.abs(state.history[k] - oracle[k])) <= 1e-12 * scale
+        assert state.h1_seminorm[k] == pytest.approx(space.h1_seminorm(oracle[k]), rel=1e-12)
+    assert discrete_norms(state).residual_max <= 1e-15
+
+
+def test_manufactured_problems_march_their_own_modes():
+    mesh = make_graded_mesh(1.0, 8, 2.0)
+    line = solve(manufactured_problem(0.5, parse_space("d1:10000")), mesh, backend="closed")
+    # sin x is the second DST-I mode of a 2*pi line
+    assert line.modes.tolist() == [1]
+    square = solve(manufactured_problem(0.5, parse_space("p2:16")), mesh, backend="closed")
+    # sin x sin y lives on the four frequencies (+-1, +-1)
+    assert sorted(square.modes.tolist()) == [17, 31, 241, 255]
+    assert line.dropped < 1e-15 and square.dropped < 1e-15
+    space = parse_space("p2:16")
+    noise = Problem(order=0.5, space=space, initial=np.random.default_rng(5).standard_normal((16, 16)))
+    assert solve(noise, mesh, backend="closed").modes.size == 256
+
+
+def test_source_adds_a_mode_when_it_first_excites_it():
+    # sin 2x enters the source once t > 0.5; it joins the active set at the
+    # first level whose offset point passes 0.5, with an all-zero past, and
+    # each mode then follows its own scalar recursion
+    order = FractionalOrder(0.5)
+    space = parse_space("d1:64")
+    x = space.grid
+    modes = np.sin(x), np.sin(2.0 * x)
+
+    def ramp(t):
+        return max(t - 0.5, 0.0)
+
+    problem = Problem(order=order, space=space, source=lambda t: modes[0] + ramp(t) * modes[1])
+    mesh = make_graded_mesh(1.0, 32, 2.0)
+    table = build_kernel_table(mesh, order, backend="closed")
+    state = initialize_state(problem, mesh)
+    assert state.modes.size == 0
+    joined = None
+    for k in range(1, mesh.num_steps + 1):
+        step(state, table.row(k))
+        if joined is None and state.modes.size == 2:
+            joined = k
+    first = next(k for k in range(1, 33) if table.row(k).t_star > 0.5)
+    assert joined == first
+    assert state.modes.tolist() == [1, 3]
+
+    state = solve(problem, mesh, table=table)
+    lam = space.laplacian_symbol
+    for mode, index, forcing in ((modes[0], 1, lambda t: 1.0), (modes[1], 3, ramp)):
+        v = _scalar_mode_march(table, order, lam[index], forcing)
+        projected = state.history @ (mode / np.dot(mode, mode))
+        nonzero = v != 0.0
+        assert np.all(np.abs(projected[nonzero] - v[nonzero]) <= 1e-13 * np.abs(v[nonzero]))
+        assert np.all(np.abs(projected[~nonzero]) <= 1e-13 * np.max(np.abs(v)))
+
+
+def test_small_initial_mode_is_kept():
+    order = FractionalOrder(0.5)
+    space = parse_space("d1:64")
+    x = space.grid
+    problem = Problem(order=order, space=space, initial=np.sin(x) + 1e-6 * np.sin(3.0 * x))
+    mesh = make_graded_mesh(1.0, 16, 2.0)
+    table = build_kernel_table(mesh, order, backend="closed")
+    state = solve(problem, mesh, table=table)
+    assert state.modes.tolist() == [1, 5]
+    assert state.dropped < 1e-13
+    mode = np.sin(3.0 * x)
+    v = _scalar_mode_march(table, order, space.laplacian_symbol[5], lambda t: 0.0, start=1e-6)
+    projected = state.history @ (mode / np.dot(mode, mode))
+    assert np.max(np.abs(projected - v) / np.abs(v)) <= 1e-9
+
+
+def test_march_holds_one_history_sized_array():
+    # every mode active: the march must neither copy the history nor keep
+    # its coefficients beside the fields.  Streamed, it may add what the
+    # kernel stream alone peaks at; on a prebuilt table (allocated before
+    # tracing starts) it may add only small temporaries
+    space = parse_space("d1:512")
+    initial = np.random.default_rng(2).standard_normal(space.zero_field().shape)
+    problem = Problem(order=0.5, space=space, initial=initial)
+    mesh = make_graded_mesh(1.0, 1024, 2.0)
+    table = build_kernel_table(mesh, problem.order, backend="closed")
+    history_bytes = (mesh.num_steps + 1) * initial.nbytes
+    tracemalloc.start()
+    try:
+        for _ in kernel_module._kernel_rows(mesh, problem.order, "closed", None):
+            pass
+        _, stream_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        streamed = solve(problem, mesh, backend="closed")
+        _, streamed_peak = tracemalloc.get_traced_memory()
+        del streamed
+        tracemalloc.reset_peak()
+        tabled = solve(problem, mesh, table=table)
+        _, tabled_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tabled.modes.size == initial.size
+    assert streamed_peak <= history_bytes + stream_peak + 2**20
+    assert tabled_peak <= history_bytes + 2**20
 
 
 def test_2d_manufactured_order_near_two():
