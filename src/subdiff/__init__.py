@@ -5,8 +5,9 @@ with a second-order offset-point scheme on arbitrary nonuniform meshes and
 provides:
 
 * mesh construction and step-ratio admissibility certification (:mod:`subdiff.meshes`),
-* the discrete fractional-derivative kernel with two independent
-  coefficient routes, closed-form and adaptive quadrature (:mod:`subdiff.kernel`),
+* the discrete fractional-derivative kernel, computed from closed-form
+  coefficients, with adaptive quadrature kept as their independent oracle
+  (:mod:`subdiff.kernel`),
 * structural diagnostics of the operator: sign/monotonicity property
   suites, integral lower bounds, eigenvalue positivity, complementary
   kernel (:mod:`subdiff.analysis`),

@@ -42,7 +42,7 @@ from .harness import (
     run_convergence,
     run_stability_soak,
 )
-from .kernel import build_kernel_table, dump_kernel_csv
+from .kernel import BACKENDS, build_kernel_table, dump_kernel_csv
 from .meshes import certify_mesh, read_mesh, write_mesh
 from .provenance import json_text, reproducibility_header, write_json
 from .solver import (
@@ -103,6 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     mesh_common.add_argument("--horizon", type=float, default=1.0, metavar="T",
                              help="final time (default 1.0)")
 
+    backend_common = argparse.ArgumentParser(add_help=False)
+    backend_common.add_argument(
+        "--backend", choices=BACKENDS, default="closed",
+        help="coefficient route: closed forms (default) or the adaptive-quadrature "
+             "oracle, several times slower",
+    )
+
     p = commands.add_parser(
         "mesh-generate", parents=[mesh_common],
         help="build a time mesh and write it to a file",
@@ -125,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mesh_certify)
 
     p = commands.add_parser(
-        "analyze", parents=[mesh_common],
+        "analyze", parents=[mesh_common, backend_common],
         help="operator diagnostics: sign/monotonicity checks, PSD certificate",
         description=(
             "Build the discrete fractional-derivative coefficients on a mesh "
@@ -138,13 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="fractional order in (0,1)")
     p.add_argument("--levels", type=int, metavar="N",
                    help="number of leading levels to analyze (default min(K, 128))")
-    p.add_argument("--backend", choices=("quadrature", "closed"), default="quadrature",
-                   help="coefficient construction route (default quadrature)")
     p.add_argument("--out-dir", metavar="DIR", help="write analysis.json and kernel.csv under DIR")
     p.set_defaults(func=_cmd_analyze)
 
     p = commands.add_parser(
-        "solve", parents=[mesh_common],
+        "solve", parents=[mesh_common, backend_common],
         help="run one initial-boundary-value solve",
         description=(
             "March the scheme for one problem on one mesh.  The default "
@@ -158,22 +163,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spatial discretization d1:<intervals> or p2:<modes> (default d1:4096)")
     p.add_argument("--problem", choices=("manufactured", "decay"), default="manufactured",
                    help="problem preset (default manufactured)")
-    p.add_argument("--backend", choices=("quadrature", "closed"), default="quadrature",
-                   help="coefficient construction route (default quadrature)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write snapshot.csv, diagnostics.csv, summary.json under DIR")
     p.set_defaults(func=_cmd_solve)
 
     p = commands.add_parser(
-        "reproduce-tables",
+        "reproduce-tables", parents=[backend_common],
         help="rerun the benchmark convergence tables",
         description=(
             "Reproduce the benchmark error tables over alpha in {0.3,0.5,0.7} "
             "and the four mesh families.  --paper-exact uses the reference "
             "spatial grid and issues per-cell verdicts under the tolerance "
-            "ladder (exit 3 if any cell misses).  A --config file overrides "
-            "flags; a config carrying meshes/step_counts runs that custom "
-            "experiment instead (no reference verdicts)."
+            "ladder (exit 3 if any cell misses).  A --config file (keys alphas, "
+            "paper_exact, extended, backend, workers, out_dir) overrides flags; "
+            "a config carrying meshes, step_counts, space or horizon runs that "
+            "custom experiment instead (no reference verdicts).  Other keys "
+            "are refused."
         ),
     )
     p.add_argument("--alpha", type=float, action="append", metavar="A",
@@ -182,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference spatial grid h=2*pi/10000 plus cell verdicts")
     p.add_argument("--extended", action="store_true",
                    help="include the {320,480,640} step counts")
-    p.add_argument("--backend", choices=("quadrature", "closed"), default="quadrature",
-                   help="coefficient construction route (default quadrature)")
     p.add_argument("--workers", type=int, metavar="N",
                    help=f"parallel cells (default ${WORKERS_ENV_VAR} or 1)")
     p.add_argument("--config", metavar="PATH", help="experiment spec file (key = value)")
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce_tables)
 
     p = commands.add_parser(
-        "soak",
+        "soak", parents=[backend_common],
         help="long-horizon H1 stability soak",
         description=(
             "March a bounded-variation forcing over a long horizon on a "
@@ -216,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="march on this stored mesh instead of the built one")
     p.add_argument("--plateau-factor", type=float, default=1.01,
                    help="allowed late-window growth factor (default 1.01)")
-    p.add_argument("--backend", choices=("quadrature", "closed"), default="closed",
-                   help="coefficient construction route (default closed)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write soak_trajectory.csv and soak_summary.json under DIR")
     p.set_defaults(func=_cmd_soak)
@@ -430,8 +431,7 @@ def _print_report_tables(report) -> None:
 
 def _cmd_reproduce_tables(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    custom_keys = {"meshes", "step_counts", "space", "horizon"}
-    if custom_keys & set(config):
+    if {"meshes", "step_counts", "space", "horizon"} & set(config):
         mapping = dict(config)
         mapping.setdefault(
             "alphas", ",".join(f"{a:g}" for a in (args.alpha or ALPHAS))
@@ -445,6 +445,9 @@ def _cmd_reproduce_tables(args) -> int:
         report = run_convergence(spec)
         _print_report_tables(report)
         return EXIT_OK
+    unknown = set(config) - {"alphas", "paper_exact", "extended", "backend", "workers", "out_dir"}
+    if unknown:
+        raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
     alphas = args.alpha
     if "alphas" in config:
         alphas = [

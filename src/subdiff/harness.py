@@ -34,7 +34,7 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ValidationError
-from .kernel import BACKENDS, QuadratureSettings, as_fractional_order
+from .kernel import BACKENDS, as_fractional_order
 from .meshes import (
     TimeMesh,
     certify_mesh,
@@ -206,9 +206,7 @@ class ExperimentSpec:
     step_counts: tuple[int, ...]
     space: str = "d1:4096"
     horizon: float = 1.0
-    backend: str = "quadrature"
-    quad_rel_tol: float = 1e-13
-    quad_abs_tol: float = 1e-15
+    backend: str = "closed"
     workers: int | None = None
     out_dir: str | None = None
 
@@ -245,15 +243,13 @@ class ExperimentSpec:
         object.__setattr__(
             self, "workers", None if self.workers is None else int(self.workers)
         )
-        # Instantiating validates the tolerance pair.
-        QuadratureSettings(rel_tol=self.quad_rel_tol, abs_tol=self.quad_abs_tol)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ExperimentSpec":
         """Build a spec from config-file keys (see :func:`parse_config_file`)."""
         known = {
             "alphas", "meshes", "step_counts", "space", "horizon", "backend",
-            "quad_rel_tol", "quad_abs_tol", "workers", "out_dir",
+            "workers", "out_dir",
         }
         unknown = set(mapping) - known
         if unknown:
@@ -275,18 +271,14 @@ class ExperimentSpec:
         for key in ("space", "backend", "out_dir"):
             if key in mapping:
                 kwargs[key] = mapping[key]
-        for key in ("horizon", "quad_rel_tol", "quad_abs_tol"):
-            if key in mapping:
-                kwargs[key] = parse_config_value(key, mapping[key], float)
+        if "horizon" in mapping:
+            kwargs["horizon"] = parse_config_value("horizon", mapping["horizon"], float)
         if "workers" in mapping:
             kwargs["workers"] = parse_config_value("workers", mapping["workers"], int)
         missing = {"alphas", "families", "step_counts"} - set(kwargs)
         if missing:
             raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
         return cls(**kwargs)
-
-    def quadrature_settings(self) -> QuadratureSettings:
-        return QuadratureSettings(rel_tol=self.quad_rel_tol, abs_tol=self.quad_abs_tol)
 
     def parameters(self) -> dict:
         """Header-ready parameter mapping (deterministic order)."""
@@ -298,9 +290,6 @@ class ExperimentSpec:
             "horizon": self.horizon,
             "backend": self.backend,
         }
-
-    def tolerances(self) -> dict:
-        return {"quad_rel_tol": self.quad_rel_tol, "quad_abs_tol": self.quad_abs_tol}
 
 
 def _as_iterable(value) -> Iterable:
@@ -413,7 +402,6 @@ class ErrorReport:
     def to_dict(self) -> dict:
         return {
             "spec": _jsonify(self.spec.parameters()),
-            "tolerances": _jsonify(self.spec.tolerances()),
             "cells": [
                 {
                     "alpha": cell.alpha,
@@ -497,12 +485,11 @@ def _run_cell(
     problem: Problem,
     family: MeshFamily,
     num_steps: int,
-    settings: QuadratureSettings,
 ) -> CellResult:
     alpha = problem.order.alpha
     mesh = family.build(alpha=alpha, horizon=spec.horizon, num_steps=num_steps)
     started = time.perf_counter()
-    state = solve(problem, mesh, backend=spec.backend, settings=settings)
+    state = solve(problem, mesh, backend=spec.backend)
     wall = time.perf_counter() - started
     norms = discrete_norms(state)
     logger.info(
@@ -522,7 +509,6 @@ def _run_cell(
 
 def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
     """Run all cells of the spec; flush completed cells if one fails."""
-    settings = spec.quadrature_settings()
     space = parse_space(spec.space)
     problems = {alpha: manufactured_problem(alpha, space) for alpha in spec.alphas}
     jobs = [
@@ -536,12 +522,10 @@ def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
     try:
         if workers == 1:
             for problem, family, k in jobs:
-                completed.append(_run_cell(spec, problem, family, k, settings))
+                completed.append(_run_cell(spec, problem, family, k))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(
-                    lambda job: _run_cell(spec, job[0], job[1], job[2], settings), jobs
-                )
+                results = pool.map(lambda job: _run_cell(spec, *job), jobs)
                 for cell in results:
                     completed.append(cell)
     except Exception as exc:
@@ -557,7 +541,6 @@ def _flush_partial(spec: ExperimentSpec, cells: list[CellResult], exc: Exception
     header = reproducibility_header(
         "partial-convergence-cells",
         spec.parameters(),
-        spec.tolerances(),
         extra=[f"# incomplete = {type(exc).__name__}"],
     )
     write_csv(
@@ -615,12 +598,9 @@ def _write_alpha_table(
     right); columns are the step counts.  Reference/deviation rows are added
     when the run was compared against trusted values.
     """
-    tolerances = dict(spec.tolerances())
-    if with_references:
-        tolerances["cells_at_or_above_1e-05"] = 1e-2
-        tolerances["cells_below_1e-05"] = 5e-2
+    ladder = {"cells_at_or_above_1e-05": 1e-2, "cells_below_1e-05": 5e-2}
     header = reproducibility_header(
-        kind, {"alpha": alpha, **spec.parameters()}, tolerances
+        kind, {"alpha": alpha, **spec.parameters()}, ladder if with_references else None
     )
     verdict_by = {
         (v.alpha, v.family_label, v.num_steps): v
@@ -672,7 +652,7 @@ def reproduce_tables(
     alphas: Sequence[float] | None = None,
     extended: bool = False,
     paper_exact: bool = False,
-    backend: str = "quadrature",
+    backend: str = "closed",
     workers: int | None = None,
     out_dir: "str | Path | None" = None,
 ) -> ErrorReport:

@@ -11,13 +11,12 @@ the history divided by ``Gamma(1-alpha)``.
 
 Two independent evaluation backends are provided:
 
-* ``"quadrature"`` (default): adaptive Gauss-Kronrod integration of the
-  defining integrals, batched per row.
-* ``"closed"``: cancellation-free evaluation of the antiderivative formulas,
-  accurate to machine precision for any step-size contrast.
-
-Their agreement on every coefficient is a regression-tested invariant, so
-either can serve as the oracle for the other.
+* ``"closed"`` (default, the production path): cancellation-free evaluation
+  of the antiderivative formulas, accurate to machine precision for any
+  step-size contrast.
+* ``"quadrature"``: adaptive Gauss-Kronrod integration of the defining
+  integrals, batched per row.  It is the independent oracle the closed forms
+  are checked against (acceptance criterion 08), several times slower.
 
 Either backend computes the kernel in slabs of consecutive rows, each
 bounded by a fixed entry budget.  :func:`build_kernel_table` collects the
@@ -62,7 +61,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-BACKENDS = ("quadrature", "closed")
+BACKENDS = ("closed", "quadrature")
 
 # Below this step/history-span ratio the antiderivative formulas are summed as
 # series; above it direct expm1/log1p evaluation is already stable.
@@ -274,16 +273,34 @@ def _closed_a_c(
     ``j+1``; ``w0 = t_k* - t_{j-1}`` is the span from the interval's left end
     to the evaluation point.  All inputs must be positive with
     ``tau_j < w0``.
+
+    Where a product of two steps, or ``w0^{2-alpha}`` times ``phi`` or
+    ``psi``, falls below 1e-250 (steps or spans near 1e-125 and below, as on
+    steep meshes with step contrasts near 1e100), the same formulas are
+    evaluated with the powers of ``delta`` divided out, so no intermediate
+    leaves the normal range.
     """
     delta = tau_j / w0
     phi, psi = _phi_psi(delta, alpha)
     one_m = 1.0 - alpha
     # w0^{1-alpha} - (w0-tau_j)^{1-alpha}, computed without cancellation
     head = -(w0**one_m) * np.expm1(one_m * np.log1p(-delta))
-    a = -(tau_j1 * head + 2.0 * w0 ** (2.0 - alpha) * phi) / (
-        one_m * tau_j * (tau_j + tau_j1)
-    )
-    c = w0 ** (2.0 - alpha) * psi / (one_m * tau_j1 * (tau_j + tau_j1))
+    w2 = w0 ** (2.0 - alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such entries are redone below
+        a = -(tau_j1 * head + 2.0 * w2 * phi) / (one_m * tau_j * (tau_j + tau_j1))
+        c = w2 * psi / (one_m * tau_j1 * (tau_j + tau_j1))
+    low = np.minimum(w2 * np.minimum(phi, psi), np.minimum(tau_j, tau_j1) ** 2) < 1e-250
+    if np.any(low):
+        tj, tj1, w, d = tau_j[low], tau_j1[low], w0[low], delta[low]
+        # phi/delta^2 and psi/delta^3; below delta = 1e-17 the series' first
+        # terms are exact (the next is under half an ulp) and phi, psi may underflow
+        first = d < 1e-17
+        phi_hat = np.where(first, 0.5 * one_m, phi[low] / np.where(first, 1.0, d * d))
+        psi_hat = np.where(first, one_m * alpha / 6.0, psi[low] / np.where(first, 1.0, d**3))
+        scale = w**-alpha / one_m
+        head_hat = -np.expm1(one_m * np.log1p(-d)) / d  # head / (w0^{-alpha} tau_j)
+        a[low] = -scale * (tj1 * head_hat + 2.0 * tj * phi_hat) / (tj + tj1)
+        c[low] = scale * psi_hat * d * (tj / tj1) * (tj / (tj + tj1))
     return a, c
 
 
@@ -503,18 +520,13 @@ def _kernel_slabs(
         k0 = k1
 
 
-def _kernel_rows(
-    mesh: TimeMesh,
-    order: FractionalOrder,
-    backend: str,
-    settings: QuadratureSettings | None,
-):
+def _kernel_rows(mesh: TimeMesh, order: FractionalOrder, backend: str):
     """Rows of levels ``1..mesh.num_steps``, as views into one slab at a time.
 
     A slab is freed once the next one is filled and its rows are dropped, so
     at most two are alive at once.
     """
-    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend, settings):
+    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend, None):
         for i in range(k1 - k0):
             yield _row_view(k0 + i + 1, a[i], c[i], m[i], t_star[i])
 
@@ -523,7 +535,7 @@ def build_kernel_row(
     mesh: TimeMesh,
     order: "float | FractionalOrder",
     k: int,
-    backend: str = "quadrature",
+    backend: str = "closed",
     settings: QuadratureSettings | None = None,
 ) -> KernelRow:
     """Build the level-``k`` kernel row alone (a one-row slab), with the chosen backend.
@@ -540,7 +552,7 @@ def build_kernel_table(
     mesh: TimeMesh,
     order: "float | FractionalOrder",
     n: int | None = None,
-    backend: str = "quadrature",
+    backend: str = "closed",
     settings: QuadratureSettings | None = None,
 ) -> KernelTable:
     """Assemble the kernel table for levels ``1..n`` (default: all steps).

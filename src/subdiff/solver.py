@@ -58,7 +58,6 @@ from .kernel import (
     FractionalOrder,
     KernelRow,
     KernelTable,
-    QuadratureSettings,
     _kernel_rows,
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
@@ -491,14 +490,13 @@ def _to_fields(state: SolverState) -> None:
 def solve(
     problem: Problem,
     mesh: TimeMesh,
-    backend: str = "quadrature",
-    settings: QuadratureSettings | None = None,
+    backend: str = "closed",
     table: KernelTable | None = None,
 ) -> SolverState:
     """March the problem across the whole mesh and return the final state.
 
-    The kernel rows are computed in slabs of consecutive rows as the march
-    reaches them, and each slab is dropped once its rows are marched.  A
+    The kernel rows are computed by ``backend`` in slabs of consecutive rows
+    as the march reaches them, and each slab is dropped once its rows are marched.  A
     prebuilt ``table`` may be supplied instead, by callers that reuse one;
     its first ``mesh.num_steps`` rows are used, bit-identical to the streamed
     ones.  A table for another order, or on a mesh whose first
@@ -509,7 +507,7 @@ def solve(
     """
     n = mesh.num_steps
     if table is None:
-        rows = _kernel_rows(mesh, problem.order, backend, settings)
+        rows = _kernel_rows(mesh, problem.order, backend)
     else:
         _check_table(table, problem, mesh)
         rows = (table.row(k) for k in range(1, n + 1))

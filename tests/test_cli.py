@@ -1,12 +1,26 @@
 """Command-line interface: each subcommand end to end, exit-code contract,
 and the stderr error format."""
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from subdiff import TimeMesh, admissibility_thresholds, make_graded_mesh, read_mesh, write_mesh
-from subdiff.cli import EXIT_INVALID, EXIT_OK, EXIT_VERDICT, dispatch
+from subdiff import (
+    ExperimentSpec,
+    TimeMesh,
+    admissibility_thresholds,
+    build_kernel_row,
+    build_kernel_table,
+    make_graded_mesh,
+    read_mesh,
+    reproduce_tables,
+    run_pointwise_comparison,
+    run_stability_soak,
+    solve,
+    write_mesh,
+)
+from subdiff.cli import EXIT_INVALID, EXIT_OK, EXIT_VERDICT, build_parser, dispatch
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +33,20 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == EXIT_OK
     assert out.strip() == "subdiff 0.1.0"
+
+
+def test_every_default_backend_is_closed():
+    # quadrature is the oracle, reached only by asking for it
+    sites = (
+        build_kernel_table, build_kernel_row, solve, ExperimentSpec,
+        reproduce_tables, run_pointwise_comparison, run_stability_soak,
+    )
+    defaults = {site.__name__: inspect.signature(site).parameters["backend"].default for site in sites}
+    parser = build_parser()
+    for command in ("analyze", "solve", "reproduce-tables", "soak"):
+        required = [] if command == "reproduce-tables" else ["--alpha", "0.5"]
+        defaults[command] = parser.parse_args([command, *required]).backend
+    assert defaults == dict.fromkeys(defaults, "closed")
 
 
 def test_no_command_is_invalid(capsys):
@@ -252,6 +280,20 @@ def test_reproduce_tables_refuses_a_malformed_config_value(tmp_path, capsys, key
     code, _, err = run_cli(capsys, "reproduce-tables", "--config", str(config))
     assert code == EXIT_INVALID
     assert err.startswith(f"subdiff: error: invalid-parameter: config key {key} ")
+
+
+def test_reproduce_tables_refuses_an_unknown_config_key(tmp_path, capsys):
+    # a config without meshes/step_counts/space/horizon configures the
+    # benchmark tables, and a misspelt or retired key must not be ignored
+    config = tmp_path / "exp.cfg"
+    config.write_text("alphas = 0.5\nbacknd = closed\nquad_rel_tol = banana\n")
+    code, stdout, err = run_cli(capsys, "reproduce-tables", "--config", str(config))
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert err == (
+        "subdiff: error: invalid-parameter: unknown experiment keys: "
+        "['backnd', 'quad_rel_tol']\n"
+    )
 
 
 @pytest.mark.parametrize("factor", ["nan", "inf", "-1", "0"])

@@ -125,14 +125,17 @@ def test_experiment_spec_from_mapping():
             "step_counts": "8, 16",
             "space": "d1:32",
             "backend": "closed",
-            "quad_rel_tol": "1e-11",
             "workers": "2",
         }
     )
     assert spec.alphas == (0.3, 0.5)
     assert spec.step_counts == (8, 16)
     assert spec.workers == 2
-    assert spec.quad_rel_tol == 1e-11
+    # quadrature tolerances are no experiment setting: quadrature is the oracle
+    with pytest.raises(ValidationError, match=r"unknown experiment keys: \['quad_rel_tol'\]"):
+        ExperimentSpec.from_mapping(
+            {"alphas": "0.5", "meshes": "uniform", "step_counts": "8", "quad_rel_tol": "1e-11"}
+        )
     with pytest.raises(ValidationError):
         ExperimentSpec.from_mapping({"alphas": "0.5"})
     with pytest.raises(ValidationError):

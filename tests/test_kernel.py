@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from subdiff import (
     FractionalOrder,
     QuadratureSettings,
     TimeMesh,
+    admissibility_thresholds,
     apply_operator,
     build_kernel_row,
     build_kernel_table,
@@ -194,6 +196,70 @@ def test_single_step_table():
     assert row.m_row[0] == pytest.approx(
         sigma ** (1 - alpha) / ((1 - alpha) * 0.3**alpha), rel=1e-14
     )
+
+
+def _mpmath_a_c(mesh, alpha, k, j):
+    """``a_j^k`` and ``c_j^k`` integrated at 50 digits from the defining integrals.
+
+    The integrands are those of :func:`coeff_quadrature`, evaluated on the
+    mesh's own double nodes and steps, so only the coefficient evaluation is
+    under test.
+    """
+    with mpmath.workdps(50):
+        tau = [mpmath.mpf(float(t)) for t in mesh.steps]
+        nodes = [mpmath.mpf(float(t)) for t in mesh.nodes]
+        alpha = mpmath.mpf(alpha)
+        tj, tj1 = tau[j - 1], tau[j]
+        w0 = nodes[k - 1] + (1 - alpha / 2) * tau[k - 1] - nodes[j - 1]
+        a = mpmath.quad(
+            lambda th: (-2 * tj * (1 - th) - tj1) / ((tj + tj1) * (w0 - th * tj) ** alpha),
+            [0, 1],
+        )
+        c = alpha * tj**3 / (tj1 * (tj + tj1)) * mpmath.quad(
+            lambda s: s * (1 - s) * (w0 - tj + s * tj) ** (-alpha - 1), [0, 1]
+        )
+        return a, c
+
+
+def test_closed_matches_mpmath_where_quadrature_cannot_follow():
+    # far intervals of a steep mesh, where quadrature loses the tiny c
+    # entries, and meshes with step contrasts of 1e110 and 1e170, where
+    # products of two steps or spans leave the normal range
+    steep = make_graded_mesh(1, 200, 60).head(40)
+    contrast = [
+        TimeMesh(np.cumsum([0.0, tiny, tiny, tiny, 1e-60, 1e-20, 1e-5, 0.3, 0.5]))
+        for tiny in (1e-110, 1e-170)
+    ]
+    cases = (
+        [(steep, alpha, k, j) for alpha in (1e-3, 0.999) for k in range(5, 41, 5) for j in (1, 3)]
+        + [(contrast[0], 0.5, k, j) for k in (6, 7, 8) for j in (1, 2, 3)]
+        + [(contrast[1], alpha, k, j) for alpha in (1e-3, 0.999) for k in (4, 6, 8) for j in (1, 2)]
+    )
+    worst = 0.0
+    for mesh, alpha, k, j in cases:
+        table = build_kernel_table(mesh, alpha, n=k, backend="closed")
+        for got, want in zip((table.a[k - 1, j - 1], table.c[k - 1, j - 1]), _mpmath_a_c(mesh, alpha, k, j)):
+            assert np.finfo(float).tiny < abs(want) < np.finfo(float).max, (alpha, k, j)
+            worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 1e-11
+
+
+_, _ETA = admissibility_thresholds()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ratios=st.lists(st.floats(_ETA, 3.0), min_size=7, max_size=23),
+    alpha=st.floats(1e-3, 0.999),
+)
+def test_closed_matches_quadrature_on_random_admissible_meshes(ratios, alpha):
+    # criterion 08's entrywise relative bound, on 8 to 24 levels
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(np.cumprod([1.0, *ratios]))]))
+    closed = build_kernel_table(mesh, alpha, backend="closed")
+    quad = build_kernel_table(mesh, alpha, backend="quadrature")
+    for x, y in ((closed.a, quad.a), (closed.c, quad.c), (closed.matrix(), quad.matrix())):
+        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
+        assert np.max(np.abs(x - y) / scale) <= 1e-10
 
 
 def _phi_psi_shared_stop(delta, alpha):

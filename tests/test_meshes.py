@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdiff import (
     TimeMesh,
@@ -169,6 +171,19 @@ def test_certify_pair_at_bound_is_admissible():
     assert report.satisfied
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ratios=st.lists(st.floats(ETA, 3.0), min_size=1, max_size=40), data=st.data())
+def test_certify_invariants_on_random_ratios(ratios, data):
+    # ratios in [eta, 3] are admissible; one ratio below rho_star is the
+    # first violation, at its own step
+    assert certify_mesh(mesh_from_ratios(ratios)).satisfied
+    i = data.draw(st.integers(0, len(ratios) - 1))
+    ratios[i] = data.draw(st.floats(0.01, 0.35))
+    report = certify_mesh(mesh_from_ratios(ratios))
+    assert not report.satisfied
+    assert report.first_violation == i + 2
+
+
 def test_certify_single_step_mesh():
     report = certify_mesh(TimeMesh([0.0, 1.0]))
     assert report.satisfied
@@ -217,10 +232,20 @@ def test_mesh_file_round_trip(tmp_path):
 
 
 def test_mesh_file_round_trip_preserves_bits(tmp_path):
-    mesh = make_r_variable_mesh(1.0, 64, 0.7)
+    rng = np.random.default_rng(11)
+    meshes = [
+        make_r_variable_mesh(1.0, 64, 0.7),
+        make_graded_mesh(1.0, 200, 60.0),  # first node near 1e-138
+        make_graded_then_uniform(50.0, 500, 2.0, split_time=1.0, split_steps=100),
+        TimeMesh(np.cumsum([0.0, 1e-110, 1e-110, 1e-60, 1e-20, 0.3])),
+    ] + [
+        mesh_from_ratios(rng.uniform(ETA, 3.0, size=40), first_step=10.0 ** rng.uniform(-150, 2))
+        for _ in range(20)
+    ]
     path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    assert np.array_equal(read_mesh(path).nodes, mesh.nodes)
+    for mesh in meshes:
+        write_mesh(mesh, path)
+        assert np.array_equal(read_mesh(path).nodes, mesh.nodes)
 
 
 def test_read_mesh_errors(tmp_path):

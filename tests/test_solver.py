@@ -428,7 +428,7 @@ def test_march_holds_one_history_sized_array():
     history_bytes = (mesh.num_steps + 1) * initial.nbytes
     tracemalloc.start()
     try:
-        for _ in kernel_module._kernel_rows(mesh, problem.order, "closed", None):
+        for _ in kernel_module._kernel_rows(mesh, problem.order, "closed"):
             pass
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
