@@ -36,6 +36,7 @@ from .harness import (
     ExperimentSpec,
     MeshFamily,
     parse_config_file,
+    parse_config_list,
     parse_config_value,
     parse_mesh_descriptor,
     reproduce_tables,
@@ -288,9 +289,7 @@ def _cmd_mesh_certify(args) -> int:
     }
     print(json_text("mesh-certificate", payload))
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "certificate.json", "mesh-certificate", payload)
+        write_json(Path(args.out_dir) / "certificate.json", "mesh-certificate", payload)
     return EXIT_OK if report.satisfied else EXIT_VERDICT
 
 
@@ -335,7 +334,6 @@ def _cmd_analyze(args) -> int:
     print(json_text("operator-analysis", payload))
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "analysis.json", "operator-analysis", payload)
         header = reproducibility_header(
             "kernel-coefficients",
@@ -368,7 +366,6 @@ def _cmd_solve(args) -> int:
     print(f"residual_max = {norms.residual_max:.3e}")
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_snapshot_csv(state, str(out_dir / "snapshot.csv"))
         write_diagnostics_csv(state, str(out_dir / "diagnostics.csv"))
         payload = {
@@ -450,11 +447,7 @@ def _cmd_reproduce_tables(args) -> int:
         raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
     alphas = args.alpha
     if "alphas" in config:
-        alphas = [
-            parse_config_value("alphas", v, float)
-            for v in config["alphas"].split(",")
-            if v.strip()
-        ]
+        alphas = parse_config_list("alphas", config["alphas"], float)
     paper_exact = args.paper_exact
     if "paper_exact" in config:
         paper_exact = _parse_bool(config["paper_exact"], "paper_exact")

@@ -12,6 +12,9 @@ This module turns the solver into reproducible experiments:
 * :func:`run_stability_soak` marches a long-horizon bounded-variation forcing
   and applies the plateau verdict to the discrete H1 trajectory.
 
+One cell runner (build the mesh, march, take the norms) serves the first
+three, and the two table runs share one report body.
+
 All file outputs start with a reproducibility header and contain no
 timestamps or timings, so identical runs produce bit-identical files.
 Independent cells run in parallel worker threads (the heavy kernels release
@@ -61,6 +64,7 @@ __all__ = [
     "ExperimentSpec",
     "parse_config_file",
     "parse_config_value",
+    "parse_config_list",
     "CellResult",
     "Verdict",
     "ErrorReport",
@@ -183,12 +187,9 @@ def parse_mesh_descriptor(text: str) -> MeshFamily:
 
 
 def benchmark_families() -> tuple[MeshFamily, ...]:
-    """The four mesh families of the benchmark tables."""
-    return (
-        MeshFamily(kind="graded", grading=1.0),
-        MeshFamily(kind="graded", grading=2.0),
-        MeshFamily(kind="graded", grading_numerator=2.0),
-        MeshFamily(kind="graded", grading_numerator=3.0),
+    """The graded mesh families of the benchmark tables, in table order."""
+    return tuple(
+        parse_mesh_descriptor(f"graded:{label}") for label in benchmarks.FAMILY_LABELS
     )
 
 
@@ -256,17 +257,14 @@ class ExperimentSpec:
             raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
         kwargs: dict = {}
         if "alphas" in mapping:
-            kwargs["alphas"] = tuple(
-                parse_config_value("alphas", v, float) for v in _split_list(mapping["alphas"])
-            )
+            kwargs["alphas"] = parse_config_list("alphas", mapping["alphas"], float)
         if "meshes" in mapping:
-            kwargs["families"] = tuple(
-                parse_mesh_descriptor(v) for v in _split_list(mapping["meshes"])
+            kwargs["families"] = parse_config_list(
+                "meshes", mapping["meshes"], parse_mesh_descriptor
             )
         if "step_counts" in mapping:
-            kwargs["step_counts"] = tuple(
-                parse_config_value("step_counts", v, int)
-                for v in _split_list(mapping["step_counts"])
+            kwargs["step_counts"] = parse_config_list(
+                "step_counts", mapping["step_counts"], int
             )
         for key in ("space", "backend", "out_dir"):
             if key in mapping:
@@ -301,20 +299,23 @@ def _as_iterable(value) -> Iterable:
         return (value,)
 
 
-def _split_list(text: str) -> list[str]:
-    items = [item.strip() for item in text.split(",")]
-    return [item for item in items if item]
-
-
-def parse_config_value(key: str, text: str, kind: type):
-    """Convert one config value with ``kind`` (``int`` or ``float``); a value
-    that does not convert is refused with ValidationError naming the key."""
+def parse_config_value(key: str, text: str, kind):
+    """Convert one config value with ``kind`` (``int``, ``float`` or a parser
+    such as :func:`parse_mesh_descriptor`); a value that does not convert is
+    refused with ValidationError naming the key."""
     try:
         return kind(text)
     except ValueError as exc:
         raise ValidationError(
             f"config key {key} needs {kind.__name__} values, got {text!r}"
         ) from exc
+
+
+def parse_config_list(key: str, text: str, kind) -> tuple:
+    """A comma-separated config value: each nonblank item, stripped, is
+    converted as by :func:`parse_config_value`."""
+    items = (item.strip() for item in text.split(","))
+    return tuple(parse_config_value(key, item, kind) for item in items if item)
 
 
 def parse_config_file(path: "str | Path") -> dict[str, str]:
@@ -401,7 +402,7 @@ class ErrorReport:
 
     def to_dict(self) -> dict:
         return {
-            "spec": _jsonify(self.spec.parameters()),
+            "spec": self.spec.parameters(),
             "cells": [
                 {
                     "alpha": cell.alpha,
@@ -432,16 +433,6 @@ class ErrorReport:
             ],
             "passed": self.passed,
         }
-
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def compute_orders(errors: Sequence[float], step_counts: Sequence[int]) -> np.ndarray:
@@ -536,8 +527,7 @@ def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
 
 
 def _flush_partial(spec: ExperimentSpec, cells: list[CellResult], exc: Exception) -> None:
-    out_dir = _ensure_out_dir(spec.out_dir)
-    path = out_dir / "partial_cells.csv"
+    path = Path(spec.out_dir) / "partial_cells.csv"
     header = reproducibility_header(
         "partial-convergence-cells",
         spec.parameters(),
@@ -570,12 +560,6 @@ def _orders_by_group(spec: ExperimentSpec, cells: list[CellResult]) -> dict:
     return orders
 
 
-def _ensure_out_dir(out_dir: "str | Path") -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _alpha_slug(alpha: float) -> str:
     return f"{alpha:g}".replace(".", "p")
 
@@ -584,24 +568,16 @@ def _family_slug(label: str) -> str:
     return label.replace("=", "").replace("/", "-").replace(":", "-")
 
 
-def _write_alpha_table(
-    path: Path,
-    spec: ExperimentSpec,
-    alpha: float,
-    report: ErrorReport,
-    kind: str,
-    with_references: bool,
-) -> None:
+def _write_alpha_table(path: Path, report: ErrorReport, alpha: float, kind: str) -> None:
     """One CSV per alpha in the benchmark layout.
 
     Rows come in per-family blocks (error row, then order row aligned to the
-    right); columns are the step counts.  Reference/deviation rows are added
-    when the run was compared against trusted values.
+    right); columns are the step counts.  Reference/deviation rows and the
+    tolerance ladder are added when the report carries verdicts.
     """
-    ladder = {"cells_at_or_above_1e-05": 1e-2, "cells_below_1e-05": 5e-2}
-    header = reproducibility_header(
-        kind, {"alpha": alpha, **spec.parameters()}, ladder if with_references else None
-    )
+    spec = report.spec
+    ladder = benchmarks.TOLERANCE_LADDER if report.verdicts else None
+    header = reproducibility_header(kind, {"alpha": alpha, **spec.parameters()}, ladder)
     verdict_by = {
         (v.alpha, v.family_label, v.num_steps): v
         for v in report.verdicts
@@ -613,7 +589,7 @@ def _write_alpha_table(
         orders = report.observed_orders(alpha, family.label)
         rows.append([family.label, "error", *errors])
         rows.append([family.label, "order", "", *(f"{o:.4f}" for o in orders)])
-        if with_references:
+        if report.verdicts:
             refs = [verdict_by[(alpha, family.label, k)] for k in spec.step_counts]
             rows.append([family.label, "reference", *(v.reference for v in refs)])
             rows.append([family.label, "rel_deviation", *(f"{v.rel_dev:.2e}" for v in refs)])
@@ -623,16 +599,57 @@ def _write_alpha_table(
     )
 
 
-def _write_report_files(report: ErrorReport, kind: str, with_references: bool) -> None:
+def _write_report_files(report: ErrorReport, kind: str) -> None:
     spec = report.spec
     if spec.out_dir is None:
         return
-    out_dir = _ensure_out_dir(spec.out_dir)
+    out_dir = Path(spec.out_dir)
     for alpha in spec.alphas:
         path = out_dir / f"{kind}_alpha{_alpha_slug(alpha)}.csv"
-        _write_alpha_table(path, spec, alpha, report, kind, with_references)
+        _write_alpha_table(path, report, alpha, kind)
     write_json(out_dir / f"{kind}_summary.json", kind, report.to_dict())
     logger.info("wrote %s outputs to %s", kind, out_dir)
+
+
+def _verdict(cell: CellResult) -> Verdict:
+    """Compare one cell against its trusted reference under the tolerance ladder."""
+    reference = float(
+        benchmarks.reference_errors(cell.alpha, cell.family_label, (cell.num_steps,))[0]
+    )
+    rel_tol = benchmarks.tolerance_ladder(reference)
+    rel_dev = abs(cell.max_l2_error - reference) / reference
+    return Verdict(
+        alpha=cell.alpha,
+        family_label=cell.family_label,
+        num_steps=cell.num_steps,
+        value=cell.max_l2_error,
+        reference=reference,
+        rel_dev=rel_dev,
+        rel_tol=rel_tol,
+        passed=bool(rel_dev <= rel_tol),
+    )
+
+
+def _run_report(spec: ExperimentSpec, kind: str, with_verdicts: bool) -> ErrorReport:
+    """Run the spec's cells and assemble orders, plus reference verdicts when
+    asked; write the ``kind`` files when the spec names an output directory."""
+    cells = _execute_cells(spec)
+    verdicts = tuple(_verdict(cell) for cell in cells) if with_verdicts else ()
+    report = ErrorReport(
+        spec=spec,
+        cells=tuple(cells),
+        orders=_orders_by_group(spec, cells),
+        verdicts=verdicts,
+        passed=all(v.passed for v in verdicts),
+    )
+    _write_report_files(report, kind)
+    if verdicts:
+        logger.info(
+            "table reproduction: %d/%d cells within tolerance",
+            sum(v.passed for v in verdicts),
+            len(verdicts),
+        )
+    return report
 
 
 def run_convergence(spec: ExperimentSpec) -> ErrorReport:
@@ -641,11 +658,7 @@ def run_convergence(spec: ExperimentSpec) -> ErrorReport:
     Emits one CSV per alpha in the benchmark table layout plus a JSON
     summary when the spec names an output directory.
     """
-    cells = _execute_cells(spec)
-    orders = _orders_by_group(spec, cells)
-    report = ErrorReport(spec=spec, cells=tuple(cells), orders=orders)
-    _write_report_files(report, "convergence", with_references=False)
-    return report
+    return _run_report(spec, "convergence", with_verdicts=False)
 
 
 def reproduce_tables(
@@ -664,62 +677,19 @@ def reproduce_tables(
     its smallest cells are spatially saturated, so no verdicts are issued.
     ``extended`` adds the {320, 480, 640} step counts to the CI set.
     """
-    alphas = benchmarks.ALPHAS if alphas is None else tuple(alphas)
-    step_counts = benchmarks.STEP_COUNTS if extended else benchmarks.CI_STEP_COUNTS
     intervals = (
         benchmarks.PAPER_EXACT_INTERVALS if paper_exact else benchmarks.DESK_INTERVALS
     )
     spec = ExperimentSpec(
-        alphas=alphas,
+        alphas=benchmarks.ALPHAS if alphas is None else tuple(alphas),
         families=benchmark_families(),
-        step_counts=step_counts,
+        step_counts=benchmarks.STEP_COUNTS if extended else benchmarks.CI_STEP_COUNTS,
         space=f"d1:{intervals}",
-        horizon=1.0,
         backend=backend,
         workers=workers,
         out_dir=None if out_dir is None else str(out_dir),
     )
-    cells = _execute_cells(spec)
-    orders = _orders_by_group(spec, cells)
-    verdicts: list[Verdict] = []
-    if paper_exact:
-        for cell in cells:
-            reference = float(
-                benchmarks.reference_errors(
-                    cell.alpha, cell.family_label, (cell.num_steps,)
-                )[0]
-            )
-            rel_tol = benchmarks.tolerance_ladder(reference)
-            rel_dev = abs(cell.max_l2_error - reference) / reference
-            verdicts.append(
-                Verdict(
-                    alpha=cell.alpha,
-                    family_label=cell.family_label,
-                    num_steps=cell.num_steps,
-                    value=cell.max_l2_error,
-                    reference=reference,
-                    rel_dev=rel_dev,
-                    rel_tol=rel_tol,
-                    passed=bool(rel_dev <= rel_tol),
-                )
-            )
-    passed = all(v.passed for v in verdicts) if verdicts else True
-    report = ErrorReport(
-        spec=spec,
-        cells=tuple(cells),
-        orders=orders,
-        verdicts=tuple(verdicts),
-        passed=passed,
-    )
-    _write_report_files(report, "table", with_references=paper_exact)
-    if verdicts:
-        failed = [v for v in verdicts if not v.passed]
-        logger.info(
-            "table reproduction: %d/%d cells within tolerance",
-            len(verdicts) - len(failed),
-            len(verdicts),
-        )
-    return report
+    return _run_report(spec, "table", with_verdicts=paper_exact)
 
 
 @dataclass(frozen=True)
@@ -747,38 +717,35 @@ def run_pointwise_comparison(
     """Per-level L2 error curves for several mesh families on one problem.
 
     Each curve has exactly ``num_steps`` rows (levels 1..K) of
-    (t_k, step size, error).  One CSV per family is written when an output
-    directory is given.
+    (t_k, step size, error).  The cells run as a one-alpha, one-K
+    :class:`ExperimentSpec` (on the SUBDIFF_WORKERS pool); one CSV per family
+    is written when an output directory is given.
     """
     order = as_fractional_order(order)
-    families = tuple(
-        f if isinstance(f, MeshFamily) else parse_mesh_descriptor(str(f))
-        for f in families
+    spec = ExperimentSpec(
+        alphas=(order.alpha,),
+        families=families,
+        step_counts=(num_steps,),
+        space=space,
+        horizon=horizon,
+        backend=backend,
     )
-    if not families:
-        raise ValidationError("families must be nonempty")
-    num_steps = int(num_steps)
-    if num_steps < 1:
-        raise ValidationError(f"num_steps must be >= 1, got {num_steps}")
-    problem = manufactured_problem(order.alpha, parse_space(space))
-    curves: list[PointwiseCurve] = []
-    for family in families:
-        mesh = family.build(alpha=order.alpha, horizon=horizon, num_steps=num_steps)
-        state = solve(problem, mesh, backend=backend)
-        norms = discrete_norms(state)
+    num_steps = spec.step_counts[0]
+    curves = []
+    for family, cell in zip(spec.families, _execute_cells(spec)):
+        mesh = family.build(alpha=order.alpha, horizon=spec.horizon, num_steps=num_steps)
         curves.append(
             PointwiseCurve(
-                family_label=family.label,
+                family_label=cell.family_label,
                 num_steps=num_steps,
                 times=mesh.nodes[1:].copy(),
                 steps=mesh.steps.copy(),
-                l2_error=norms.l2_error[1:].copy(),
-                max_l2_error=norms.max_l2_error,
-                argmax_level=norms.argmax_level,
+                l2_error=cell.l2_error[1:].copy(),
+                max_l2_error=cell.max_l2_error,
+                argmax_level=cell.argmax_level,
             )
         )
     if out_dir is not None:
-        out_path = _ensure_out_dir(out_dir)
         for curve in curves:
             name = (
                 f"pointwise_alpha{_alpha_slug(order.alpha)}"
@@ -796,7 +763,7 @@ def run_pointwise_comparison(
                 },
             )
             write_csv(
-                out_path / name,
+                Path(out_dir) / name,
                 header,
                 ["level", "t", "step", "l2_error"],
                 zip(range(1, num_steps + 1), curve.times, curve.steps, curve.l2_error),
@@ -946,7 +913,7 @@ def run_stability_soak(
         l2_norm=l2,
     )
     if out_dir is not None:
-        out_path = _ensure_out_dir(out_dir)
+        out_path = Path(out_dir)
         params = {
             "alpha": order.alpha,
             "horizon": horizon,

@@ -5,7 +5,8 @@ producing command or function, the parameters of the run and the numerical
 tolerances in force; the column row and the data rows follow.  JSON files
 and the JSON the command line prints are sorted, indented objects carrying
 ``version`` and ``kind`` keys.  Nothing written carries timestamps or host
-information, so identical runs produce bit-identical files.
+information, so identical runs produce bit-identical files.  Both writers
+create the parent directory of the file they write.
 """
 from __future__ import annotations
 
@@ -66,6 +67,7 @@ def write_csv(
     ``repr``: the shortest text that reads back to the same value.  Other
     fields are written as ``str`` gives them.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     # the builtin open (not Path.write_text), so a caller that shadows
     # ``open`` in this module sees every output file
     with open(path, "w", newline="") as handle:
@@ -87,5 +89,6 @@ def json_text(kind: str, payload: Mapping[str, object]) -> str:
 
 def write_json(path: "str | Path", kind: str, payload: Mapping[str, object]) -> None:
     """Write :func:`json_text` plus a trailing newline."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         handle.write(json_text(kind, payload) + "\n")

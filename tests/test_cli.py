@@ -282,6 +282,22 @@ def test_reproduce_tables_refuses_a_malformed_config_value(tmp_path, capsys, key
     assert err.startswith(f"subdiff: error: invalid-parameter: config key {key} ")
 
 
+def test_both_reproduce_tables_branches_split_config_lists_alike(tmp_path, capsys):
+    # the benchmark-table branch and the custom-experiment branch read a
+    # comma-separated value by one rule, so they refuse a bad item alike
+    errs = []
+    for extra in ("", "meshes = uniform\nstep_counts = 8\n"):
+        config = tmp_path / "exp.cfg"
+        config.write_text(extra + "alphas = 0.5, , x\n")
+        code, stdout, err = run_cli(capsys, "reproduce-tables", "--config", str(config))
+        assert (code, stdout) == (EXIT_INVALID, "")
+        errs.append(err)
+    assert errs == [
+        "subdiff: error: invalid-parameter: config key alphas needs float values, "
+        "got 'x'\n"
+    ] * 2
+
+
 def test_reproduce_tables_refuses_an_unknown_config_key(tmp_path, capsys):
     # a config without meshes/step_counts/space/horizon configures the
     # benchmark tables, and a misspelt or retired key must not be ignored

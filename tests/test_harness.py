@@ -8,6 +8,7 @@ import pytest
 
 from subdiff import (
     ExperimentSpec,
+    benchmarks,
     MeshFamily,
     TimeMesh,
     benchmark_families,
@@ -15,6 +16,7 @@ from subdiff import (
     make_graded_mesh,
     parse_config_file,
     parse_mesh_descriptor,
+    reproduce_tables,
     run_convergence,
     run_pointwise_comparison,
     run_stability_soak,
@@ -230,11 +232,21 @@ def test_run_convergence_report_structure(tmp_path):
     assert "wall" not in csv_path.read_text()
 
 
-def test_convergence_outputs_are_deterministic(tmp_path):
+def test_convergence_outputs_are_deterministic(tmp_path, monkeypatch):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_convergence(small_spec(out_dir=dir_a))
     run_convergence(small_spec(out_dir=dir_b, workers=2))
     for name in ("convergence_alpha0p5.csv", "convergence_summary.json"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    # the pointwise curves run on the same worker pool, sized by the env var
+    for workers, out_dir in (("1", dir_a), ("2", dir_b)):
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        run_pointwise_comparison(
+            0.6, ("graded:r=2", "rvariable", "uniform"), 24, space="d1:64", out_dir=out_dir
+        )
+    names = sorted(p.name for p in dir_a.glob("pointwise_*.csv"))
+    assert len(names) == 3
+    for name in names:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
@@ -308,6 +320,26 @@ def test_run_pointwise_comparison(tmp_path):
     assert len(data) == 1 + 80
     with pytest.raises(ValidationError):
         run_pointwise_comparison(0.7, families=(), num_steps=8)
+    with pytest.raises(ValidationError, match="duplicate mesh families"):
+        run_pointwise_comparison(0.7, families=("uniform", "uniform"), num_steps=8)
+    with pytest.raises(ValidationError, match="step_counts"):
+        run_pointwise_comparison(0.7, families=("uniform",), num_steps=0)
+
+
+def test_paper_exact_table_header_carries_the_tolerance_ladder(tmp_path):
+    report = reproduce_tables(alphas=[0.5], paper_exact=True, out_dir=tmp_path)
+    assert len(report.verdicts) == 12 and report.passed
+    lines = (tmp_path / "table_alpha0p5.csv").read_text().splitlines()
+    ladder = [line for line in lines if line.startswith("# tolerance:")]
+    assert ladder == [
+        "# tolerance:cells_at_or_above_1e-05 = 0.01",
+        "# tolerance:cells_below_1e-05 = 0.05",
+    ]
+    # the header states the rule the verdicts applied
+    assert benchmarks.tolerance_ladder(1e-5) == 0.01
+    assert benchmarks.tolerance_ladder(9.99e-6) == 0.05
+    for verdict in report.verdicts:
+        assert verdict.rel_tol == (0.01 if verdict.reference >= 1e-5 else 0.05)
 
 
 def test_soak_quick_pass(tmp_path):

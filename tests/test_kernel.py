@@ -300,7 +300,7 @@ _DELTAS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     deltas=st.lists(_DELTAS, min_size=1, max_size=300),
     alpha=st.floats(1e-3, 0.999),

@@ -48,3 +48,10 @@ def test_writer_bytes(tmp_path, monkeypatch):
     write_json(tmp_path / "s.json", "demo", payload)
     assert (tmp_path / "s.json").read_bytes() == (text + "\n").encode()
     assert opened == [str(tmp_path / "t.csv"), str(tmp_path / "s.json")]
+
+
+def test_writers_create_the_parent_directory(tmp_path):
+    write_csv(tmp_path / "a" / "b" / "t.csv", ["# h"], ["x"], [[1]])
+    write_json(tmp_path / "c" / "s.json", "demo", {})
+    assert (tmp_path / "a" / "b" / "t.csv").read_text() == "# h\nx\n1\n"
+    assert (tmp_path / "c" / "s.json").is_file()
