@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularDiagonalError, ValidationError
 from .kernel import KernelTable, build_kernel_table
@@ -338,6 +337,8 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     order-preserving.  Accepts a kernel table or a dense lower-triangular
     history matrix.
     """
+    from scipy.linalg import solve_triangular  # not loaded with the package
+
     m = source.matrix() if isinstance(source, KernelTable) else np.asarray(source, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("history matrix must be square")

@@ -21,7 +21,11 @@ Two independent evaluation backends are provided:
 Either backend computes the kernel in slabs of consecutive rows, each
 bounded by a fixed entry budget.  :func:`build_kernel_table` collects the
 slabs into dense tables for the analysis checks; the solver marches on them
-directly and never holds the table.
+directly and never holds the table.  Along a run of equal steps, entry
+``(k, j)`` has the same inputs as ``(k-1, j-1)``; the closed backend keeps the
+last entry computed at each distance ``k - j`` and reuses it wherever the
+inputs are bit-equal; where the nodes are exact (a dyadic step), such a run
+is computed once per distance.
 """
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from .errors import (
     DimensionMismatchError,
@@ -321,6 +324,8 @@ def _closed_row_a_c(
 
 
 def _quad_scalar(f: Callable[[float], float], lo: float, hi: float, settings: QuadratureSettings) -> float:
+    from scipy.integrate import quad  # oracle only: not loaded with the package
+
     res = quad(
         f,
         lo,
@@ -395,6 +400,8 @@ def _quadrature_row_a_c(
     magnitude.  The scale factors divide out of the quadrature value, so the
     result stays an independent check on the closed forms.
     """
+    from scipy.integrate import quad_vec  # oracle only: not loaded with the package
+
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
@@ -463,16 +470,24 @@ def _kernel_slabs(
     a :class:`KernelTable`.  A slab holds at most ``_SLAB_ENTRIES`` entries
     (but at least one row).  The closed backend fills a slab in one
     vectorized pass; every entry's series stops on its own (see
-    :func:`_phi_psi`), so where slab edges fall does not change a bit.  The
-    quadrature backend fills it row by row.  Raises SingularDiagonalError
-    when a diagonal entry is not positive and NumericalError when a
-    coefficient is not finite, naming the first such level.
+    :func:`_phi_psi`), so where slab edges fall does not change a bit.  It
+    computes only the entries whose inputs ``(tau_j, tau_{j+1}, t_k* -
+    t_{j-1})`` differ from those of the last entry computed at the same
+    distance ``k - j`` (held for the previous slab's last row) and copies the
+    rest: an entry depends on nothing but its inputs and ``alpha``, so a copy
+    is the same bits.  The quadrature backend fills a slab row by row.
+    Raises SingularDiagonalError when a diagonal entry is not positive and
+    NumericalError when a coefficient is not finite, naming the first such
+    level.
     """
     _check_backend(backend)
     settings = settings or _DEFAULT_SETTINGS
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
+    # the inputs and coefficients of the last entry computed at each distance
+    # k - j; NaN inputs match nothing
+    seen_w0, seen_tj, seen_tj1, seen_a, seen_c = np.full((5, n + 1), np.nan)
     k0 = start
     while k0 < n:
         # the most rows r with r * (k0 + r) <= _SLAB_ENTRIES
@@ -480,11 +495,27 @@ def _kernel_slabs(
         k1 = min(k0 + max(rows, 1), n)
         a = np.zeros((k1 - k0, k1))
         c = np.zeros((k1 - k0, k1))
+        t_star = nodes[k0:k1] + sigma * tau[k0:k1]
         if backend == "closed":
             # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1
             i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-            w0 = nodes[i + k0] + sigma * tau[i + k0] - nodes[js]  # t_k* - t_{j-1}
-            a[i, js], c[i, js] = _closed_a_c(tau[js], tau[js + 1], w0, alpha)
+            w0 = t_star[i] - nodes[js]  # t_k* - t_{j-1}
+            tj, tj1 = tau[js], tau[js + 1]
+            at, dist = i * k1 + js, i + k0 - js  # position in the flat slab; k - j
+            del i, js  # _closed_a_c's temporaries set the slab's peak; add none beside them
+            hit = (w0 == seen_w0[dist]) & (tj == seen_tj[dist]) & (tj1 == seen_tj1[dist])
+            flat_a, flat_c = a.reshape(-1), c.reshape(-1)
+            # gather the cached a, c for the hits alone, not for every entry
+            hit_at, dist = at[hit], dist[hit]
+            flat_a[hit_at], flat_c[hit_at] = seen_a[dist], seen_c[dist]
+            miss = ~hit
+            at, w0, tj, tj1 = at[miss], w0[miss], tj[miss], tj1[miss]
+            flat_a[at], flat_c[at] = _closed_a_c(tj, tj1, w0, alpha)
+            # the slab's last row (level k1) holds each distance 1..k1-1 once,
+            # in reverse order
+            seen_w0[1:k1] = (t_star[-1] - nodes[: k1 - 1])[::-1]
+            seen_tj[1:k1], seen_tj1[1:k1] = tau[: k1 - 1][::-1], tau[1:k1][::-1]
+            seen_a[1:k1], seen_c[1:k1] = a[-1, : k1 - 1][::-1], c[-1, : k1 - 1][::-1]
         else:
             for k in range(max(k0 + 1, 2), k1 + 1):
                 i = k - 1 - k0
@@ -513,7 +544,6 @@ def _kernel_slabs(
                 f"{backend} kernel: {bad.size} of levels {k0 + 1}..{k1} hold non-finite "
                 f"coefficients (first at level {k0 + bad[0] + 1})"
             )
-        t_star = nodes[k0:k1] + sigma * tau[k0:k1]
         for arr in (a, c, m, t_star):
             arr.flags.writeable = False
         yield k0, k1, a, c, m, t_star
@@ -633,6 +663,8 @@ def caputo_reference(
     ``Gamma(1-alpha)``.  Serves as the independent oracle for
     :func:`apply_operator` in consistency tests.
     """
+    from scipy.integrate import quad  # oracle only: not loaded with the package
+
     order = as_fractional_order(order)
     t = float(t)
     if t < 0.0:

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import MeshFileError, NonMonotoneMeshError, ValidationError
 
@@ -53,6 +52,7 @@ def admissibility_thresholds() -> tuple[float, float]:
     Both are roots of low-degree polynomials in the step ratio; they are
     bracketed in [0.1, 0.9] and resolved by bisection to 1e-13.
     """
+    from scipy.optimize import bisect  # once per process: not loaded with the package
 
     def lower(r: float) -> float:
         return r * (1.0 + r) - (1.0 - 3.0 * r * r * (1.0 + r))

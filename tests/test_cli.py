@@ -2,10 +2,14 @@
 and the stderr error format."""
 import inspect
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subdiff
 from subdiff import (
     ExperimentSpec,
     TimeMesh,
@@ -27,6 +31,23 @@ def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_leaves_the_oracle_scipy_modules_unloaded():
+    # every command pays for what the package loads at import; the
+    # quadrature oracle (scipy.integrate), the admissibility thresholds
+    # (scipy.optimize) and the complementary kernel (scipy.linalg) import
+    # theirs when first called
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import subdiff, subdiff.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
+    )
+    src = str(Path(subdiff.__file__).resolve().parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "scipy.fft" in loaded
+    assert [m for m in loaded if m.split(".")[1] in ("integrate", "linalg", "optimize")] == []
 
 
 def test_version_flag(capsys):

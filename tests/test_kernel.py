@@ -24,6 +24,7 @@ from subdiff import (
     coeff_quadrature,
     dump_kernel_csv,
     make_graded_mesh,
+    make_graded_then_uniform,
     make_uniform_mesh,
 )
 from subdiff.errors import DimensionMismatchError, NumericalError, ValidationError
@@ -338,6 +339,58 @@ def test_closed_table_is_the_same_across_block_edges():
         head = build_kernel_table(mesh, 0.4, n=k, backend="closed")
         assert np.array_equal(head.matrix(), full.matrix()[:k, :k]), k
         assert np.array_equal(head.a, full.a[:k, :k]) and np.array_equal(head.c, full.c[:k, :k])
+
+
+def _soak_mesh():
+    # the soak command's mesh: 512 graded steps on [0, 1], then 2048 equal
+    # steps of 49/2048 to t = 50, on which every node is exact
+    return make_graded_then_uniform(50.0, 2560, 2.0, 1.0, 512)
+
+
+def _fuzzed_mesh(num_steps, seed):
+    ratios = np.random.default_rng(seed).uniform(_ETA, 3.0, size=num_steps - 1)
+    return TimeMesh(np.concatenate([[0.0], np.cumsum(np.cumprod([1.0, *ratios]))]))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [_soak_mesh(), make_uniform_mesh(1.0, 512), make_graded_mesh(1.0, 400, 2.0), _fuzzed_mesh(400, 11)],
+    ids=["soak", "dyadic-uniform", "graded", "fuzzed"],
+)
+def test_closed_slabs_reuse_entries_bit_for_bit(mesh):
+    order = FractionalOrder(0.5)
+    tau, nodes = mesh.steps, mesh.nodes
+    slabs = 0
+    for k0, k1, a, c, _, _ in kernel_module._kernel_slabs(
+        mesh, order, 0, mesh.num_steps, "closed", None
+    ):
+        # reference: the slab's closed fill computes every entry of its triangle
+        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
+        w0 = nodes[i + k0] + order.sigma * tau[i + k0] - nodes[js]
+        ref_a, ref_c = np.zeros_like(a), np.zeros_like(c)
+        ref_a[i, js], ref_c[i, js] = kernel_module._closed_a_c(tau[js], tau[js + 1], w0, order.alpha)
+        assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c), (k0, k1)
+        slabs += 1
+    assert slabs >= 3  # slab edges fall inside the uniform runs
+
+
+def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
+    mesh = _soak_mesh()
+    n = mesh.num_steps
+    original = kernel_module._closed_a_c
+    computed = []
+
+    def counted(tau_j, tau_j1, w0, alpha):
+        computed.append(tau_j.size)
+        return original(tau_j, tau_j1, w0, alpha)
+
+    monkeypatch.setattr(kernel_module, "_closed_a_c", counted)
+    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, n, "closed", None):
+        pass
+    # the 1,179,392 entries with j <= 512 touch the graded head and are all
+    # computed; of the 2,096,128 on the uniform tail only those in the first
+    # slab that reaches their distance there are
+    assert sum(computed) < 0.4 * n * (n - 1) / 2
 
 
 def test_build_kernel_row_computes_one_row(monkeypatch):
