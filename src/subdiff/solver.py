@@ -21,19 +21,24 @@ Both give ``laplacian``, its nonnegative eigenvalues ``laplacian_symbol``
 which is real, keeps the field's shape, is orthonormal and is its own
 ``inverse``.
 
-The scheme is diagonal in that basis, so :func:`solve` marches
-eigen-coefficients, one scalar recursion per mode, and only on the active
-set: the modes where the initial field or a source value seen so far has a
+A problem's source and exact solution are short sums of separable terms,
+each a function of time times a spatial profile, so each profile is
+transformed once, when the :class:`Problem` is built.  The scheme is
+diagonal in the eigenbasis, so :func:`solve` marches eigen-coefficients,
+one scalar recursion per mode, and only on the active set: the modes where
+the initial field or the profile of a source term already switched on has a
 coefficient above ``_MODE_FLOOR`` (1e-13) times the largest coefficient of
-that field.  The set only grows; a mode a source first excites at level k
-joins with its all-zero past.  What the floor drops is at most 1e-13 of its
-field, 700 times the transforms' own rounding of a single mode, and the
-largest dropped fraction is kept as ``SolverState.dropped``.  A level costs
-one transform of the source value (none without a source) and a dot over
-the active columns of the history; the history rows hold the coefficients
-during the march and become fields once, at the end.  :func:`solve` streams
-the kernel rows in slabs and never holds the dense kernel table, only the
-history and one slab.
+that field.  A source term switches on at the first level where its time
+factor is nonzero; the set only grows, and a mode joins with its all-zero
+past.  What the floor drops is at most 1e-13 of its field, 700 times the
+transforms' own rounding of a single mode, and the largest dropped fraction
+is kept as ``SolverState.dropped``.  A level costs the time factors and a
+dot over the active columns of the history, with no transform.  The run
+keeps only the coefficient history, ``(K+1) x |S|`` for ``|S|`` active
+modes; a field is built on demand (``SolverState.field``), and the norms
+are taken on the coefficients by Parseval.  :func:`solve` streams the
+kernel rows in slabs and never holds the dense kernel table, only the
+coefficient history and one slab.
 
 The per-step residual is that of the diagonal system actually solved,
 relative to its right side: rounding level, the march's check on its own
@@ -48,7 +53,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 import scipy.fft
@@ -260,22 +265,36 @@ def parse_space(descriptor: str) -> "DirichletLine | PeriodicSquare":
     raise ValidationError(f"space kind must be 'd1' or 'p2', got {kind!r}")
 
 
+# A separable term: a real function of time and a spatial profile of the
+# space's shape; the term's value at time t is ``time_function(t) * profile``.
+Term = tuple[Callable[[float], float], np.ndarray]
+
+
 @dataclass(frozen=True)
 class Problem:
     """A subdiffusion initial-boundary value problem on a fixed space.
 
-    ``source`` and ``exact`` are callables of time returning full spatial
-    fields (closures over the grid); either may be None (zero source,
-    no reference solution).  ``initial`` defaults to the zero field; a
-    non-finite one is refused with ValidationError.
+    ``source`` and ``exact`` are sums of separable terms, each a pair
+    ``(time_function, profile)`` whose value at time ``t`` is
+    ``time_function(t) * profile``; ``source`` None or empty is the zero
+    source, ``exact`` None means no reference solution.  Each profile is
+    refused unless it is a finite field of the space's shape, then
+    transformed once: ``source_coefficients`` and ``exact_coefficients``
+    hold one row of flat eigen-coefficients per term.  The time factors are
+    checked where they are used, level by level.  ``initial`` defaults to
+    the zero field; a non-finite one is refused with ValidationError.
     """
 
     order: FractionalOrder
     space: "DirichletLine | PeriodicSquare"
-    source: Callable[[float], np.ndarray] | None = None
+    source: Sequence[Term] | None = ()
     initial: np.ndarray | None = None
-    exact: Callable[[float], np.ndarray] | None = None
+    exact: Sequence[Term] | None = None
     name: str = ""
+    source_coefficients: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    exact_coefficients: np.ndarray | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_fractional_order(self.order))
@@ -292,6 +311,72 @@ class Problem:
             if not np.all(np.isfinite(initial)):
                 raise ValidationError("initial field has non-finite entries")
             object.__setattr__(self, "initial", initial)
+        source = () if self.source is None else self.source
+        source, source_hat = _separable_terms(self.space, source, "source")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "source_coefficients", source_hat)
+        if self.exact is not None:
+            exact, exact_hat = _separable_terms(self.space, self.exact, "exact")
+            object.__setattr__(self, "exact", exact)
+            object.__setattr__(self, "exact_coefficients", exact_hat)
+
+
+def _separable_terms(space, terms, what: str) -> tuple[tuple[Term, ...], np.ndarray]:
+    """Check ``(time_function, profile)`` pairs and transform each profile.
+
+    Returns the pairs, with read-only float profiles, and their flat
+    eigen-coefficients, one row per term.
+    """
+    if callable(terms) or isinstance(terms, np.ndarray):
+        raise ValidationError(
+            f"{what} must be a sequence of (time_function, profile) pairs, "
+            f"f(t) * P(x) written [(f, P)]; got {type(terms).__name__}"
+        )
+    shape = space.zero_field().shape
+    checked = []
+    for i, term in enumerate(terms):
+        try:
+            time_function, profile = term
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{what} term {i} is not a (time_function, profile) pair"
+            ) from exc
+        if not callable(time_function):
+            raise ValidationError(f"{what} term {i}: time function is not callable")
+        profile = np.array(profile, dtype=float)
+        if profile.shape != shape:
+            raise DimensionMismatchError(
+                f"{what} term {i}: profile shape {profile.shape} does not match "
+                f"space shape {shape}"
+            )
+        if not np.all(np.isfinite(profile)):
+            raise ValidationError(f"{what} term {i}: profile has non-finite entries")
+        profile.flags.writeable = False
+        checked.append((time_function, profile))
+    coefficients = np.zeros((len(checked), math.prod(shape)))
+    for row, (_, profile) in zip(coefficients, checked):
+        row[:] = space.forward(profile).ravel()
+    coefficients.flags.writeable = False
+    return tuple(checked), coefficients
+
+
+def _time_factors(terms: Sequence[Term], t: float, where: str) -> np.ndarray:
+    """The terms' time factors at ``t``; one that is not a finite real
+    number is refused, named by ``where`` and its term index."""
+    values = np.empty(len(terms))
+    for i, (time_function, _) in enumerate(terms):
+        try:
+            value = float(time_function(t))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{where} term {i}: time factor at t = {t!r} is not a real number"
+            ) from exc
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{where} term {i}: time factor at t = {t!r} is {value!r}, not finite"
+            )
+        values[i] = value
+    return values
 
 
 def manufactured_problem(
@@ -309,14 +394,19 @@ def manufactured_problem(
     alpha = order.alpha
     gamma_factor = math.gamma(1.0 + alpha)
 
-    def source(t: float) -> np.ndarray:
-        return (gamma_factor + space.ndim * t**alpha) * mode
+    def forcing(t: float) -> float:
+        return gamma_factor + space.ndim * t**alpha
 
-    def exact(t: float) -> np.ndarray:
-        return t**alpha * mode
+    def growth(t: float) -> float:
+        return t**alpha
 
-    return Problem(order=order, space=space, source=source, exact=exact,
-                   name=f"manufactured-{space.ndim}d")
+    return Problem(
+        order=order,
+        space=space,
+        source=[(forcing, mode)],
+        exact=[(growth, mode)],
+        name=f"manufactured-{space.ndim}d",
+    )
 
 
 def manufactured_problem_1d(
@@ -335,31 +425,53 @@ def manufactured_problem_2d(
 
 @dataclass
 class SolverState:
-    """Marching state: full history, active modes and per-step diagnostics.
+    """Marching state: the coefficient history, active modes and per-step
+    diagnostics.
 
-    When :func:`solve` returns, ``history[k]`` is the solution field at
-    level ``k`` (levels through ``level`` are valid).  While marching, row
-    ``k`` holds the level's eigen-coefficients instead, packed: column ``j``
-    of the flattened row is the coefficient of mode ``modes[j]`` (a flat
-    index into the space's eigenbasis), and columns from ``modes.size`` on
-    are zero.  ``modes`` is the active set in the order its modes joined,
-    and ``active`` marks them on the flattened eigenbasis.  ``dropped`` is the
+    ``coefficients`` is the packed coefficient history, ``(K+1) x |S|``:
+    row ``k`` holds level ``k``'s eigen-coefficients on the active modes,
+    column ``j`` that of mode ``modes[j]`` (a flat index into the space's
+    eigenbasis), zero at unreached levels and before the mode joined.
+    ``modes`` is the active set in the order its modes joined, and
+    ``active`` marks them on the flattened eigenbasis.  ``dropped`` is the
     largest coefficient, relative to the largest of its field, that the
-    initial field or a source value had on a mode outside the active set.
-    ``residual[k]`` is the relative max-norm residual of the level-``k``
-    diagonal solve and ``h1_seminorm[k]`` the energy seminorm of the
-    solution, both 0.0 at unreached levels.
+    initial field or a switched-on source profile had on a mode outside the
+    active set, and ``switched_on[i]`` whether source term ``i`` has had a
+    nonzero time factor yet.  ``residual[k]`` is the relative max-norm
+    residual of the level-``k`` diagonal solve and ``h1_seminorm[k]`` the
+    energy seminorm of the solution, both 0.0 at unreached levels.  Fields
+    are built only on request: :meth:`field` one level, :attr:`history`
+    every computed level.
     """
 
     problem: Problem
     mesh: TimeMesh
     level: int
-    history: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
     h1_seminorm: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
     modes: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
     dropped: float = 0.0
+    switched_on: np.ndarray = field(init=False, repr=False)
+
+    def field(self, k: int) -> np.ndarray:
+        """The solution field at computed level ``k`` (0..``level``)."""
+        k = int(k)
+        if not 0 <= k <= self.level:
+            raise ValidationError(f"level {k} outside computed range 0..{self.level}")
+        flat = np.zeros(self.active.size)
+        flat[self.modes] = self.coefficients[k]
+        return self.problem.space.inverse(flat.reshape(self.problem.initial.shape))
+
+    @property
+    def history(self) -> np.ndarray:
+        """The fields of levels ``0..level``, built anew on each read; read-only."""
+        fields = np.empty((self.level + 1,) + self.problem.initial.shape)
+        for k in range(self.level + 1):
+            fields[k] = self.field(k)
+        fields.flags.writeable = False
+        return fields
 
 
 @dataclass(frozen=True)
@@ -369,37 +481,39 @@ class NormReport:
     max_l2_error: float | None
     argmax_level: int | None
     l2_error: np.ndarray | None
+    l2_norm: np.ndarray
     h1_seminorm: np.ndarray
     residual_max: float
 
 
 def initialize_state(problem: Problem, mesh: TimeMesh) -> SolverState:
-    """Allocate the full history and seed level 0 with the initial field's
+    """Allocate the state and seed level 0 with the initial field's
     coefficients on its active modes (see :class:`SolverState`)."""
     k_total = mesh.num_steps
     space = problem.space
-    history = np.zeros((k_total + 1,) + problem.initial.shape)
     h1 = np.zeros(k_total + 1)
     h1[0] = space.h1_seminorm(problem.initial)
     state = SolverState(
         problem=problem,
         mesh=mesh,
         level=0,
-        history=history,
+        coefficients=np.zeros((k_total + 1, 0)),
         h1_seminorm=h1,
         residual=np.zeros(k_total + 1),
         modes=np.zeros(0, dtype=np.intp),
-        active=np.zeros(history[0].size, dtype=bool),
+        active=np.zeros(problem.initial.size, dtype=bool),
     )
+    state.switched_on = np.zeros(len(problem.source), dtype=bool)
     coeffs = space.forward(problem.initial).ravel()
     _activate(state, coeffs)
-    history.reshape(k_total + 1, -1)[0, : state.modes.size] = coeffs[state.modes]
+    state.coefficients[0] = coeffs[state.modes]
     return state
 
 
 def _activate(state: SolverState, coeffs: np.ndarray) -> None:
     """Add to the active set the modes where a field's flat coefficients
-    exceed ``_MODE_FLOOR`` times their largest; record what stays out."""
+    exceed ``_MODE_FLOOR`` times their largest, widening the coefficient
+    history by their all-zero columns; record what stays out."""
     magnitude = np.abs(coeffs)
     peak = float(magnitude.max())
     outside = ~state.active
@@ -409,36 +523,25 @@ def _activate(state: SolverState, coeffs: np.ndarray) -> None:
         state.active[new] = True
         outside[new] = False
         state.modes = np.concatenate([state.modes, new])
+        grown = np.zeros((state.coefficients.shape[0], state.modes.size))
+        grown[:, : state.coefficients.shape[1]] = state.coefficients
+        state.coefficients = grown
     if peak > 0.0:
         left = float(magnitude.max(where=outside, initial=0.0))
         state.dropped = max(state.dropped, left / peak)
-
-
-def _source_coefficients(problem: Problem, t: float, k: int) -> np.ndarray:
-    """Flat eigen-coefficients of the source at time ``t`` (level ``k``),
-    refusing a value that is not a finite field of the space's shape."""
-    f = np.asarray(problem.source(t), dtype=float)
-    if f.shape != problem.initial.shape:
-        raise DimensionMismatchError(
-            f"level {k}: source value shape {f.shape} does not match "
-            f"space shape {problem.initial.shape}"
-        )
-    if not np.all(np.isfinite(f)):
-        raise ValidationError(f"level {k}: source value has non-finite entries")
-    return problem.space.forward(f).ravel()
 
 
 def step(state: SolverState, row: KernelRow) -> SolverState:
     """Advance the state one level using the given kernel row.
 
     The row's level must be ``state.level + 1``.  Returns the same state
-    object with ``history``, ``h1_seminorm`` and ``residual`` filled at the
-    new level.  The history rows hold packed eigen-coefficients here (see
-    :class:`SolverState`); :func:`solve` turns them into fields at the end.
-    The source value joins its modes to the active set first; then each
-    active mode solves its own scalar equation, one diagonal division, with
-    the history term a dot over the active columns only.  The residual is
-    that of the diagonal system, relative to its right side.
+    object with ``coefficients``, ``h1_seminorm`` and ``residual`` filled
+    at the new level.  The source's time factors are taken at the offset
+    point (a non-finite one is refused, naming its level), and a term whose
+    factor is nonzero for the first time joins its profile's modes to the
+    active set.  Then each active mode solves its own scalar equation, one
+    diagonal division, with the history term a dot over the active columns.
+    The residual is that of the diagonal system, relative to its right side.
     """
     k = row.k
     if k != state.level + 1:
@@ -449,42 +552,31 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
     order = problem.order
     space = problem.space
     f = 0.0
-    if problem.source is not None:
-        coeffs = _source_coefficients(problem, row.t_star, k)
-        _activate(state, coeffs)
-        f = coeffs[state.modes]
-    s = state.modes.size
+    if problem.source:
+        g = _time_factors(problem.source, row.t_star, f"level {k}: source")
+        if not all(state.switched_on):
+            for i in np.flatnonzero((g != 0.0) & ~state.switched_on):
+                state.switched_on[i] = True
+                _activate(state, problem.source_coefficients[i])
+        f = g @ problem.source_coefficients[:, state.modes]
     lam = space.laplacian_symbol.ravel()[state.modes]
-    packed = state.history.reshape(state.history.shape[0], -1)
+    packed = state.coefficients
     m = row.m_row
     delta_m = m.copy()
     delta_m[1:] -= m[:-1]
-    history_term = (delta_m @ packed[:k, :s]) / order.gamma_1ma
-    rhs = f - 0.5 * order.alpha * lam * packed[k - 1, :s] + history_term
+    history_term = (delta_m @ packed[:k]) / order.gamma_1ma
+    rhs = f - 0.5 * order.alpha * lam * packed[k - 1] + history_term
     diag = m[-1] / order.gamma_1ma + order.sigma * lam
     c = rhs / diag
     if not np.all(np.isfinite(c)):
         raise LinearSolveError(f"level {k}: non-finite solution")
     scale = max(float(np.max(np.abs(rhs), initial=0.0)), _TINY)
     state.residual[k] = float(np.max(np.abs(diag * c - rhs), initial=0.0)) / scale
-    packed[k, :s] = c
+    packed[k] = c
     # Parseval: the transforms are orthonormal, so the energy is a sum over modes
     state.h1_seminorm[k] = math.sqrt(space.h**space.ndim * float(np.dot(lam * c, c)))
     state.level = k
     return state
-
-
-def _to_fields(state: SolverState) -> None:
-    """Turn the packed coefficient rows of levels ``1..level`` into fields,
-    in place, and restore level 0 to the initial field itself."""
-    space = state.problem.space
-    packed = state.history.reshape(state.history.shape[0], -1)
-    s = state.modes.size
-    coeffs = np.zeros(packed.shape[1])
-    for k in range(1, state.level + 1):
-        coeffs[state.modes] = packed[k, :s]
-        state.history[k] = space.inverse(coeffs.reshape(state.history.shape[1:]))
-    state.history[0] = state.problem.initial
 
 
 def solve(
@@ -501,9 +593,9 @@ def solve(
     its first ``mesh.num_steps`` rows are used, bit-identical to the streamed
     ones.  A table for another order, or on a mesh whose first
     ``mesh.num_steps + 1`` nodes differ, is refused with ValidationError.
-    The march runs on the active modes' coefficients (see :class:`SolverState`);
-    the returned history holds fields.  A source value that is not a finite
-    field of the space's shape is refused, naming its level.
+    The march runs on the active modes' coefficients, and the returned state
+    holds only their history (see :class:`SolverState`).  A source time
+    factor that is not a finite real number is refused, naming its level.
     """
     n = mesh.num_steps
     if table is None:
@@ -514,7 +606,6 @@ def solve(
     state = initialize_state(problem, mesh)
     for row in rows:
         step(state, row)
-    _to_fields(state)
     logger.debug(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,
@@ -541,28 +632,45 @@ def _check_table(table: KernelTable, problem: Problem, mesh: TimeMesh) -> None:
 def discrete_norms(state: SolverState) -> NormReport:
     """Error and energy metrics of a run (through the reached level).
 
-    When the problem carries an exact solution, ``l2_error[k]`` holds the
-    grid L2 error at node time ``t_k`` and ``max_l2_error`` its maximum over
-    levels with ``argmax_level`` the attaining level; without one the error
-    entries are None.
+    ``l2_norm[k]`` is the grid L2 norm of the solution at level ``k``.  When
+    the problem carries an exact solution, ``l2_error[k]`` holds the grid L2
+    error at node time ``t_k`` and ``max_l2_error`` its maximum over levels
+    with ``argmax_level`` the attaining level; without one the error entries
+    are None.  Both are taken on the coefficients (Parseval: the transforms
+    are orthonormal): the error on the active modes against the exact
+    solution's coefficients there, plus the exact solution's energy on the
+    modes outside the active set.  A non-finite time factor of the exact
+    solution is refused, naming its level.
     """
     levels = state.level + 1
     problem = state.problem
     space = problem.space
+    weight = space.h**space.ndim
+    coeffs = state.coefficients[:levels]
+    l2_norm = np.sqrt(weight * np.einsum("ks,ks->k", coeffs, coeffs))
     l2_error = None
     max_err = None
     arg = None
     if problem.exact is not None:
-        l2_error = np.zeros(levels)
-        for k in range(levels):
-            diff = state.history[k] - problem.exact(float(state.mesh.nodes[k]))
-            l2_error[k] = space.l2_norm(diff)
+        factors = np.array(
+            [
+                _time_factors(problem.exact, float(t), f"level {k}: exact")
+                for k, t in enumerate(state.mesh.nodes[:levels])
+            ]
+        ).reshape(levels, len(problem.exact))
+        exact_hat = problem.exact_coefficients
+        diff = coeffs - factors @ exact_hat[:, state.modes]
+        outside = exact_hat[:, ~state.active]
+        energy = np.einsum("ks,ks->k", diff, diff)
+        energy += np.einsum("ki,ij,kj->k", factors, outside @ outside.T, factors)
+        l2_error = np.sqrt(weight * np.maximum(energy, 0.0))
         arg = int(np.argmax(l2_error))
         max_err = float(l2_error[arg])
     return NormReport(
         max_l2_error=max_err,
         argmax_level=arg,
         l2_error=l2_error,
+        l2_norm=l2_norm,
         h1_seminorm=state.h1_seminorm[:levels].copy(),
         residual_max=float(np.max(state.residual[:levels])),
     )
@@ -596,7 +704,7 @@ def write_snapshot_csv(state: SolverState, path: str, level: int | None = None) 
     )
     coords = [space.grid] if space.ndim == 1 else [g.ravel() for g in space.grid]
     columns = ["x", "y"][: space.ndim] + ["u"]
-    write_csv(path, header, columns, zip(*coords, state.history[level].ravel()))
+    write_csv(path, header, columns, zip(*coords, state.field(level).ravel()))
 
 
 def write_diagnostics_csv(state: SolverState, path: str) -> None:

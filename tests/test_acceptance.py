@@ -149,15 +149,13 @@ def time_only_problem(alpha):
         f"DirichletLine.laplacian(sin x) is off -lam_h * sin x by {gap:.3e}"
     )
     gamma_factor = math.gamma(1.0 + alpha)
-
-    def source(t):
-        return (gamma_factor + lam_h * t**alpha) * sin_x
-
-    def exact(t):
-        return t**alpha * sin_x
-
-    return Problem(order=alpha, space=space, source=source, exact=exact,
-                   name="time-only-1d")
+    return Problem(
+        order=alpha,
+        space=space,
+        source=[(lambda t: gamma_factor + lam_h * t**alpha, sin_x)],
+        exact=[(lambda t: t**alpha, sin_x)],
+        name="time-only-1d",
+    )
 
 
 def test_criterion_03_order_envelope(announce):

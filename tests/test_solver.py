@@ -20,6 +20,7 @@ from subdiff import (
     discrete_norms,
     initialize_state,
     make_graded_mesh,
+    make_graded_then_uniform,
     make_uniform_mesh,
     manufactured_problem,
     manufactured_problem_1d,
@@ -111,28 +112,46 @@ def _misshapen(space, value):
 @pytest.mark.parametrize("value", ["short", "column", "one", "scalar"])
 @pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
 def test_march_refuses_a_misshapen_source(descriptor, value):
+    # a profile is checked once, when the Problem is built, before any march
     space = parse_space(descriptor)
-    problem = Problem(order=0.5, space=space, source=lambda t: _misshapen(space, value))
-    with pytest.raises(DimensionMismatchError, match="level 1: source"):
-        solve(problem, make_uniform_mesh(1.0, 4), backend="closed")
+    terms = [(lambda t: 1.0, space.first_mode()), (lambda t: t, _misshapen(space, value))]
+    for what in ("source", "exact"):
+        with pytest.raises(DimensionMismatchError, match=f"{what} term 1: profile shape"):
+            Problem(order=0.5, space=space, **{what: terms})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
+def test_problem_refuses_a_non_finite_profile(descriptor, bad):
+    space = parse_space(descriptor)
+    profile = space.first_mode()
+    profile.flat[2] = bad
+    with pytest.raises(ValidationError, match="source term 0: profile has non-finite"):
+        Problem(order=0.5, space=space, source=[(lambda t: 1.0, profile)])
+
+
+def test_problem_refuses_a_callable_naming_the_term_form():
+    space = parse_space("d1:16")
+    mode = space.first_mode()
+    for what in ("source", "exact"):
+        with pytest.raises(ValidationError, match=r"\(time_function, profile\) pairs"):
+            Problem(order=0.5, space=space, **{what: lambda t: t * mode})
+    with pytest.raises(ValidationError, match="source term 0 is not a"):
+        Problem(order=0.5, space=space, source=[mode])
+    with pytest.raises(ValidationError, match="time function is not callable"):
+        Problem(order=0.5, space=space, source=[(1.0, mode)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
 def test_march_refuses_a_non_finite_source_naming_its_level(descriptor, bad):
-    # the source turns bad at t = 0.5; on a uniform 8-step mesh of [0, 1]
+    # the time factor turns bad at t = 0.5; on a uniform 8-step mesh of [0, 1]
     # with sigma = 0.75 the first offset point past it is t_5* = 0.59375
     space = parse_space(descriptor)
-    mode = space.first_mode()
-
-    def source(t):
-        value = mode.copy()
-        if t > 0.5:
-            value.flat[2] = bad
-        return value
-
-    problem = Problem(order=0.5, space=space, source=source)
-    with pytest.raises(ValidationError, match="level 5: source value has non-finite"):
+    problem = Problem(
+        order=0.5, space=space, source=[(lambda t: bad if t > 0.5 else 1.0, space.first_mode())]
+    )
+    with pytest.raises(ValidationError, match="level 5: source term 0: time factor"):
         solve(problem, make_uniform_mesh(1.0, 8), backend="closed")
 
 
@@ -158,9 +177,9 @@ def test_steady_state_reproduced_exactly():
     problem = Problem(
         order=0.5,
         space=space,
-        source=lambda t: lam * mode,
+        source=[(lambda t: lam, mode)],
         initial=mode,
-        exact=lambda t: mode,
+        exact=[(lambda t: 1.0, mode)],
     )
     state = solve(problem, make_graded_mesh(1.0, 12, 2.0), backend="closed")
     report = discrete_norms(state)
@@ -317,7 +336,8 @@ def _physical_march(problem, table):
         m = table.row(k).m_row
         delta_m = np.concatenate([[m[0]], np.diff(m)])
         history_term = np.tensordot(delta_m, u[:k], axes=(0, 0)) / order.gamma_1ma
-        f = problem.source(table.row(k).t_star) if problem.source is not None else 0.0
+        t_star = table.row(k).t_star
+        f = sum((g(t_star) * profile for g, profile in problem.source), 0.0)
         rhs = 0.5 * order.alpha * lap(u[k - 1]) + f + history_term
         u[k] = solve_diag(rhs, m[-1] / order.gamma_1ma)
     return u
@@ -328,14 +348,10 @@ def test_modal_march_matches_physical_march(descriptor):
     space = parse_space(descriptor)
     rng = np.random.default_rng(11)
     initial = rng.standard_normal(space.zero_field().shape)
-    source = None
+    source = ()
     if space.ndim == 1:
         x = space.grid
-        two_modes = np.sin(x), np.sin(3.0 * x)
-
-        def source(t):
-            return (1.0 + t) * two_modes[0] + t**2 * two_modes[1]
-
+        source = [(lambda t: 1.0 + t, np.sin(x)), (lambda t: t**2, np.sin(3.0 * x))]
     problem = Problem(order=0.4, space=space, source=source, initial=initial)
     mesh = make_graded_mesh(1.0, 40, 2.5)
     table = build_kernel_table(mesh, 0.4, backend="closed")
@@ -344,7 +360,7 @@ def test_modal_march_matches_physical_march(descriptor):
     oracle = _physical_march(problem, table)
     for k in range(mesh.num_steps + 1):
         scale = np.max(np.abs(oracle[k]))
-        assert np.max(np.abs(state.history[k] - oracle[k])) <= 1e-12 * scale
+        assert np.max(np.abs(state.field(k) - oracle[k])) <= 1e-12 * scale
         assert state.h1_seminorm[k] == pytest.approx(space.h1_seminorm(oracle[k]), rel=1e-12)
     assert discrete_norms(state).residual_max <= 1e-15
 
@@ -375,7 +391,7 @@ def test_source_adds_a_mode_when_it_first_excites_it():
     def ramp(t):
         return max(t - 0.5, 0.0)
 
-    problem = Problem(order=order, space=space, source=lambda t: modes[0] + ramp(t) * modes[1])
+    problem = Problem(order=order, space=space, source=[(lambda t: 1.0, modes[0]), (ramp, modes[1])])
     mesh = make_graded_mesh(1.0, 32, 2.0)
     table = build_kernel_table(mesh, order, backend="closed")
     state = initialize_state(problem, mesh)
@@ -443,6 +459,73 @@ def test_march_holds_one_history_sized_array():
     assert tabled.modes.size == initial.size
     assert streamed_peak <= history_bytes + stream_peak + 2**20
     assert tabled_peak <= history_bytes + 2**20
+
+
+def _parseval_case(descriptor):
+    space = parse_space(descriptor)
+    if space.ndim == 1:
+        # a two-term source; the exact solution's second term, sin 5x, lies
+        # outside the active set, so its energy there enters the error
+        x = space.grid
+        source = [(lambda t: 1.0 + t, np.sin(x)), (lambda t: t**2, np.sin(3.0 * x))]
+        exact = [(lambda t: t**0.4, np.sin(x)), (lambda t: 0.1 * t, np.sin(5.0 * x))]
+        return Problem(order=0.4, space=space, source=source, exact=exact)
+    initial = np.random.default_rng(13).standard_normal(space.zero_field().shape)
+    return Problem(
+        order=0.4, space=space, initial=initial, exact=[(lambda t: math.exp(-t), initial)]
+    )
+
+
+@pytest.mark.parametrize("descriptor", ["d1:512", "p2:16"])
+def test_parseval_norms_equal_field_norms(descriptor):
+    problem = _parseval_case(descriptor)
+    space = problem.space
+    mesh = make_graded_mesh(1.0, 40, 2.5)
+    state = solve(problem, mesh, backend="closed")
+    report = discrete_norms(state)
+    for k in range(mesh.num_steps + 1):
+        u = state.field(k)
+        t = float(mesh.nodes[k])
+        exact = sum(g(t) * profile for g, profile in problem.exact)
+        assert report.l2_norm[k] == pytest.approx(space.l2_norm(u), rel=1e-12)
+        assert report.h1_seminorm[k] == pytest.approx(space.h1_seminorm(u), rel=1e-12)
+        assert report.l2_error[k] == pytest.approx(space.l2_norm(u - exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("descriptor", ["d1:64", "p2:9"])
+def test_field_is_the_history_level(descriptor):
+    problem = _parseval_case(descriptor)
+    state = solve(problem, make_graded_mesh(1.0, 12, 2.0), backend="closed")
+    history = state.history
+    assert history.shape == (13,) + problem.initial.shape
+    assert not history.flags.writeable
+    for k in range(13):
+        assert np.array_equal(state.field(k), history[k])
+    for bad in (-1, 13):
+        with pytest.raises(ValidationError, match="outside computed range"):
+            state.field(bad)
+
+
+def test_single_mode_march_holds_only_its_coefficient_history():
+    # one active mode on d1:512 at K=2560: the run keeps 8 |S| (K+1) bytes of
+    # history; a field history would be 8 N (K+1) = 10.5 MB, more than the
+    # whole march (kernel stream included) may peak at
+    space = parse_space("d1:512")
+    mode = space.first_mode()
+    problem = Problem(
+        order=0.5, space=space, source=[(lambda t: min(t, 1.0), mode)], initial=mode
+    )
+    mesh = make_graded_then_uniform(50.0, 2560, 2.0, 1.0, 512)
+    field_bytes = 8 * mode.size * (mesh.num_steps + 1)
+    tracemalloc.start()
+    try:
+        state = solve(problem, mesh, backend="closed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.modes.size == 1
+    assert state.coefficients.nbytes == 8 * state.modes.size * (mesh.num_steps + 1)
+    assert peak < field_bytes
 
 
 def test_2d_manufactured_order_near_two():
