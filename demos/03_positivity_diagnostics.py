@@ -42,7 +42,7 @@ def main():
               f"integral-bound violations: {len(q_viol)}")
 
         comp = build_complementary_kernel(table)
-        product = comp @ table.matrix()
+        product = comp @ table.m
         rows, cols = np.tril_indices(table.n)
         residual = float(np.max(np.abs(product[rows, cols] - 1.0)))
         print(f"  complementary kernel: max |(P M)_kj - 1| = {residual:.2e}, "

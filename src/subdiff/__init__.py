@@ -63,7 +63,6 @@ from .kernel import (
     FractionalOrder,
     KernelRow,
     KernelTable,
-    QuadratureSettings,
     apply_operator,
     as_fractional_order,
     build_kernel_row,
@@ -135,7 +134,6 @@ __all__ = [
     "BACKENDS",
     "FractionalOrder",
     "as_fractional_order",
-    "QuadratureSettings",
     "KernelRow",
     "KernelTable",
     "build_kernel_row",

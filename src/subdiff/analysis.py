@@ -126,7 +126,7 @@ def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation
     """
     n = table.n
     # the weights d_j^k are the interior of the history matrix
-    a_tab, c_tab, d_tab = table.a, table.c, table.matrix()
+    a_tab, c_tab, d_tab = table.a, table.c, table.m
     kk, jj = np.indices((n, n)) + 1  # 1-based level and interval of each entry
 
     def shift(t: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation
     """
     n = table.n
     alpha, sigma = table.order.alpha, table.order.sigma
-    a_tab, m_tab = table.a, table.matrix()
+    a_tab, m_tab = table.a, table.m
     nodes, tau = table.mesh.nodes, table.mesh.steps
     rho_star, eta = admissibility_thresholds()
     levels = np.arange(1, n + 1)
@@ -298,7 +298,7 @@ def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
     verdict for context (inadmissible meshes may still pass numerically, and
     the converse cannot happen on a certified mesh).
     """
-    m = table.matrix()
+    m = table.m
     sym = m + m.T
     eigs = np.linalg.eigvalsh(sym)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
@@ -339,7 +339,7 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     """
     from scipy.linalg import solve_triangular  # not loaded with the package
 
-    m = source.matrix() if isinstance(source, KernelTable) else np.asarray(source, dtype=float)
+    m = source.m if isinstance(source, KernelTable) else np.asarray(source, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("history matrix must be square")
     n = m.shape[0]
@@ -361,7 +361,7 @@ def _direct_splitting_diagonal(table: KernelTable) -> np.ndarray:
     if n < 3:
         raise ValidationError(f"direct splitting diagonal needs n >= 3, got {n}")
     # entry [k-1, j-1] holds level k, interval j; d_j^k is m[k-1, j-1]
-    a, m = table.a, table.matrix()
+    a, m = table.a, table.m
     beta = np.empty(n)
     beta[0] = -a[1, 0] / 2.0
     beta[1] = (m[2, 1] + a[2, 0] - a[1, 0]) / 2.0

@@ -301,8 +301,7 @@ def _cmd_analyze(args) -> int:
     p_violations = check_properties_P(table)
     q_violations = check_properties_Q(table)
     complementary = build_complementary_kernel(table)
-    matrix = table.matrix()
-    product = complementary @ matrix
+    product = complementary @ table.m
     # Every lower-triangle entry of P*M must be 1 (all-ones target).
     lower = np.tril_indices(n)
     identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
@@ -431,7 +430,7 @@ def _cmd_reproduce_tables(args) -> int:
     if {"meshes", "step_counts", "space", "horizon"} & set(config):
         mapping = dict(config)
         mapping.setdefault(
-            "alphas", ",".join(f"{a:g}" for a in (args.alpha or ALPHAS))
+            "alphas", ",".join(repr(a) for a in (args.alpha or ALPHAS))
         )
         mapping.setdefault("backend", args.backend)
         if args.workers is not None:

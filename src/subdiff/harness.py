@@ -215,6 +215,8 @@ class ExperimentSpec:
         alphas = tuple(as_fractional_order(a).alpha for a in _as_iterable(self.alphas))
         if not alphas:
             raise ValidationError("alphas must be nonempty")
+        if len(set(alphas)) != len(alphas):
+            raise ValidationError(f"duplicate alphas: {list(alphas)}")
         families = tuple(
             f if isinstance(f, MeshFamily) else parse_mesh_descriptor(str(f))
             for f in _as_iterable(self.families)
@@ -415,7 +417,7 @@ class ErrorReport:
                 for cell in self.cells
             ],
             "orders": {
-                f"alpha={alpha:g}|{label}": [float(v) for v in orders]
+                f"alpha={alpha!r}|{label}": [float(v) for v in orders]
                 for (alpha, label), orders in self.orders.items()
             },
             "verdicts": [
@@ -561,7 +563,7 @@ def _orders_by_group(spec: ExperimentSpec, cells: list[CellResult]) -> dict:
 
 
 def _alpha_slug(alpha: float) -> str:
-    return f"{alpha:g}".replace(".", "p")
+    return repr(alpha).replace(".", "p")
 
 
 def _family_slug(label: str) -> str:

@@ -15,17 +15,19 @@ Two independent evaluation backends are provided:
   of the antiderivative formulas, accurate to machine precision for any
   step-size contrast.
 * ``"quadrature"``: adaptive Gauss-Kronrod integration of the defining
-  integrals, batched per row.  It is the independent oracle the closed forms
+  integrals, batched per slab.  It is the independent oracle the closed forms
   are checked against (acceptance criterion 08), several times slower.
 
-Either backend computes the kernel in slabs of consecutive rows, each
-bounded by a fixed entry budget.  :func:`build_kernel_table` collects the
-slabs into dense tables for the analysis checks; the solver marches on them
-directly and never holds the table.  Along a run of equal steps, entry
-``(k, j)`` has the same inputs as ``(k-1, j-1)``; the closed backend keeps the
-last entry computed at each distance ``k - j`` and reuses it wherever the
-inputs are bit-equal; where the nodes are exact (a dyadic step), such a run
-is computed once per distance.
+The kernel is computed in slabs of consecutive rows, each bounded by a fixed
+entry budget.  A slab's per-entry inputs ``(tau_j, tau_{j+1}, t_k* -
+t_{j-1})`` are formed once; the backend only chooses the function that maps
+them to ``a`` and ``c``.  :func:`build_kernel_table` collects the slabs into
+dense tables for the analysis checks; the solver marches on them directly and
+never holds the table.  Along a run of equal steps, entry ``(k, j)`` has the
+same inputs as ``(k-1, j-1)``; the closed backend keeps the last entry
+computed at each distance ``k - j`` and reuses it wherever the inputs are
+bit-equal; where the nodes are exact (a dyadic step), such a run is computed
+once per distance.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from .provenance import write_csv
 
 __all__ = [
     "FractionalOrder",
-    "QuadratureSettings",
     "KernelRow",
     "KernelTable",
     "as_fractional_order",
@@ -74,6 +75,11 @@ _SERIES_CUTOFF = 0.6
 # march holds and the temporaries of one vectorized closed pass, so the late
 # slabs of a long mesh hold few rows.
 _SLAB_ENTRIES = 2**15
+
+# Tolerances and subdivision limit of the adaptive Gauss-Kronrod oracle.
+_QUAD_REL_TOL = 1e-13
+_QUAD_ABS_TOL = 1e-15
+_QUAD_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -104,24 +110,6 @@ def as_fractional_order(value: "float | FractionalOrder") -> FractionalOrder:
     if isinstance(value, FractionalOrder):
         return value
     return FractionalOrder(float(value))
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the adaptive Gauss-Kronrod coefficient integrals."""
-
-    rel_tol: float = 1e-13
-    abs_tol: float = 1e-15
-    max_subdivisions: int = 2**20
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1.0 or not 0.0 <= self.abs_tol < 1.0:
-            raise ValidationError("quadrature tolerances must lie in (0, 1)")
-        if self.max_subdivisions < 10:
-            raise ValidationError("max_subdivisions must be at least 10")
-
-
-_DEFAULT_SETTINGS = QuadratureSettings()
 
 
 @dataclass(frozen=True)
@@ -198,10 +186,6 @@ class KernelTable:
 
     def __iter__(self):
         return (self.row(k) for k in range(1, self.n + 1))
-
-    def matrix(self) -> np.ndarray:
-        """Dense lower-triangular history matrix ``M`` of shape (n, n)."""
-        return self.m
 
 
 # ---------------------------------------------------------------------------
@@ -307,39 +291,28 @@ def _closed_a_c(
     return a, c
 
 
-def _closed_row_a_c(
-    mesh: TimeMesh, order: FractionalOrder, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``a`` and ``c`` vectors (j = 1..k-1) for level ``k >= 2``."""
-    tau = mesh.steps
-    nodes = mesh.nodes
-    t_star = nodes[k - 1] + order.sigma * tau[k - 1]
-    j = np.arange(1, k)
-    return _closed_a_c(tau[j - 1], tau[j], t_star - nodes[j - 1], order.alpha)
-
-
 # ---------------------------------------------------------------------------
 # quadrature backend
 # ---------------------------------------------------------------------------
 
 
-def _quad_scalar(f: Callable[[float], float], lo: float, hi: float, settings: QuadratureSettings) -> float:
+def _quad_scalar(f: Callable[[float], float], lo: float, hi: float) -> float:
     from scipy.integrate import quad  # oracle only: not loaded with the package
 
     res = quad(
         f,
         lo,
         hi,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
-        limit=settings.max_subdivisions,
+        epsabs=_QUAD_ABS_TOL,
+        epsrel=_QUAD_REL_TOL,
+        limit=_QUAD_LIMIT,
         full_output=1,
     )
     # the integrator may flag its own stopping heuristics near the roundoff
     # floor; what the contract requires is the achieved error estimate, so
-    # judge that against the configured tolerances directly
+    # judge that against the tolerances directly
     value, abserr = float(res[0]), float(res[1])
-    if len(res) > 3 and abserr > max(settings.abs_tol, settings.rel_tol * abs(value)):
+    if len(res) > 3 and abserr > max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value)):
         raise QuadratureConvergenceError(str(res[3]))
     return value
 
@@ -349,7 +322,6 @@ def coeff_quadrature(
     order: "float | FractionalOrder",
     k: int,
     j: int,
-    settings: QuadratureSettings | None = None,
 ) -> tuple[float, float, float]:
     """Single coefficient triple ``(a_j^k, b_j^k, c_j^k)`` by adaptive quadrature.
 
@@ -361,7 +333,6 @@ def coeff_quadrature(
     the original causes once ``t_k* - t_j >> tau_j``.
     """
     order = as_fractional_order(order)
-    settings = settings or _DEFAULT_SETTINGS
     _check_kj(mesh, k, j)
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
@@ -382,36 +353,33 @@ def coeff_quadrature(
     def fc(s: float) -> float:
         return s * (1.0 - s) * (wj + s * tj) ** (-alpha - 1.0)
 
-    a = _quad_scalar(fa, 0.0, 1.0, settings)
-    b = _quad_scalar(fb, 0.0, 1.0, settings)
+    a = _quad_scalar(fa, 0.0, 1.0)
+    b = _quad_scalar(fb, 0.0, 1.0)
     c_pref = alpha * tj**3 / (tj1 * (tj + tj1))
-    c = c_pref * _quad_scalar(fc, 0.0, 1.0, settings)
+    c = c_pref * _quad_scalar(fc, 0.0, 1.0)
     return a, b, c
 
 
-def _quadrature_row_a_c(
-    mesh: TimeMesh, order: FractionalOrder, k: int, settings: QuadratureSettings
+def _quadrature_a_c(
+    tj: np.ndarray,
+    tj1: np.ndarray,
+    w0: np.ndarray,
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched adaptive quadrature of all level-``k`` coefficients at once.
+    """``a_j^k`` and ``c_j^k`` of many entries by one adaptive quadrature.
 
-    Every component integrand is pre-divided by its closed-form magnitude so
-    the max-norm error control of the vectorized integrator delivers uniform
-    RELATIVE accuracy across coefficients that differ by many orders of
-    magnitude.  The scale factors divide out of the quadrature value, so the
-    result stays an independent check on the closed forms.
+    Takes the inputs of :func:`_closed_a_c` and integrates the integrands of
+    :func:`coeff_quadrature` for every entry at once.  Every component
+    integrand is pre-divided by its closed-form magnitude so the max-norm
+    error control of the vectorized integrator delivers uniform RELATIVE
+    accuracy across coefficients that differ by many orders of magnitude.
+    The scale factors divide out of the quadrature value, so the result stays
+    an independent check on the closed forms.
     """
     from scipy.integrate import quad_vec  # oracle only: not loaded with the package
 
-    alpha, sigma = order.alpha, order.sigma
-    tau = mesh.steps
-    nodes = mesh.nodes
-    t_star = nodes[k - 1] + sigma * tau[k - 1]
-    j = np.arange(1, k)
-    tj = tau[j - 1]
-    tj1 = tau[j]
-    w0 = t_star - nodes[j - 1]
-    wj = t_star - nodes[j]
-    a_ref, c_ref = _closed_row_a_c(mesh, order, k)
+    wj = w0 - tj  # t_k* - t_j
+    a_ref, c_ref = _closed_a_c(tj, tj1, w0, alpha)
     a_scale = np.abs(a_ref)
     # far intervals of steep meshes at small alpha underflow c_ref to zero
     # or a subnormal; those components are integrated unscaled
@@ -429,10 +397,10 @@ def _quadrature_row_a_c(
         integrand,
         0.0,
         1.0,
-        epsabs=settings.abs_tol,
-        epsrel=settings.rel_tol,
+        epsabs=_QUAD_ABS_TOL,
+        epsrel=_QUAD_REL_TOL,
         norm="max",
-        limit=settings.max_subdivisions,
+        limit=_QUAD_LIMIT,
         full_output=True,
     )
     # the integrator's success flag enforces an internal safety margin well
@@ -440,13 +408,13 @@ def _quadrature_row_a_c(
     # integrands; the contract is the achieved error estimate itself, in
     # max-norm over components normalized to unit magnitude (so ``err``
     # bounds the RELATIVE error of every coefficient)
-    achieved = max(settings.abs_tol, settings.rel_tol * float(np.max(np.abs(res))))
+    achieved = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * float(np.max(np.abs(res))))
     if not info.success and err > achieved:
         raise QuadratureConvergenceError(
-            f"level {k}: batched coefficient quadrature did not converge "
+            f"batched coefficient quadrature did not converge "
             f"(error estimate {err:.3e}, tolerance {achieved:.3e})"
         )
-    m = k - 1
+    m = tj.size
     return res[:m] * a_scale, res[m:] * c_scale
 
 
@@ -461,27 +429,27 @@ def _kernel_slabs(
     start: int,
     n: int,
     backend: str,
-    settings: QuadratureSettings | None,
 ):
     """Kernel data for levels ``start+1..n``, one slab of consecutive rows at a time.
 
     Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
     and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
     a :class:`KernelTable`.  A slab holds at most ``_SLAB_ENTRIES`` entries
-    (but at least one row).  The closed backend fills a slab in one
-    vectorized pass; every entry's series stops on its own (see
+    (but at least one row).  The inputs ``(tau_j, tau_{j+1}, t_k* - t_{j-1})``
+    of every entry of a slab are formed at once.  The closed backend maps
+    them in one vectorized pass; every entry's series stops on its own (see
     :func:`_phi_psi`), so where slab edges fall does not change a bit.  It
-    computes only the entries whose inputs ``(tau_j, tau_{j+1}, t_k* -
-    t_{j-1})`` differ from those of the last entry computed at the same
-    distance ``k - j`` (held for the previous slab's last row) and copies the
-    rest: an entry depends on nothing but its inputs and ``alpha``, so a copy
-    is the same bits.  The quadrature backend fills a slab row by row.
-    Raises SingularDiagonalError when a diagonal entry is not positive and
+    computes only the entries whose inputs differ from those of the last
+    entry computed at the same distance ``k - j`` (held for the previous
+    slab's last row) and copies the rest: an entry depends on nothing but its
+    inputs and ``alpha``, so a copy is the same bits.  The quadrature backend
+    integrates every entry of a slab in one :func:`_quadrature_a_c` call.
+    Raises SingularDiagonalError when a diagonal entry is not positive,
     NumericalError when a coefficient is not finite, naming the first such
-    level.
+    level, and QuadratureConvergenceError, naming the slab's levels, when the
+    quadrature misses its tolerance.
     """
     _check_backend(backend)
-    settings = settings or _DEFAULT_SETTINGS
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
@@ -496,13 +464,13 @@ def _kernel_slabs(
         a = np.zeros((k1 - k0, k1))
         c = np.zeros((k1 - k0, k1))
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
+        # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1
+        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
+        w0 = t_star[i] - nodes[js]  # t_k* - t_{j-1}
+        tj, tj1 = tau[js], tau[js + 1]
+        at, dist = i * k1 + js, i + k0 - js  # position in the flat slab; k - j
+        del i, js  # _closed_a_c's temporaries set the slab's peak; add none beside them
         if backend == "closed":
-            # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1
-            i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-            w0 = t_star[i] - nodes[js]  # t_k* - t_{j-1}
-            tj, tj1 = tau[js], tau[js + 1]
-            at, dist = i * k1 + js, i + k0 - js  # position in the flat slab; k - j
-            del i, js  # _closed_a_c's temporaries set the slab's peak; add none beside them
             hit = (w0 == seen_w0[dist]) & (tj == seen_tj[dist]) & (tj1 == seen_tj1[dist])
             flat_a, flat_c = a.reshape(-1), c.reshape(-1)
             # gather the cached a, c for the hits alone, not for every entry
@@ -516,10 +484,11 @@ def _kernel_slabs(
             seen_w0[1:k1] = (t_star[-1] - nodes[: k1 - 1])[::-1]
             seen_tj[1:k1], seen_tj1[1:k1] = tau[: k1 - 1][::-1], tau[1:k1][::-1]
             seen_a[1:k1], seen_c[1:k1] = a[-1, : k1 - 1][::-1], c[-1, : k1 - 1][::-1]
-        else:
-            for k in range(max(k0 + 1, 2), k1 + 1):
-                i = k - 1 - k0
-                a[i, : k - 1], c[i, : k - 1] = _quadrature_row_a_c(mesh, order, k, settings)
+        elif at.size:  # level 1 alone has no entries
+            try:
+                a.flat[at], c.flat[at] = _quadrature_a_c(tj, tj1, w0, alpha)
+            except QuadratureConvergenceError as exc:
+                raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
         # one scalar power per level: a vectorized power can differ in the last
         # bit, which would change every solution the march writes
         diag = np.array([
@@ -556,7 +525,7 @@ def _kernel_rows(mesh: TimeMesh, order: FractionalOrder, backend: str):
     A slab is freed once the next one is filled and its rows are dropped, so
     at most two are alive at once.
     """
-    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend, None):
+    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend):
         for i in range(k1 - k0):
             yield _row_view(k0 + i + 1, a[i], c[i], m[i], t_star[i])
 
@@ -566,15 +535,15 @@ def build_kernel_row(
     order: "float | FractionalOrder",
     k: int,
     backend: str = "closed",
-    settings: QuadratureSettings | None = None,
 ) -> KernelRow:
     """Build the level-``k`` kernel row alone (a one-row slab), with the chosen backend.
 
-    Its entries are bit-identical to row ``k`` of :func:`build_kernel_table`.
+    Closed entries are bit-identical to row ``k`` of :func:`build_kernel_table`;
+    quadrature entries agree with it to the integration tolerance.
     """
     order = as_fractional_order(order)
     k = _check_levels(mesh, k)
-    _, _, a, c, m, t_star = next(_kernel_slabs(mesh, order, k - 1, k, backend, settings))
+    _, _, a, c, m, t_star = next(_kernel_slabs(mesh, order, k - 1, k, backend))
     return _row_view(k, a[0], c[0], m[0], t_star[0])
 
 
@@ -583,12 +552,11 @@ def build_kernel_table(
     order: "float | FractionalOrder",
     n: int | None = None,
     backend: str = "closed",
-    settings: QuadratureSettings | None = None,
 ) -> KernelTable:
     """Assemble the kernel table for levels ``1..n`` (default: all steps).
 
-    The table collects the slabs of rows the kernel is computed in (closed:
-    one vectorized pass per slab; quadrature: row by row), so its build
+    The table collects the slabs of rows the kernel is computed in (one
+    vectorized pass or one batched quadrature per slab), so its build
     memory is the stored ``a``, ``c`` and ``m`` (three dense ``n x n``
     arrays) plus one slab.  :func:`solve` does not need a table: it marches
     on the slabs directly.  Raises :class:`SingularDiagonalError` when a
@@ -601,7 +569,7 @@ def build_kernel_table(
     c = np.zeros((n, n))
     m = np.zeros((n, n))
     t_star = np.empty(n)
-    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, 0, n, backend, settings):
+    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, 0, n, backend):
         a[k0:k1, :k1], c[k0:k1, :k1], m[k0:k1, :k1], t_star[k0:k1] = a_s, c_s, m_s, t_s
     logger.debug("built %s kernel table with %d levels", backend, n)
     return KernelTable(mesh, order, backend, a, c, m, t_star)
@@ -767,17 +735,10 @@ def coeff_closed_form(
     that stay accurate to machine precision for arbitrarily large ratios of
     history span to step size.  ``b`` is returned as ``-(a + c)``, which the
     zero-sum identity makes exact; the independently integrated ``b`` is
-    available from :func:`coeff_quadrature`.
+    available from :func:`coeff_quadrature`.  The values are entry ``j`` of
+    the closed :func:`build_kernel_row`.
     """
-    order = as_fractional_order(order)
     _check_kj(mesh, k, j)
-    tau = mesh.steps
-    nodes = mesh.nodes
-    t_star = nodes[k - 1] + order.sigma * tau[k - 1]
-    a, c = _closed_a_c(
-        np.array([tau[j - 1]]),
-        np.array([tau[j]]),
-        np.array([t_star - nodes[j - 1]]),
-        order.alpha,
-    )
-    return float(a[0]), float(-(a[0] + c[0])), float(c[0])
+    row = build_kernel_row(mesh, order, k)
+    a, c = row.a[j - 1], row.c[j - 1]
+    return float(a), float(-(a + c)), float(c)

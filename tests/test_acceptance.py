@@ -297,7 +297,7 @@ def test_criterion_06_complementary_kernel(announce):
             mesh = make_graded_mesh(1.0, FUZZ_LEVELS, grading)
             table = build_kernel_table(mesh, alpha, backend="quadrature")
             p = build_complementary_kernel(table)
-            product = p @ table.matrix()
+            product = p @ table.m
             worst_residual = max(
                 worst_residual, float(np.max(np.abs(product[rows, cols] - 1.0)))
             )

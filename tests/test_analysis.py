@@ -73,7 +73,7 @@ def test_q2_diagonal_bound_uniform_value():
     alpha, sigma = 0.5, 0.75
     mesh = make_uniform_mesh(8.0, 8)
     table = build_kernel_table(mesh, alpha, backend="closed")
-    m = table.matrix()
+    m = table.m
     rhs = alpha / (2.0 * (1.0 - alpha) * sigma**alpha)
     assert rhs == pytest.approx(0.5 * 1.1547005383792515, rel=1e-12)
     for k in range(2, 9):
@@ -167,7 +167,7 @@ def test_complementary_kernel_identity_and_signs():
         mesh = make_graded_mesh(1.0, 32, 2.0 / alpha)
         table = build_kernel_table(mesh, alpha, backend="closed")
         p = build_complementary_kernel(table)
-        m = table.matrix()
+        m = table.m
         product = p @ m
         rows, cols = np.tril_indices(32)
         assert np.max(np.abs(product[rows, cols] - 1.0)) <= 1e-11
@@ -210,7 +210,7 @@ def test_check_psd_fails_a_negative_eigenvalue_below_the_raw_rounding_scale(monk
     sym[0, 0] = 1e6
     sym[1, 2] = sym[2, 1] = 1.0 + 1e-5
     fake = np.tril(sym, -1) + np.diag(np.diag(sym)) / 2.0
-    monkeypatch.setattr(table, "matrix", lambda: fake)
+    monkeypatch.setattr(table, "m", fake)
     report = check_psd(table)
     assert report.min_eigenvalue == pytest.approx(-1e-5, rel=1e-6)
     assert report.max_eigenvalue == pytest.approx(1e6)

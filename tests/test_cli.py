@@ -272,6 +272,19 @@ def test_reproduce_tables_custom_config(tmp_path, capsys):
     assert (results / "convergence_summary.json").exists()
 
 
+def test_reproduce_tables_custom_config_forwards_alpha_flags_exactly(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")
+    out_dir = tmp_path / "results"
+    code, _, _ = run_cli(
+        capsys, "reproduce-tables", "--config", str(config), "--alpha", "0.1234567",
+        "--out-dir", str(out_dir),
+    )
+    assert code == EXIT_OK
+    payload = json.loads((out_dir / "convergence_summary.json").read_text())
+    assert payload["spec"]["alphas"] == [0.1234567]
+
+
 def test_reproduce_tables_config_overrides_flags(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text(

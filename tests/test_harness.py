@@ -119,6 +119,27 @@ def test_experiment_spec_validation():
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), space="d1:bad")
 
 
+def test_experiment_spec_refuses_duplicate_alphas():
+    with pytest.raises(ValidationError, match="duplicate alphas"):
+        ExperimentSpec(alphas=(0.5, 0.3, 0.5), families=("uniform",), step_counts=(8,))
+
+
+def test_alphas_keep_every_digit_in_file_names_and_order_keys(tmp_path):
+    # alphas that agree to six significant digits are still two tables
+    alphas = (0.1234567, 0.1234568)
+    spec = ExperimentSpec(
+        alphas=alphas, families=("uniform",), step_counts=(4, 8), space="d1:16",
+        out_dir=str(tmp_path),
+    )
+    run_convergence(spec)
+    assert sorted(p.name for p in tmp_path.glob("convergence_alpha*.csv")) == [
+        "convergence_alpha0p1234567.csv",
+        "convergence_alpha0p1234568.csv",
+    ]
+    payload = json.loads((tmp_path / "convergence_summary.json").read_text())
+    assert sorted(payload["orders"]) == ["alpha=0.1234567|uniform", "alpha=0.1234568|uniform"]
+
+
 def test_experiment_spec_from_mapping():
     spec = ExperimentSpec.from_mapping(
         {

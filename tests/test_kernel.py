@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import subdiff.kernel as kernel_module
 from subdiff import (
     FractionalOrder,
-    QuadratureSettings,
     TimeMesh,
     admissibility_thresholds,
     apply_operator,
@@ -27,7 +26,12 @@ from subdiff import (
     make_graded_then_uniform,
     make_uniform_mesh,
 )
-from subdiff.errors import DimensionMismatchError, NumericalError, ValidationError
+from subdiff.errors import (
+    DimensionMismatchError,
+    NumericalError,
+    QuadratureConvergenceError,
+    ValidationError,
+)
 
 # Coefficient triples (a, b, c) on the nodes below at order 0.35, integrated
 # with 40-digit arithmetic (mpmath.quad of the three reconstruction-weight
@@ -52,14 +56,6 @@ def test_fractional_order_derived_constants():
     for bad in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValidationError):
             FractionalOrder(bad)
-
-
-def test_quadrature_settings_validation():
-    QuadratureSettings(rel_tol=1e-10, abs_tol=0.0)
-    with pytest.raises(ValidationError):
-        QuadratureSettings(rel_tol=0.0)
-    with pytest.raises(ValidationError):
-        QuadratureSettings(max_subdivisions=5)
 
 
 @pytest.mark.parametrize("backend", ["closed", "quadrature"])
@@ -101,6 +97,8 @@ def test_first_diagonal_entry_uniform():
     assert row.m_row[0] == pytest.approx(1.7320508075688773, rel=1e-15)
     assert row.a.size == 0 and row.d.size == 0
     assert row.t_star == pytest.approx(0.75)
+    # level 1 has no coefficient to integrate
+    assert build_kernel_row(mesh, 0.5, 1, backend="quadrature").m_row[0] == row.m_row[0]
 
 
 def test_row_layout_and_derived_arrays():
@@ -133,7 +131,7 @@ def test_kernel_table_accessors():
         table.row(0)
     with pytest.raises(ValidationError):
         table.row(9)
-    m = table.matrix()
+    m = table.m
     assert m.shape == (8, 8)
     assert np.array_equal(np.triu(m, 1), np.zeros_like(m))
     assert np.all(np.diag(m) > 0.0)
@@ -148,8 +146,7 @@ def test_kernel_table_accessors():
 def test_rows_are_read_only_views_of_one_matrix():
     mesh = make_graded_mesh(1.0, 8, 2.0)
     table = build_kernel_table(mesh, 0.5, backend="closed")
-    m = table.matrix()
-    assert m is table.matrix()
+    m = table.m
     for row in table:
         assert np.shares_memory(row.m_row, m)
         assert not row.m_row.flags.writeable and not row.a.flags.writeable
@@ -168,24 +165,44 @@ def test_non_finite_coefficients_are_refused(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quad = build_kernel_table(mesh, 1e-3, backend="quadrature")
-    for arr in (closed.a, closed.c, closed.matrix(), quad.matrix()):
+    for arr in (closed.a, closed.c, closed.m, quad.m):
         assert np.all(np.isfinite(arr))
-    m_closed = closed.matrix()
-    assert np.max(np.abs(quad.matrix() - m_closed)) <= 1e-13 * np.max(np.abs(m_closed))
+    assert np.max(np.abs(quad.m - closed.m)) <= 1e-13 * np.max(np.abs(closed.m))
 
-    # a NaN handed out by one quadrature row must stop the build
-    original = kernel_module._quadrature_row_a_c
+    # a NaN handed out for one quadrature entry must stop the build; the
+    # 10-level table is one slab, whose entries run level by level, so
+    # interval 3 of level 7 follows the 1 + 2 + ... + 5 entries of levels 2..6
+    original = kernel_module._quadrature_a_c
 
-    def poisoned(mesh, order, k, settings):
-        a, c = original(mesh, order, k, settings)
-        if k == 7:
-            c = c.copy()
-            c[2] = np.nan
+    def poisoned(*args):
+        a, c = original(*args)
+        c = c.copy()
+        c[sum(range(1, 6)) + 2] = np.nan
         return a, c
 
-    monkeypatch.setattr(kernel_module, "_quadrature_row_a_c", poisoned)
+    monkeypatch.setattr(kernel_module, "_quadrature_a_c", poisoned)
     with pytest.raises(NumericalError, match="first at level 7"):
         build_kernel_table(make_graded_mesh(1.0, 10, 2.0), 0.5, backend="quadrature")
+
+
+def test_quadrature_refuses_a_missed_tolerance_naming_the_slab(monkeypatch):
+    # a tenfold step drop at level 300 brings the singularity of the level's
+    # nearest integrand to about 1.075 on the unit interval, where one
+    # Gauss-Kronrod panel misses the tolerance; elsewhere on a graded mesh
+    # one panel meets it
+    steps = make_graded_mesh(1.0, 400, 2.0).steps.copy()
+    steps[299] /= 10
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    k0, k1 = next(
+        (k0, k1)
+        for k0, k1, *_ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, 400, "closed")
+        if k0 < 300 <= k1
+    )
+    assert k0 > 0
+    build_kernel_table(mesh, 0.5, backend="quadrature")  # meets it with the default limit
+    monkeypatch.setattr(kernel_module, "_QUAD_LIMIT", 1)
+    with pytest.raises(QuadratureConvergenceError, match=rf"levels {k0 + 1}\.\.{k1}: .*error estimate"):
+        build_kernel_table(mesh, 0.5, backend="quadrature")
 
 
 def test_single_step_table():
@@ -258,7 +275,7 @@ def test_closed_matches_quadrature_on_random_admissible_meshes(ratios, alpha):
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(np.cumprod([1.0, *ratios]))]))
     closed = build_kernel_table(mesh, alpha, backend="closed")
     quad = build_kernel_table(mesh, alpha, backend="quadrature")
-    for x, y in ((closed.a, quad.a), (closed.c, quad.c), (closed.matrix(), quad.matrix())):
+    for x, y in ((closed.a, quad.a), (closed.c, quad.c), (closed.m, quad.m)):
         scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
         assert np.max(np.abs(x - y) / scale) <= 1e-10
 
@@ -318,7 +335,7 @@ def test_closed_table_is_the_same_across_block_edges():
     slabs = [
         (k0, k1)
         for k0, k1, *_ in kernel_module._kernel_slabs(
-            mesh, FractionalOrder(0.4), 0, mesh.num_steps, "closed", None
+            mesh, FractionalOrder(0.4), 0, mesh.num_steps, "closed"
         )
     ]
     edges = [k1 for _, k1 in slabs[:-1]]
@@ -337,7 +354,7 @@ def test_closed_table_is_the_same_across_block_edges():
     heads = {1, 2, mesh.num_steps - 1} | {e + d for e in edges for d in (-1, 0, 1)}
     for k in sorted(heads):
         head = build_kernel_table(mesh, 0.4, n=k, backend="closed")
-        assert np.array_equal(head.matrix(), full.matrix()[:k, :k]), k
+        assert np.array_equal(head.m, full.m[:k, :k]), k
         assert np.array_equal(head.a, full.a[:k, :k]) and np.array_equal(head.c, full.c[:k, :k])
 
 
@@ -362,7 +379,7 @@ def test_closed_slabs_reuse_entries_bit_for_bit(mesh):
     tau, nodes = mesh.steps, mesh.nodes
     slabs = 0
     for k0, k1, a, c, _, _ in kernel_module._kernel_slabs(
-        mesh, order, 0, mesh.num_steps, "closed", None
+        mesh, order, 0, mesh.num_steps, "closed"
     ):
         # reference: the slab's closed fill computes every entry of its triangle
         i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
@@ -385,7 +402,7 @@ def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
         return original(tau_j, tau_j1, w0, alpha)
 
     monkeypatch.setattr(kernel_module, "_closed_a_c", counted)
-    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, n, "closed", None):
+    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, n, "closed"):
         pass
     # the 1,179,392 entries with j <= 512 touch the graded head and are all
     # computed; of the 2,096,128 on the uniform tail only those in the first
@@ -396,22 +413,28 @@ def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
 def test_build_kernel_row_computes_one_row(monkeypatch):
     mesh = make_graded_mesh(1.0, 12, 2.0)
     k = 9
-    for backend in ("closed", "quadrature"):
-        row = build_kernel_row(mesh, 0.5, k, backend=backend)
-        want = build_kernel_table(mesh, 0.5, backend=backend).row(k)
-        for name in ("a", "c", "d", "m_row"):
-            assert np.array_equal(getattr(row, name), getattr(want, name)), (backend, name)
-        assert row.t_star == want.t_star
+    row = build_kernel_row(mesh, 0.5, k, backend="closed")
+    want = build_kernel_table(mesh, 0.5, backend="closed").row(k)
+    for name in ("a", "c", "d", "m_row"):
+        assert np.array_equal(getattr(row, name), getattr(want, name)), name
+    assert row.t_star == want.t_star
+    # a quadrature row is integrated as a slab of its own, so it agrees with
+    # the table's row to the integration tolerance rather than bit for bit
     calls = []
-    original = kernel_module._quadrature_row_a_c
+    original = kernel_module._quadrature_a_c
 
-    def counted(mesh, order, k, settings):
-        calls.append(k)
-        return original(mesh, order, k, settings)
+    def counted(tau_j, *args):
+        calls.append(tau_j.size)
+        return original(tau_j, *args)
 
-    monkeypatch.setattr(kernel_module, "_quadrature_row_a_c", counted)
-    build_kernel_row(mesh, 0.5, k, backend="quadrature")
-    assert calls == [k]
+    monkeypatch.setattr(kernel_module, "_quadrature_a_c", counted)
+    row = build_kernel_row(mesh, 0.5, k, backend="quadrature")
+    assert calls == [k - 1]
+    want = build_kernel_table(mesh, 0.5, backend="quadrature").row(k)
+    for name in ("a", "c", "d", "m_row"):
+        got, ref = getattr(row, name), getattr(want, name)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), name
+    assert row.t_star == want.t_star
 
 
 def test_closed_build_memory_is_bounded_by_the_stored_table():
