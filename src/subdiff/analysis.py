@@ -16,7 +16,9 @@ sweeps over many meshes can aggregate results cheaply.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -125,46 +127,44 @@ def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation
     additionally allow a few ulps of the differenced operands.
     """
     n = table.n
-    # the weights d_j^k are the interior of the history matrix
-    a_tab, c_tab, d_tab = table.a, table.c, table.m
-    kk, jj = np.indices((n, n)) + 1  # 1-based level and interval of each entry
-
-    def shift(t: np.ndarray) -> np.ndarray:
-        # shift[k, j] = t[k+1, j]
-        return np.vstack([t[1:], np.zeros((1, n))])
-
-    a_up, c_up, d_up = shift(a_tab), shift(c_tab), shift(d_tab)
-    zero = np.zeros_like(a_tab)
-
-    tri = (kk >= 2) & (jj <= kk - 1)
-    tri_x = tri & (kk <= n - 1)
-    inner = (kk >= 3) & (jj <= kk - 2)
-    inner_x = inner & (kk <= n - 1)
-    dtri = (kk >= 3) & (jj >= 2) & (jj <= kk - 1)
-    dtri_x = dtri & (kk <= n - 1)
-    dinner = (kk >= 4) & (jj >= 2) & (jj <= kk - 2)
-    dinner_x = dinner & (kk <= n - 1)
-
-    a_r = np.roll(a_tab, -1, axis=1)  # a_r[k, j] = a[k, j+1]
-    a_ur = np.roll(a_up, -1, axis=1)
-    d_r = np.roll(d_tab, -1, axis=1)
-    d_ur = np.roll(d_up, -1, axis=1)
-
-    p4_floor = _ROUNDING_ALLOWANCE * np.max(np.abs([a_ur, a_up, a_r, a_tab]), axis=0)
-    p10_floor = _ROUNDING_ALLOWANCE * np.max(np.abs([d_r, d_tab, d_ur, d_up]), axis=0)
-
+    # flat views; the weights d_j^k are the interior of the history matrix.
+    # For flat index f of entry (k, j), t[1:][f] is t[k, j+1], t[n:][f] is
+    # t[k+1, j] and t[n+1:][f] is t[k+1, j+1].
+    a, c, d = (t.reshape(-1) for t in (table.a, table.c, table.m))
+    sets = _entry_sets(n)
     viol: list[Violation] = []
-    _collect("P1", zero, a_tab, tri, tol, viol)
-    _collect("P2", a_up, a_tab, tri_x, tol, viol)
-    _collect("P3", a_tab, a_r, inner, tol, viol)
-    _collect("P4", a_ur - a_up, a_r - a_tab, inner_x, tol, viol, floor=p4_floor)
-    _collect("P5", c_tab, zero, tri, tol, viol)
-    _collect("P6", c_tab, c_up, tri_x, tol, viol)
-    _collect("P7", d_tab, zero, dtri, tol, viol)
-    _collect("P8", d_tab, d_up, dtri_x, tol, viol)
+
+    k, j, f, x = sets["tri"]
+    zero = np.zeros(k.size)
+    a_kj = a[f]
+    _collect_flat("P1", zero, a_kj, k, j, tol, viol)
+    _collect_flat("P2", a[n:][f[:x]], a_kj[:x], k[:x], j[:x], tol, viol)
+
+    k, j, f, x = sets["inner"]
+    a_kj, a_r = a[f], a[1:][f]
+    _collect_flat("P3", a_kj, a_r, k, j, tol, viol)
+    k, j, f, a_kj, a_r = k[:x], j[:x], f[:x], a_kj[:x], a_r[:x]
+    a_up, a_ur = a[n:][f], a[n + 1:][f]
+    floor = _ROUNDING_ALLOWANCE * _max_abs(a_ur, a_up, a_r, a_kj)
+    _collect_flat("P4", a_ur - a_up, a_r - a_kj, k, j, tol, viol, floor=floor)
+
+    k, j, f, x = sets["tri"]
+    c_kj = c[f]
+    _collect_flat("P5", c_kj, zero, k, j, tol, viol)
+    _collect_flat("P6", c_kj[:x], c[n:][f[:x]], k[:x], j[:x], tol, viol)
+
+    k, j, f, x = sets["dtri"]
+    d_kj = d[f]
+    _collect_flat("P7", d_kj, np.zeros(k.size), k, j, tol, viol)
+    _collect_flat("P8", d_kj[:x], d[n:][f[:x]], k[:x], j[:x], tol, viol)
     if ratio_condition_holds(table.mesh, n):
-        _collect("P9", d_r, d_tab, dinner, tol, viol)
-        _collect("P10", d_r - d_tab, d_ur - d_up, dinner_x, tol, viol, floor=p10_floor)
+        k, j, f, x = sets["dinner"]
+        d_kj, d_r = d[f], d[1:][f]
+        _collect_flat("P9", d_r, d_kj, k, j, tol, viol)
+        k, j, f, d_kj, d_r = k[:x], j[:x], f[:x], d_kj[:x], d_r[:x]
+        d_up, d_ur = d[n:][f], d[n + 1:][f]
+        floor = _ROUNDING_ALLOWANCE * _max_abs(d_r, d_kj, d_ur, d_up)
+        _collect_flat("P10", d_r - d_kj, d_ur - d_up, k, j, tol, viol, floor=floor)
     else:
         logger.info(
             "ratio condition fails on the first %d levels; P9/P10 skipped", n
@@ -186,52 +186,47 @@ def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation
     """
     n = table.n
     alpha, sigma = table.order.alpha, table.order.sigma
-    a_tab, m_tab = table.a, table.m
+    m_tab = table.m
+    a_flat, m_flat = table.a.reshape(-1), m_tab.reshape(-1)
     nodes, tau = table.mesh.nodes, table.mesh.steps
     rho_star, eta = admissibility_thresholds()
-    levels = np.arange(1, n + 1)
+    sets = _entry_sets(n)
     viol: list[Violation] = []
 
     # Q1 over the full triangle j = 1..k; the kernel integral is evaluated
     # as w0^(1-alpha)*(1-(w1/w0)^(1-alpha)) via expm1/log1p because the
     # naive power difference cancels catastrophically when the interval is
     # many orders of magnitude shorter than its distance to the offset point
-    kk, jj = np.indices((n, n)) + 1  # 1-based level and interval of each entry
-    mask = jj <= kk
-    ks, js = kk[mask], jj[mask]
-    ts = nodes[ks - 1] + sigma * tau[ks - 1]
-    w0 = ts - nodes[js - 1]
-    length = np.where(js < ks, tau[js - 1], sigma * tau[ks - 1])
+    k, j, f, _ = sets["lower"]
+    ts = nodes[k] + sigma * tau[k]
+    w0 = ts - nodes[j]
+    length = np.where(j < k, tau[j], sigma * tau[k])
     ratio = np.minimum(length / np.maximum(w0, np.finfo(float).tiny), 1.0)
     with np.errstate(divide="ignore"):
         factor = -np.expm1((1.0 - alpha) * np.log1p(-ratio))
     integral = np.where(
         w0 > 0.0, w0 ** (1.0 - alpha) * factor / (1.0 - alpha), 0.0
     )
-    rhs = rho_star / ((1.0 + rho_star) * tau[js - 1]) * integral
-    lhs = m_tab[ks - 1, js - 1]
-    _collect_flat("Q1", lhs, rhs, ks, js, tol, viol)
+    rhs = rho_star / ((1.0 + rho_star) * tau[j]) * integral
+    _collect_flat("Q1", m_flat[f], rhs, k, j, tol, viol)
 
     # Q2 interior: row increments against the remainder identity of a_j
-    mask = (kk >= 3) & (jj >= 2) & (jj <= kk - 1)
-    ks, js = kk[mask], jj[mask]
-    ts = nodes[ks - 1] + sigma * tau[ks - 1]
-    w0 = ts - nodes[js - 1]
-    lhs = m_tab[ks - 1, js - 1] - m_tab[ks - 1, js - 2]
-    rhs = -a_tab[ks - 1, js - 1] - w0 ** (-alpha)
-    floor = _ROUNDING_ALLOWANCE * np.maximum(
-        np.abs(m_tab[ks - 1, js - 1]), np.abs(m_tab[ks - 1, js - 2])
-    )
-    _collect_flat("Q2", lhs, rhs, ks, js, tol, viol, floor=floor)
+    k, j, f, _ = sets["dtri"]
+    ts = nodes[k] + sigma * tau[k]
+    w0 = ts - nodes[j]
+    m_left, m_kj = m_flat[f - 1], m_flat[f]
+    rhs = -a_flat[f] - w0 ** (-alpha)
+    floor = _ROUNDING_ALLOWANCE * np.maximum(np.abs(m_kj), np.abs(m_left))
+    _collect_flat("Q2", m_kj - m_left, rhs, k, j, tol, viol, floor=floor)
 
     # Q2 diagonal increment, k >= 2
-    ks = levels[levels >= 2]
-    lhs = m_tab[ks - 1, ks - 1] - m_tab[ks - 1, ks - 2]
-    rhs = alpha / (2.0 * (1.0 - alpha) * (sigma * tau[ks - 1]) ** alpha)
-    _collect_flat("Q2diag", lhs, rhs, ks, ks, tol, viol)
+    k = np.arange(1, n)
+    lhs = m_tab[k, k] - m_tab[k, k - 1]
+    rhs = alpha / (2.0 * (1.0 - alpha) * (sigma * tau[k]) ** alpha)
+    _collect_flat("Q2diag", lhs, rhs, k, k, tol, viol)
 
     # Q3 weighted diagonal dominance, premise rho_k >= eta
-    ks_all = levels[levels >= 2]
+    ks_all = np.arange(2, n + 1)
     rho_k = tau[ks_all - 1] / tau[ks_all - 2]
     ks = ks_all[rho_k >= eta]
     if ks.size < ks_all.size:
@@ -255,33 +250,32 @@ def positivity_certificate(table: KernelTable) -> np.ndarray:
     """
     n = table.n
     alpha, sigma = table.order.alpha, table.order.sigma
-    tau = table.mesh.steps
-    rho = table.mesh.ratios
-    c_last = table.c[np.arange(1, n), np.arange(n - 1)]  # c_{k-1}^k, k = 2..n
+    # plain floats: a loop of NumPy scalar operations costs several times more
+    tau = table.mesh.steps[:n].tolist()
+    rho = table.mesh.ratios[:n].tolist()
+    c_last = table.c[np.arange(1, n), np.arange(n - 1)].tolist()  # c_{k-1}^k, k = 2..n
 
-    def bound_integral(r: np.ndarray) -> np.ndarray:
+    def bound_integral(r: float) -> float:
         # closed form of int_0^1 s*(r + s)/(sigma*r + s) ds
         sr = sigma * r
-        return 0.5 + 0.5 * alpha * r - sr * (0.5 * alpha * r) * np.log((1.0 + sr) / sr)
+        return 0.5 + 0.5 * alpha * r - sr * (0.5 * alpha * r) * math.log((1.0 + sr) / sr)
 
-    g = np.empty(n)
     if n == 1:
-        g[0] = (sigma * tau[0]) ** (-alpha)
-        return g
-    g[0] = (sigma * tau[0]) ** (-alpha) * (2.0 * sigma - (1.0 - alpha) / rho[0] ** alpha)
+        return np.array([(sigma * tau[0]) ** (-alpha)])
+    g = [(sigma * tau[0]) ** (-alpha) * (2.0 * sigma - (1.0 - alpha) / rho[0] ** alpha)]
     for k in range(2, n + 1):
         base = (1.0 - alpha) * c_last[k - 2]
         scale = (sigma * tau[k - 1]) ** (-alpha)
         if k < n or (k == 2 and n == 2):
-            rho_next = rho[k - 1] if k - 1 < rho.size else 1.0
-            g[k - 1] = base + scale * (
+            rho_next = rho[k - 1] if k - 1 < len(rho) else 1.0
+            g.append(base + scale * (
                 1.0
                 - alpha * (1.0 - alpha) / ((1.0 + rho_next) * rho_next**alpha)
-                * bound_integral(np.asarray(rho_next))
-            )
+                * bound_integral(rho_next)
+            ))
         else:
-            g[k - 1] = base + scale
-    return g
+            g.append(base + scale)
+    return np.array(g)
 
 
 def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
@@ -371,18 +365,35 @@ def _direct_splitting_diagonal(table: KernelTable) -> np.ndarray:
     return np.diag(m) - beta
 
 
-def _collect(
-    name: str,
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    mask: np.ndarray,
-    tol: float,
-    viol: list[Violation],
-    floor: np.ndarray | None = None,
-) -> None:
-    ks, js = np.nonzero(mask)
-    f = floor[ks, js] if floor is not None else None
-    _collect_flat(name, lhs[ks, js], rhs[ks, js], ks + 1, js + 1, tol, viol, floor=f)
+@functools.lru_cache(maxsize=8)
+def _entry_sets(n: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Entry sets of the P and Q checks on an ``n``-level table.
+
+    Each value is ``(k, j, f, x)``: the 0-based level, interval and flat
+    index ``k*n + j`` of every entry in row-major order, and the number
+    ``x`` of leading entries on levels up to ``n - 1`` (the entries that
+    also have a next level).  With
+    1-based ``k, j`` the sets are: ``lower`` ``j <= k``; ``tri``
+    ``j <= k - 1``; ``inner`` ``j <= k - 2``; ``dtri`` ``2 <= j <= k - 1``;
+    ``dinner`` ``2 <= j <= k - 2``.
+    """
+    sets = {}
+    for name, first, gap in (
+        ("lower", 0, 0), ("tri", 0, 1), ("inner", 0, 2), ("dtri", 1, 1), ("dinner", 1, 2)
+    ):
+        k, j = np.tril_indices(n, -gap)
+        keep = j >= first
+        k, j = k[keep], j[keep]
+        f = k * n + j
+        for arr in (k, j, f):
+            arr.flags.writeable = False
+        sets[name] = (k, j, f, int(np.count_nonzero(k < n - 1)))
+    return sets
+
+
+def _max_abs(*arrays: np.ndarray) -> np.ndarray:
+    """Entrywise largest magnitude (several times faster than a stacked max)."""
+    return functools.reduce(np.maximum, map(np.abs, arrays))
 
 
 def _collect_flat(
@@ -395,10 +406,11 @@ def _collect_flat(
     viol: list[Violation],
     floor: np.ndarray | None = None,
 ) -> None:
+    """Record ``lhs > rhs`` failures; ``ks, js`` are 0-based, records 1-based."""
     slack = tol * np.maximum(np.abs(lhs), np.abs(rhs))
     if floor is not None:
         slack = slack + floor
     slack = np.maximum(slack, 1e-300)
     bad = ~((lhs - rhs) > -slack)
     for i in np.nonzero(bad)[0]:
-        viol.append(Violation(name, int(ks[i]), int(js[i]), float(lhs[i] - rhs[i])))
+        viol.append(Violation(name, int(ks[i]) + 1, int(js[i]) + 1, float(lhs[i] - rhs[i])))

@@ -14,6 +14,7 @@ variable sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import (
+    _entry_sets,
     build_complementary_kernel,
     check_properties_P,
     check_properties_Q,
@@ -303,7 +305,7 @@ def _cmd_analyze(args) -> int:
     complementary = build_complementary_kernel(table)
     product = complementary @ table.m
     # Every lower-triangle entry of P*M must be 1 (all-ones target).
-    lower = np.tril_indices(n)
+    lower = _entry_sets(n)["lower"][:2]
     identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
     min_entry = float(np.min(complementary[lower]))
     # rounding in P scales with its largest entry (up to ~1e9 on steep meshes)
@@ -396,7 +398,7 @@ def _parse_bool(text: str, key: str) -> bool:
 def _print_report_tables(report) -> None:
     spec = report.spec
     for alpha in spec.alphas:
-        print(f"alpha = {alpha:g}  (space {spec.space}, backend {spec.backend})")
+        print(f"alpha = {alpha!r}  (space {spec.space}, backend {spec.backend})")
         width = 13
         head = "family".ljust(12) + "metric".ljust(10)
         head += "".join(f"K={k}".rjust(width) for k in spec.step_counts)
@@ -419,7 +421,7 @@ def _print_report_tables(report) -> None:
         )
         for v in failed:
             print(
-                f"  MISS alpha={v.alpha:g} {v.family_label} K={v.num_steps}: "
+                f"  MISS alpha={v.alpha!r} {v.family_label} K={v.num_steps}: "
                 f"got {v.value:.4e}, reference {v.reference:.4e} "
                 f"(dev {v.rel_dev:.2%} > tol {v.rel_tol:.0%})"
             )
@@ -490,11 +492,19 @@ def _cmd_soak(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``dispatch`` call uses, built on the first call.
+
+    Parsing keeps no state in the parser: each call fills a fresh namespace.
+    """
+    return build_parser()
+
+
 def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, run the selected command, map errors to exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         level = logging.WARNING
         if args.verbose == 1:
             level = logging.INFO

@@ -16,8 +16,9 @@ from subdiff import (
     make_uniform_mesh,
     positivity_certificate,
 )
-from subdiff.analysis import ratio_condition_holds
+from subdiff.analysis import Violation, ratio_condition_holds
 from subdiff.errors import SingularDiagonalError, ValidationError
+from subdiff.kernel import KernelTable
 
 
 def mesh_from_ratios(ratios, first_step=1.0):
@@ -232,3 +233,191 @@ def test_analysis_backend_validation():
         check_properties_P(build_kernel_table(mesh, 0.5, backend="spectral"))
     with pytest.raises(ValidationError):
         check_psd(build_kernel_table(mesh, 0.5, n=9))
+
+
+def _p_suite_oracle(table, tol=1e-12):
+    """P1-P10 with dense masks and shifted copies of the whole tables.
+
+    This is how the suite computed its entries before it gathered them on
+    cached index sets; the two must report the same records in the same
+    order.
+    """
+    allowance = 8.0 * np.finfo(float).eps
+    n = table.n
+    a_tab, c_tab, d_tab = table.a, table.c, table.m
+    kk, jj = np.indices((n, n)) + 1
+
+    def shift(t):
+        return np.vstack([t[1:], np.zeros((1, n))])
+
+    def collect(name, lhs, rhs, mask, viol, floor=None):
+        ks, js = np.nonzero(mask)
+        lhs, rhs = lhs[ks, js], rhs[ks, js]
+        slack = tol * np.maximum(np.abs(lhs), np.abs(rhs))
+        if floor is not None:
+            slack = slack + floor[ks, js]
+        slack = np.maximum(slack, 1e-300)
+        for i in np.nonzero(~((lhs - rhs) > -slack))[0]:
+            viol.append(Violation(name, int(ks[i]) + 1, int(js[i]) + 1, float(lhs[i] - rhs[i])))
+
+    a_up, c_up, d_up = shift(a_tab), shift(c_tab), shift(d_tab)
+    zero = np.zeros_like(a_tab)
+    tri = (kk >= 2) & (jj <= kk - 1)
+    inner = (kk >= 3) & (jj <= kk - 2)
+    dtri = (kk >= 3) & (jj >= 2) & (jj <= kk - 1)
+    dinner = (kk >= 4) & (jj >= 2) & (jj <= kk - 2)
+    has_next = kk <= n - 1
+    a_r = np.roll(a_tab, -1, axis=1)
+    a_ur = np.roll(a_up, -1, axis=1)
+    d_r = np.roll(d_tab, -1, axis=1)
+    d_ur = np.roll(d_up, -1, axis=1)
+    p4_floor = allowance * np.max(np.abs([a_ur, a_up, a_r, a_tab]), axis=0)
+    p10_floor = allowance * np.max(np.abs([d_r, d_tab, d_ur, d_up]), axis=0)
+    viol = []
+    collect("P1", zero, a_tab, tri, viol)
+    collect("P2", a_up, a_tab, tri & has_next, viol)
+    collect("P3", a_tab, a_r, inner, viol)
+    collect("P4", a_ur - a_up, a_r - a_tab, inner & has_next, viol, floor=p4_floor)
+    collect("P5", c_tab, zero, tri, viol)
+    collect("P6", c_tab, c_up, tri & has_next, viol)
+    collect("P7", d_tab, zero, dtri, viol)
+    collect("P8", d_tab, d_up, dtri & has_next, viol)
+    if ratio_condition_holds(table.mesh, n):
+        collect("P9", d_r, d_tab, dinner, viol)
+        collect("P10", d_r - d_tab, d_ur - d_up, dinner & has_next, viol, floor=p10_floor)
+    return viol
+
+
+def _replant(table, a, c, m):
+    return KernelTable(table.mesh, table.order, table.backend, a, c, m, table.t_star)
+
+
+def test_p_suite_reports_each_planted_violation_in_order():
+    n = 16
+    table = build_kernel_table(make_graded_mesh(1.0, n, 2.0), 0.5, backend="closed")
+    a, c, m = table.a.copy(), table.c.copy(), table.m.copy()
+
+    def at(t, k, j):  # 1-based level and interval
+        return t[k - 1, j - 1]
+
+    def plant(t, k, j, value):
+        t[k - 1, j - 1] = value
+
+    # each plant breaks its check by a millionth of the sides' size; n - 1 =
+    # 15 is the last level the next-level checks reach, j = k - 2 the last
+    # interval the inner checks reach
+    plant(a, 16, 1, -at(a, 16, 1))  # P1; also breaks P4 at (15, 1)
+    plant(a, 3, 1, at(a, 4, 1) * (1 - 1e-6))  # P2
+    plant(a, 16, 15, at(a, 16, 14) * (1 - 1e-6))  # P3 at j = k - 2
+    plant(a, 15, 13, at(a, 15, 14) - (at(a, 16, 14) - at(a, 16, 13)) * (1 - 1e-6))  # P4
+    plant(c, 16, 15, -at(c, 16, 15))  # P5
+    plant(c, 15, 1, at(c, 16, 1) * (1 - 1e-6))  # P6 at k = n - 1
+    plant(m, 16, 2, -at(m, 16, 2))  # P7; also breaks P10 at (15, 2)
+    plant(m, 4, 2, at(m, 5, 2) * (1 - 1e-6))  # P8
+    plant(m, 16, 15, at(m, 16, 14) * (1 - 1e-6))  # P9 at j = k - 2
+    plant(m, 15, 13, at(m, 15, 14) - (at(m, 16, 14) - at(m, 16, 13)) * (1 - 1e-6))  # P10
+
+    def amount(check, k, j):  # lhs - rhs of the check, as the suite forms it
+        t = a if check in ("P1", "P2", "P3", "P4") else c if check in ("P5", "P6") else m
+
+        def e(dk, dj):
+            return at(t, k + dk, j + dj)
+
+        return {
+            "P1": lambda: 0.0 - e(0, 0),
+            "P2": lambda: e(1, 0) - e(0, 0),
+            "P3": lambda: e(0, 0) - e(0, 1),
+            "P4": lambda: (e(1, 1) - e(1, 0)) - (e(0, 1) - e(0, 0)),
+            "P5": lambda: e(0, 0) - 0.0,
+            "P6": lambda: e(0, 0) - e(1, 0),
+            "P7": lambda: e(0, 0) - 0.0,
+            "P8": lambda: e(0, 0) - e(1, 0),
+            "P9": lambda: e(0, 1) - e(0, 0),
+            "P10": lambda: (e(0, 1) - e(0, 0)) - (e(1, 1) - e(1, 0)),
+        }[check]()
+
+    expected = [
+        ("P1", 16, 1), ("P2", 3, 1), ("P3", 16, 14), ("P4", 15, 1), ("P4", 15, 13),
+        ("P5", 16, 15), ("P6", 15, 1), ("P7", 16, 2), ("P8", 4, 2), ("P9", 16, 14),
+        ("P10", 15, 2), ("P10", 15, 13),
+    ]
+    planted = _replant(table, a, c, m)
+    violations = check_properties_P(planted)
+    assert violations == [Violation(name, k, j, amount(name, k, j)) for name, k, j in expected]
+    assert violations == _p_suite_oracle(planted)
+
+
+def test_p_suite_matches_the_mask_oracle_on_fuzzed_tables():
+    # admissible and inadmissible meshes (the latter often skip P9/P10),
+    # every other table with a few entries scaled so that violations occur
+    rng = np.random.default_rng(2024)
+    _, eta = admissibility_thresholds()
+    reported = 0
+    for i in range(30):
+        num_steps = int(rng.integers(2, 80))
+        low = eta if i % 2 == 0 else 0.05
+        mesh = mesh_from_ratios(rng.uniform(low, 3.0, size=num_steps - 1))
+        alpha = float(rng.choice([0.2, 0.5, 0.8]))
+        n = num_steps if i % 3 else int(rng.integers(1, num_steps + 1))
+        table = build_kernel_table(mesh, alpha, n=n, backend="closed")
+        if i % 4 >= 2:
+            a, c, m = table.a.copy(), table.c.copy(), table.m.copy()
+            for t in (a, c, m):
+                rows, cols = rng.integers(0, n, size=(2, 4))
+                t[rows, cols] *= rng.choice([-1.0, 0.5, 2.0, 1.0 + 1e-13], size=4)
+            table = _replant(table, a, c, m)
+        violations = check_properties_P(table)
+        assert violations == _p_suite_oracle(table), f"table {i}"
+        reported += len(violations)
+    assert reported > 0
+
+
+def _certificate_with_numpy_scalars(table):
+    """The certificate loop in NumPy scalar arithmetic, as first written."""
+    n = table.n
+    alpha, sigma = table.order.alpha, table.order.sigma
+    tau = table.mesh.steps
+    rho = table.mesh.ratios
+    c_last = table.c[np.arange(1, n), np.arange(n - 1)]
+
+    def bound_integral(r):
+        sr = sigma * r
+        return 0.5 + 0.5 * alpha * r - sr * (0.5 * alpha * r) * np.log((1.0 + sr) / sr)
+
+    g = np.empty(n)
+    if n == 1:
+        g[0] = (sigma * tau[0]) ** (-alpha)
+        return g
+    g[0] = (sigma * tau[0]) ** (-alpha) * (2.0 * sigma - (1.0 - alpha) / rho[0] ** alpha)
+    for k in range(2, n + 1):
+        base = (1.0 - alpha) * c_last[k - 2]
+        scale = (sigma * tau[k - 1]) ** (-alpha)
+        if k < n or (k == 2 and n == 2):
+            rho_next = rho[k - 1] if k - 1 < rho.size else 1.0
+            g[k - 1] = base + scale * (
+                1.0
+                - alpha * (1.0 - alpha) / ((1.0 + rho_next) * rho_next**alpha)
+                * bound_integral(np.asarray(rho_next))
+            )
+        else:
+            g[k - 1] = base + scale
+    return g
+
+
+def test_positivity_certificate_is_bit_identical_to_numpy_scalar_arithmetic():
+    rng = np.random.default_rng(77)
+    _, eta = admissibility_thresholds()
+    tables = [
+        build_kernel_table(TimeMesh([0.0, 0.3]), 0.4, backend="closed"),  # n = 1
+        build_kernel_table(TimeMesh([0.0, 0.3, 1.0]), 0.6, backend="closed"),  # n = 2, 2 steps
+        build_kernel_table(make_graded_mesh(1.0, 9, 2.0), 0.5, n=2, backend="closed"),
+        build_kernel_table(make_graded_mesh(1.0, 9, 2.0), 0.5, n=5, backend="closed"),
+    ]
+    for i in range(24):
+        low = eta if i % 2 == 0 else 0.05
+        mesh = mesh_from_ratios(rng.uniform(low, 3.0, size=127), first_step=rng.uniform(1e-3, 1.0))
+        tables.append(build_kernel_table(mesh, float(rng.uniform(0.05, 0.95)), backend="closed"))
+    for table in tables:
+        g = positivity_certificate(table)
+        assert g.dtype == np.float64 and g.shape == (table.n,)
+        assert np.array_equal(g, _certificate_with_numpy_scalars(table)), table.n

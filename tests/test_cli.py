@@ -2,6 +2,7 @@
 and the stderr error format."""
 import inspect
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -400,3 +401,61 @@ def test_mesh_and_file_flags_conflict(tmp_path, capsys):
     )
     assert code == EXIT_INVALID
     assert "either --mesh or --file" in err
+
+
+def test_reproduce_tables_headers_keep_every_digit_of_alpha(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")
+    code, stdout, _ = run_cli(
+        capsys, "reproduce-tables", "--config", str(config),
+        "--alpha", "0.1234567", "--alpha", "0.1234568",
+    )
+    assert code == EXIT_OK
+    headers = [line.split("  (")[0] for line in stdout.splitlines() if line.startswith("alpha = ")]
+    assert headers == ["alpha = 0.1234567", "alpha = 0.1234568"]
+
+
+def test_the_shared_parser_resets_the_log_level(capsys):
+    certify = ("mesh-certify", "--mesh", "uniform", "--K", "4")
+    assert run_cli(capsys, "-vv", *certify)[0] == EXIT_OK
+    assert logging.getLogger("subdiff").level == logging.DEBUG
+    assert run_cli(capsys, *certify)[0] == EXIT_OK
+    assert logging.getLogger("subdiff").level == logging.WARNING
+
+
+def test_the_shared_parser_does_not_add_up_repeated_flags(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")
+    for alpha in ("0.3", "0.7"):
+        code, stdout, _ = run_cli(
+            capsys, "reproduce-tables", "--config", str(config), "--alpha", alpha
+        )
+        assert code == EXIT_OK
+        assert [line for line in stdout.splitlines() if line.startswith("alpha = ")] == [
+            f"alpha = {alpha}  (space d1:16, backend closed)"
+        ]
+
+
+def test_an_invalid_call_leaves_the_shared_parser_usable(capsys):
+    assert run_cli(capsys, "mesh-certify", "--mesh", "uniform", "--K", "4", "--frobnicate")[0] == (
+        EXIT_INVALID
+    )
+    assert run_cli(capsys, "mesh-certify", "--mesh", "uniform", "--K", "4")[0] == EXIT_OK
+
+
+def test_the_parser_is_built_on_first_dispatch_and_then_kept():
+    # import time is paid by every command, so the import builds no parser;
+    # build_parser itself still returns a fresh one on every call
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import subdiff.cli as cli; "
+        "before = cli._shared_parser.cache_info().currsize; "
+        "cli.dispatch(['mesh-certify', '--mesh', 'uniform', '--K', '4']); "
+        "cli.dispatch(['mesh-certify', '--mesh', 'uniform', '--K', '4']); "
+        "info = cli._shared_parser.cache_info(); "
+        "print(before, info.currsize, info.misses, cli.build_parser() is cli.build_parser())"
+    )
+    src = str(Path(subdiff.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[-4:] == ["0", "1", "1", "False"]
