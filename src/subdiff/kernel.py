@@ -217,7 +217,7 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     small = delta <= _SERIES_CUTOFF
     if np.any(small):
         idx = np.flatnonzero(small)
-        idx = idx[np.argsort(delta[idx], kind="stable")]
+        idx = idx[np.argsort(delta[idx])]
         x = delta[idx]
         term = 0.5 * x * x
         sphi = term.copy()

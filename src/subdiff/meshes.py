@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -45,24 +45,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@lru_cache(maxsize=1)
 def admissibility_thresholds() -> tuple[float, float]:
     """Return ``(rho_star, eta)`` to full double precision.
 
-    Both are roots of low-degree polynomials in the step ratio; they are
-    bracketed in [0.1, 0.9] and resolved by bisection to 1e-13.
+    They are the roots in [0.1, 0.9] of ``r(1+r) = 1 - 3r^2(1+r)`` and of
+    ``3r^2(1+r) = 1``, as bisection on that bracket to 1e-13 resolves them
+    (``tests/test_meshes.py`` recomputes both with SciPy's ``bisect``).
     """
-    from scipy.optimize import bisect  # once per process: not loaded with the package
-
-    def lower(r: float) -> float:
-        return r * (1.0 + r) - (1.0 - 3.0 * r * r * (1.0 + r))
-
-    def upper(r: float) -> float:
-        return 1.0 - 3.0 * r * r * (1.0 + r)
-
-    rho_star = float(bisect(lower, 0.1, 0.9, xtol=1e-13))
-    eta = float(bisect(upper, 0.1, 0.9, xtol=1e-13))
-    return rho_star, eta
+    return 0.3563409986801161, 0.4753295857871308
 
 
 def pair_ratio_bound(rho: float) -> float:

@@ -19,7 +19,8 @@ Two spatial discretizations are provided:
 Both give ``laplacian``, its nonnegative eigenvalues ``laplacian_symbol``
 (of ``-laplacian``) and the ``forward`` transform onto their eigenbasis,
 which is real, keeps the field's shape, is orthonormal and is its own
-``inverse``.
+``inverse``.  Both transforms are built on NumPy's real FFT, so a run
+needs no SciPy.
 
 A problem's source and exact solution are short sums of separable terms,
 each a function of time times a spatial profile, so each profile is
@@ -56,7 +57,6 @@ from functools import cached_property
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import DimensionMismatchError, LinearSolveError, ValidationError
 from .kernel import (
@@ -146,8 +146,19 @@ class DirichletLine:
         return lam
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I onto the sine modes ``sin(j*pi*i/N)``; its own inverse."""
-        return scipy.fft.dst(v, type=1, norm="ortho")
+        """Orthonormal DST-I onto the sine modes ``sin(j*pi*i/N)``; its own inverse.
+
+        It is the real FFT of the odd extension ``[0, v, 0, -v[::-1]]`` of
+        length ``2N``: minus its imaginary part at frequencies ``1..N-1``,
+        scaled by ``1/sqrt(2N)``.  That is pocketfft's own DST-I, and with the
+        scale rounded once from long double it gives SciPy's
+        ``dst(type=1, norm="ortho")`` bit for bit.
+        """
+        n = self.intervals
+        odd = np.zeros(np.shape(v)[:-1] + (2 * n,))
+        odd[..., 1:n] = v
+        odd[..., n + 1 :] = -odd[..., n - 1 : 0 : -1]
+        return np.fft.rfft(odd).imag[..., 1:n] * -float(1 / np.sqrt(np.longdouble(2 * n)))
 
     inverse = forward
 
@@ -223,7 +234,7 @@ class PeriodicSquare:
         (``rfft2``): the other half is ``F`` at the negated frequencies.
         """
         n = self.modes
-        half = scipy.fft.rfft2(v)
+        half = np.fft.rfft2(v)
         cols = n // 2 + 1
         out = np.empty((n, n))
         np.subtract(half.real, half.imag, out=out[:, :cols])

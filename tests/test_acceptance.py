@@ -83,6 +83,22 @@ def fuzzed_admissible():
 
 
 @pytest.fixture(scope="session")
+def fuzzed_admissible_checks(fuzzed_admissible):
+    """``(alpha, check_psd, P violations, Q violations)`` of each fuzzed
+    admissible mesh's closed table, for criteria 04 and 05.  Each table is
+    built once and dropped after its checks: the 1000 tables would hold
+    about 400 MB."""
+    checks = []
+    for i, mesh in enumerate(fuzzed_admissible):
+        alpha = benchmarks.ALPHAS[i % 3]
+        table = build_kernel_table(mesh, alpha, backend="closed")
+        checks.append(
+            (alpha, check_psd(table), check_properties_P(table), check_properties_Q(table))
+        )
+    return checks
+
+
+@pytest.fixture(scope="session")
 def fuzzed_unrestricted():
     """300 meshes with unconstrained ratios in [0.05, 3]; most are inadmissible."""
     rng = np.random.default_rng(FUZZ_SEED + 1)
@@ -200,7 +216,9 @@ def test_criterion_03_order_envelope(announce):
     )
 
 
-def test_criterion_04_operator_positivity(fuzzed_admissible, announce):
+def test_criterion_04_operator_positivity(
+    fuzzed_admissible, fuzzed_admissible_checks, announce
+):
     # the symmetrized history operator must be numerically PSD and the
     # per-level positivity certificates strictly positive on the benchmark
     # meshes and on 1000 fuzzed admissible meshes
@@ -225,9 +243,7 @@ def test_criterion_04_operator_positivity(fuzzed_admissible, announce):
             )
         if not np.all(report.g > 0.0):
             bad.append(f"{name} alpha={alpha:g}: nonpositive certificate value")
-    for i, mesh in enumerate(fuzzed_admissible):
-        alpha = benchmarks.ALPHAS[i % 3]
-        report = check_psd(build_kernel_table(mesh, alpha, backend="closed"))
+    for i, (alpha, report, _, _) in enumerate(fuzzed_admissible_checks):
         if not report.passed:
             bad.append(
                 f"fuzz #{i} alpha={alpha:g}: min eig {report.min_eigenvalue:.3e} "
@@ -247,7 +263,7 @@ def test_criterion_04_operator_positivity(fuzzed_admissible, announce):
 
 
 def test_criterion_05_structure_properties(
-    fuzzed_admissible, fuzzed_unrestricted, announce
+    fuzzed_admissible, fuzzed_admissible_checks, fuzzed_unrestricted, announce
 ):
     # the sign/monotonicity properties of the coefficient tables must hold on
     # every fuzzed mesh (admissibility plays no role for the first eight);
@@ -255,11 +271,7 @@ def test_criterion_05_structure_properties(
     # all admissible meshes with ratios at or above eta
     started = time.perf_counter()
     bad = []
-    for i, mesh in enumerate(fuzzed_admissible):
-        alpha = benchmarks.ALPHAS[i % 3]
-        table = build_kernel_table(mesh, alpha, backend="closed")
-        p_viol = check_properties_P(table)
-        q_viol = check_properties_Q(table)
+    for i, (alpha, _, p_viol, q_viol) in enumerate(fuzzed_admissible_checks):
         for v in itertools.chain(p_viol, q_viol):
             bad.append(
                 f"admissible fuzz #{i} alpha={alpha:g}: {v.check} at "

@@ -34,21 +34,46 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_importing_the_cli_leaves_the_oracle_scipy_modules_unloaded():
-    # every command pays for what the package loads at import; the
-    # quadrature oracle (scipy.integrate), the admissibility thresholds
-    # (scipy.optimize) and the complementary kernel (scipy.linalg) import
-    # theirs when first called
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import subdiff, subdiff.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))"
-    )
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import subdiff, subdiff.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+at_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = subdiff.cli.dispatch(sys.argv[2:])
+print(json.dumps([at_import, code, scipy_modules()]))
+"""
+
+
+def test_only_analyze_loads_scipy(tmp_path):
+    # SciPy is the test oracle; at run time only analyze's triangular solve
+    # (scipy.linalg) needs it, and the quadrature oracle and caputo_reference
+    # import theirs when first called.  Each command runs in a fresh process.
     src = str(Path(subdiff.__file__).resolve().parents[1])
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "scipy.fft" in loaded
-    assert [m for m in loaded if m.split(".")[1] in ("integrate", "linalg", "optimize")] == []
+    commands = [
+        ["soak", "--alpha", "0.5", "--K", "40", "--split-steps", "8", "--space", "d1:32"],
+        ["solve", "--alpha", "0.5", "--mesh", "uniform", "--K", "4", "--space", "p2:32"],
+        ["mesh-certify", "--mesh", "graded:r=2", "--K", "16"],
+        ["reproduce-tables", "--paper-exact", "--alpha", "0.5"],
+        ["analyze", "--alpha", "0.5", "--mesh", "graded:r=2", "--K", "16"],
+    ]
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, src, *argv],
+            capture_output=True, text=True, check=True, cwd=tmp_path,
+        )
+        at_import, code, loaded = json.loads(run.stdout)
+        assert (at_import, code) == ([], EXIT_OK), argv
+        if argv[0] == "analyze":
+            assert "scipy.linalg" in loaded
+            oracles = {"scipy.fft", "scipy.special", "scipy.optimize", "scipy.integrate"}
+            assert oracles.isdisjoint(loaded)
+        else:
+            assert loaded == [], argv
 
 
 def test_version_flag(capsys):

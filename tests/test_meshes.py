@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect
 
 from subdiff import (
     TimeMesh,
@@ -42,6 +43,16 @@ def test_thresholds_frozen_values():
     )
     assert 3 * eta**2 * (1 + eta) == pytest.approx(1.0, abs=1e-12)
     assert 0 < rho_star < eta < 1
+
+    # the literals are the bisection's own output, bit for bit
+    def lower(r):
+        return r * (1.0 + r) - (1.0 - 3.0 * r * r * (1.0 + r))
+
+    def upper(r):
+        return 1.0 - 3.0 * r * r * (1.0 + r)
+
+    assert rho_star == bisect(lower, 0.1, 0.9, xtol=1e-13)
+    assert eta == bisect(upper, 0.1, 0.9, xtol=1e-13)
 
 
 def test_pair_ratio_bound_closed_form():

@@ -307,6 +307,28 @@ def test_square_forward_is_the_hartley_transform(modes):
     assert np.max(np.abs(space.forward(v) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+# below 512 every size listed is one where a scale rounded in double
+# precision, 1/np.sqrt(2N), would miss SciPy's last bit
+@pytest.mark.parametrize("intervals", [4, 6, 9, 11, 12, 16, 17, 30, 512, 10000])
+def test_line_forward_is_scipys_dst_bit_for_bit(intervals):
+    space = DirichletLine(intervals)
+    v = np.random.default_rng(intervals).standard_normal((3, intervals - 1))
+    for field in (v[0], v):
+        assert np.array_equal(space.forward(field), scipy.fft.dst(field, type=1, norm="ortho"))
+
+
+@pytest.mark.parametrize("modes", [33, 64, 192])
+def test_square_forward_is_scipys_hartley_bit_for_bit(modes):
+    v = np.random.default_rng(modes).standard_normal((modes, modes))
+    half = scipy.fft.rfft2(v)
+    # the other columns are F at the negated frequencies, conj(F(-k))
+    cols = modes // 2 + 1
+    rows = -np.arange(modes) % modes
+    full = np.concatenate([half, np.conj(half[rows, modes - cols : 0 : -1])], axis=1)
+    expected = (full.real - full.imag) / modes
+    assert np.array_equal(PeriodicSquare(modes).forward(v), expected)
+
+
 def _physical_march(problem, table):
     """Whole-field oracle march: the history term on full physical fields
     (``tensordot`` over every past level) and the semi-implicit Laplacian
