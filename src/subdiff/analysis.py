@@ -345,26 +345,6 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     return solve_triangular(m.T, ones_upper, lower=False).T
 
 
-def _direct_splitting_diagonal(table: KernelTable) -> np.ndarray:
-    """Exact diagonal of the symmetric splitting remainder (levels 1..n).
-
-    Needs n >= 3; used to validate that the certified lower bounds in
-    :class:`PsdReport` really are lower bounds.
-    """
-    n = table.n
-    if n < 3:
-        raise ValidationError(f"direct splitting diagonal needs n >= 3, got {n}")
-    # entry [k-1, j-1] holds level k, interval j; d_j^k is m[k-1, j-1]
-    a, m = table.a, table.m
-    beta = np.empty(n)
-    beta[0] = -a[1, 0] / 2.0
-    beta[1] = (m[2, 1] + a[2, 0] - a[1, 0]) / 2.0
-    for k in range(3, n):
-        beta[k - 1] = (m[k, k - 1] + m[k - 1, k - 2] - m[k, k - 2]) / 2.0
-    beta[n - 1] = m[n - 1, n - 2] / 2.0
-    return np.diag(m) - beta
-
-
 @functools.lru_cache(maxsize=8)
 def _entry_sets(n: int) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
     """Entry sets of the P and Q checks on an ``n``-level table.

@@ -423,6 +423,20 @@ def _quadrature_a_c(
 # ---------------------------------------------------------------------------
 
 
+def _slab_edges(start: int, n: int):
+    """The slabs of levels ``start+1..n``, as ``(k0, k1)`` for levels ``k0+1..k1``.
+
+    A slab takes the most rows ``r`` with ``r * (k0 + r) <= _SLAB_ENTRIES``,
+    and at least one.
+    """
+    k0 = start
+    while k0 < n:
+        rows = (math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2
+        k1 = min(k0 + max(rows, 1), n)
+        yield k0, k1
+        k0 = k1
+
+
 def _kernel_slabs(
     mesh: TimeMesh,
     order: FractionalOrder,
@@ -434,9 +448,9 @@ def _kernel_slabs(
 
     Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
     and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
-    a :class:`KernelTable`.  A slab holds at most ``_SLAB_ENTRIES`` entries
-    (but at least one row).  The inputs ``(tau_j, tau_{j+1}, t_k* - t_{j-1})``
-    of every entry of a slab are formed at once.  The closed backend maps
+    a :class:`KernelTable`, on the edges of :func:`_slab_edges`.  The inputs
+    ``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` of every entry of a slab are
+    formed at once.  The closed backend maps
     them in one vectorized pass; every entry's series stops on its own (see
     :func:`_phi_psi`), so where slab edges fall does not change a bit.  It
     computes only the entries whose inputs differ from those of the last
@@ -456,11 +470,7 @@ def _kernel_slabs(
     # the inputs and coefficients of the last entry computed at each distance
     # k - j; NaN inputs match nothing
     seen_w0, seen_tj, seen_tj1, seen_a, seen_c = np.full((5, n + 1), np.nan)
-    k0 = start
-    while k0 < n:
-        # the most rows r with r * (k0 + r) <= _SLAB_ENTRIES
-        rows = (math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2
-        k1 = min(k0 + max(rows, 1), n)
+    for k0, k1 in _slab_edges(start, n):
         a = np.zeros((k1 - k0, k1))
         c = np.zeros((k1 - k0, k1))
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
@@ -516,18 +526,8 @@ def _kernel_slabs(
         for arr in (a, c, m, t_star):
             arr.flags.writeable = False
         yield k0, k1, a, c, m, t_star
-        k0 = k1
-
-
-def _kernel_rows(mesh: TimeMesh, order: FractionalOrder, backend: str):
-    """Rows of levels ``1..mesh.num_steps``, as views into one slab at a time.
-
-    A slab is freed once the next one is filled and its rows are dropped, so
-    at most two are alive at once.
-    """
-    for k0, k1, a, c, m, t_star in _kernel_slabs(mesh, order, 0, mesh.num_steps, backend):
-        for i in range(k1 - k0):
-            yield _row_view(k0 + i + 1, a[i], c[i], m[i], t_star[i])
+        # a consumer that drops the slab frees it before the next one is filled
+        del a, c, m, t_star
 
 
 def build_kernel_row(

@@ -33,13 +33,17 @@ that field.  A source term switches on at the first level where its time
 factor is nonzero; the set only grows, and a mode joins with its all-zero
 past.  What the floor drops is at most 1e-13 of its field, 700 times the
 transforms' own rounding of a single mode, and the largest dropped fraction
-is kept as ``SolverState.dropped``.  A level costs the time factors and a
-dot over the active columns of the history, with no transform.  The run
-keeps only the coefficient history, ``(K+1) x |S|`` for ``|S|`` active
-modes; a field is built on demand (``SolverState.field``), and the norms
-are taken on the coefficients by Parseval.  :func:`solve` streams the
-kernel rows in slabs and never holds the dense kernel table, only the
-coefficient history and one slab.
+is kept as ``SolverState.dropped``.  The run keeps only the coefficient
+history, ``(K+1) x |S|`` for ``|S|`` active modes; a field is built on
+demand (``SolverState.field``), and the norms are taken on the
+coefficients by Parseval.  :func:`solve` streams the kernel's history rows
+in slabs of consecutive levels and never holds the dense kernel table, only
+the coefficient history and one slab.  It marches a slab at a time, with no
+transform: the history a slab's levels take from the levels before it is one
+matrix product, and each level adds only a dot over the slab's earlier
+levels and one division per mode.  The time factors are taken once per
+slab, and the finite check, the residual and the H1 seminorm once per part
+of a slab, as array operations.
 
 The per-step residual is that of the diagonal system actually solved,
 relative to its right side: rounding level, the march's check on its own
@@ -63,7 +67,8 @@ from .kernel import (
     FractionalOrder,
     KernelRow,
     KernelTable,
-    _kernel_rows,
+    _kernel_slabs,
+    _slab_edges,
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
@@ -94,6 +99,10 @@ _TINY = 1e-300
 # A coefficient joins the active set above this fraction of the largest
 # coefficient of its field: 700x the transforms' own rounding of one mode.
 _MODE_FLOOR = 1e-13
+# Entries rows * (k + |S|) of one part of a slab, for levels up to k on |S|
+# active modes.  It bounds the march's temporaries (the differenced history
+# rows, the right sides and one work array) to twice this many floats.
+_PART_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -371,22 +380,26 @@ def _separable_terms(space, terms, what: str) -> tuple[tuple[Term, ...], np.ndar
     return tuple(checked), coefficients
 
 
-def _time_factors(terms: Sequence[Term], t: float, where: str) -> np.ndarray:
-    """The terms' time factors at ``t``; one that is not a finite real
-    number is refused, named by ``where`` and its term index."""
-    values = np.empty(len(terms))
-    for i, (time_function, _) in enumerate(terms):
-        try:
-            value = float(time_function(t))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{where} term {i}: time factor at t = {t!r} is not a real number"
-            ) from exc
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"{where} term {i}: time factor at t = {t!r} is {value!r}, not finite"
-            )
-        values[i] = value
+def _time_factors(terms: Sequence[Term], times: np.ndarray, first: int, what: str) -> np.ndarray:
+    """The terms' time factors, one row per time in ``times`` (levels
+    ``first``, ``first + 1``, ...); one that is not a finite real number is
+    refused, named by its level, ``what`` and its term index."""
+    values = np.empty((len(times), len(terms)))
+    for level, (t, row) in enumerate(zip(times.tolist(), values), start=first):
+        for i, (time_function, _) in enumerate(terms):
+            try:
+                value = float(time_function(t))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"level {level}: {what} term {i}: time factor at t = {t!r} "
+                    "is not a real number"
+                ) from exc
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"level {level}: {what} term {i}: time factor at t = {t!r} "
+                    f"is {value!r}, not finite"
+                )
+            row[i] = value
     return values
 
 
@@ -545,49 +558,116 @@ def _activate(state: SolverState, coeffs: np.ndarray) -> None:
 def step(state: SolverState, row: KernelRow) -> SolverState:
     """Advance the state one level using the given kernel row.
 
-    The row's level must be ``state.level + 1``.  Returns the same state
-    object with ``coefficients``, ``h1_seminorm`` and ``residual`` filled
-    at the new level.  The source's time factors are taken at the offset
-    point (a non-finite one is refused, naming its level), and a term whose
-    factor is nonzero for the first time joins its profile's modes to the
-    active set.  Then each active mode solves its own scalar equation, one
-    diagonal division, with the history term a dot over the active columns.
-    The residual is that of the diagonal system, relative to its right side.
+    The row's level must be ``state.level + 1``.  This is the one-row case
+    of :func:`solve`'s slab march (:func:`_march_piece` gives the equation a
+    level solves).  Returns the same state object with ``coefficients``,
+    ``h1_seminorm`` and ``residual`` filled at the new level.
     """
-    k = row.k
-    if k != state.level + 1:
+    _march(state, row.m_row[None, :], np.array([row.t_star]))
+    return state
+
+
+def _march(state: SolverState, m: np.ndarray, t_star: np.ndarray) -> None:
+    """March one slab: levels ``k0+1..k1`` from their history rows ``m``,
+    laid out as those rows of a :class:`KernelTable` (``(k1 - k0) x k1``),
+    and their offset points ``t_star``; ``k0`` must be ``state.level``.
+
+    The source's time factors are taken for the whole slab first.  The slab
+    is cut at every level where a source term switches on, and that term's
+    modes join before the level is solved, so each piece marches one active
+    set (see :func:`_march_piece`).
+    """
+    rows, k1 = m.shape
+    k0 = k1 - rows
+    if k0 != state.level:
         raise DimensionMismatchError(
-            f"row level {k} does not follow state level {state.level}"
+            f"row level {k0 + 1} does not follow state level {state.level}"
         )
+    problem = state.problem
+    factors = None
+    cuts = {0, rows}
+    if problem.source:
+        factors = _time_factors(problem.source, t_star, k0 + 1, "source")
+        waiting = factors[:, ~state.switched_on] != 0.0
+        cuts.update(np.argmax(waiting, axis=0)[waiting.any(axis=0)].tolist())
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if factors is not None:
+            for i in np.flatnonzero((factors[lo] != 0.0) & ~state.switched_on):
+                state.switched_on[i] = True
+                _activate(state, problem.source_coefficients[i])
+        _march_piece(state, m[lo:hi, : k0 + hi], None if factors is None else factors[lo:hi])
+
+
+def _march_piece(state: SolverState, m: np.ndarray, factors: np.ndarray | None) -> None:
+    """March levels ``k0+1..k1`` on one active set, from their history rows
+    ``m`` (``(k1 - k0) x k1``) and source time factors (None: no source).
+
+    Level ``k`` solves, on each active mode, the diagonal equation
+    ``(m_kk / Gamma(1-alpha) + sigma lam) c_k = rhs_k`` with
+    ``rhs_k = f_k - (alpha/2) lam c_{k-1} + sum_j (m_{k,j+1} - m_{k,j}) c_j /
+    Gamma(1-alpha)`` over ``j = 0..k-1`` (``m_{k,0} = 0``).  The levels go
+    in parts of at most ``_PART_ENTRIES`` entries, in buffers reused from
+    part to part.  The history sum over the levels before a part is one
+    matrix product for the whole part; each level then adds its dot over
+    the part's earlier levels and does its division.  The finite check, the
+    residual (that of the diagonal system, relative to its right side) and
+    the H1 seminorm (by Parseval: the transforms are orthonormal) are taken
+    for the whole part.  A non-finite solution is refused, naming its first
+    level.
+    """
+    rows, k1 = m.shape
+    k0 = k1 - rows
     problem = state.problem
     order = problem.order
     space = problem.space
-    f = 0.0
-    if problem.source:
-        g = _time_factors(problem.source, row.t_star, f"level {k}: source")
-        if not all(state.switched_on):
-            for i in np.flatnonzero((g != 0.0) & ~state.switched_on):
-                state.switched_on[i] = True
-                _activate(state, problem.source_coefficients[i])
-        f = g @ problem.source_coefficients[:, state.modes]
+    c = state.coefficients
     lam = space.laplacian_symbol.ravel()[state.modes]
-    packed = state.coefficients
-    m = row.m_row
-    delta_m = m.copy()
-    delta_m[1:] -= m[:-1]
-    history_term = (delta_m @ packed[:k]) / order.gamma_1ma
-    rhs = f - 0.5 * order.alpha * lam * packed[k - 1] + history_term
-    diag = m[-1] / order.gamma_1ma + order.sigma * lam
-    c = rhs / diag
-    if not np.all(np.isfinite(c)):
-        raise LinearSolveError(f"level {k}: non-finite solution")
-    scale = max(float(np.max(np.abs(rhs), initial=0.0)), _TINY)
-    state.residual[k] = float(np.max(np.abs(diag * c - rhs), initial=0.0)) / scale
-    packed[k] = c
-    # Parseval: the transforms are orthonormal, so the energy is a sum over modes
-    state.h1_seminorm[k] = math.sqrt(space.h**space.ndim * float(np.dot(lam * c, c)))
-    state.level = k
-    return state
+    half_lam = 0.5 * order.alpha * lam
+    sigma_lam = order.sigma * lam
+    source = None if factors is None else problem.source_coefficients[:, state.modes]
+    # as few parts as the budget allows, their rows evened out
+    parts = -(-rows // max(_PART_ENTRIES // (k1 + lam.size), 1))
+    size = -(-rows // parts)
+    dm_buffer = np.empty(size * k1)
+    rhs_buffer = np.empty((size, lam.size))
+    work_buffer = np.empty_like(rhs_buffer)
+    for p in range(0, rows, size):
+        q = min(p + size, rows)
+        start, top = k0 + p, k0 + q  # the part's levels are start+1..top
+        rhs, work = rhs_buffer[: q - p], work_buffer[: q - p]
+        # the history rows differenced, over Gamma(1 - alpha): column j weighs level j
+        dm = dm_buffer[: (q - p) * top].reshape(q - p, top)
+        dm[:, 0] = m[p:q, 0]
+        np.subtract(m[p:q, 1:top], m[p:q, : top - 1], out=dm[:, 1:])
+        dm /= order.gamma_1ma
+        np.matmul(dm[:, : start + 1], c[: start + 1], out=rhs)
+        if source is not None:
+            rhs += np.matmul(factors[p:q], source, out=work)
+        diag = np.add.outer(m[p:q].diagonal(start) / order.gamma_1ma, sigma_lam, out=work)
+        for i, k in enumerate(range(start + 1, top + 1)):
+            right = rhs[i]
+            if i:
+                right += dm[i, start + 1 : k] @ c[start + 1 : k]
+            right -= half_lam * c[k - 1]
+            np.divide(right, diag[i], out=c[k])
+        new = c[start + 1 : top + 1]
+        finite = np.isfinite(new).all(axis=1)
+        if not finite.all():
+            new[:] = 0.0
+            first = start + 1 + int(np.argmin(finite))
+            raise LinearSolveError(f"level {first}: non-finite solution")
+        np.multiply(diag, new, out=work)  # diag lives in work, and is done with
+        work -= rhs
+        np.abs(work, out=work)
+        error = work.max(axis=1, initial=0.0)
+        np.abs(rhs, out=work)
+        scale = np.maximum(work.max(axis=1, initial=0.0), _TINY)
+        state.residual[start + 1 : top + 1] = error / scale
+        np.multiply(lam, new, out=work)
+        energy = np.einsum("ks,ks->k", work, new)
+        state.h1_seminorm[start + 1 : top + 1] = np.sqrt(space.h**space.ndim * energy)
+        state.level = top
 
 
 def solve(
@@ -598,25 +678,31 @@ def solve(
 ) -> SolverState:
     """March the problem across the whole mesh and return the final state.
 
-    The kernel rows are computed by ``backend`` in slabs of consecutive rows
-    as the march reaches them, and each slab is dropped once its rows are marched.  A
-    prebuilt ``table`` may be supplied instead, by callers that reuse one;
-    its first ``mesh.num_steps`` rows are used, bit-identical to the streamed
-    ones.  A table for another order, or on a mesh whose first
-    ``mesh.num_steps + 1`` nodes differ, is refused with ValidationError.
-    The march runs on the active modes' coefficients, and the returned state
-    holds only their history (see :class:`SolverState`).  A source time
-    factor that is not a finite real number is refused, naming its level.
+    The kernel's history rows are computed by ``backend`` in slabs of
+    consecutive rows as the march reaches them, and each slab is dropped
+    once it is marched.  A prebuilt ``table`` may be supplied instead, by
+    callers that reuse one; its first ``mesh.num_steps`` rows are marched on
+    the same slab edges, bit-identical to the streamed run.  A table for
+    another order, or on a mesh whose first ``mesh.num_steps + 1`` nodes
+    differ, is refused with ValidationError.  The march runs a slab at a
+    time on the active modes' coefficients (see :func:`_march` and
+    :func:`_march_piece`), and the returned state holds only their history
+    (see :class:`SolverState`).  A source time factor that is not a finite
+    real number is refused before its slab is marched, naming its level.
     """
     n = mesh.num_steps
     if table is None:
-        rows = _kernel_rows(mesh, problem.order, backend)
+        slabs = _kernel_slabs(mesh, problem.order, 0, n, backend)
     else:
         _check_table(table, problem, mesh)
-        rows = (table.row(k) for k in range(1, n + 1))
+        slabs = (
+            (k0, k1, None, None, table.m[k0:k1, :k1], table.t_star[k0:k1])
+            for k0, k1 in _slab_edges(0, n)
+        )
     state = initialize_state(problem, mesh)
-    for row in rows:
-        step(state, row)
+    for slab in slabs:
+        _march(state, slab[4], slab[5])
+        del slab  # the march holds one slab: this one is freed before the next is filled
     logger.debug(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,
@@ -663,12 +749,7 @@ def discrete_norms(state: SolverState) -> NormReport:
     max_err = None
     arg = None
     if problem.exact is not None:
-        factors = np.array(
-            [
-                _time_factors(problem.exact, float(t), f"level {k}: exact")
-                for k, t in enumerate(state.mesh.nodes[:levels])
-            ]
-        ).reshape(levels, len(problem.exact))
+        factors = _time_factors(problem.exact, state.mesh.nodes[:levels], 0, "exact")
         exact_hat = problem.exact_coefficients
         diff = coeffs - factors @ exact_hat[:, state.modes]
         outside = exact_hat[:, ~state.active]

@@ -148,11 +148,23 @@ def test_positivity_certificate_single_level():
     assert g[0] == pytest.approx((0.75 * 0.5) ** (-0.5), rel=1e-14)
 
 
+def _direct_splitting_diagonal(table):
+    """Exact diagonal of the symmetric splitting remainder (levels 1..n), n >= 3."""
+    n = table.n
+    # entry [k-1, j-1] holds level k, interval j; d_j^k is m[k-1, j-1]
+    a, m = table.a, table.m
+    beta = np.empty(n)
+    beta[0] = -a[1, 0] / 2.0
+    beta[1] = (m[2, 1] + a[2, 0] - a[1, 0]) / 2.0
+    for k in range(3, n):
+        beta[k - 1] = (m[k, k - 1] + m[k - 1, k - 2] - m[k, k - 2]) / 2.0
+    beta[n - 1] = m[n - 1, n - 2] / 2.0
+    return np.diag(m) - beta
+
+
 def test_certificate_bounds_splitting_diagonal():
     # the certified lower bounds must actually lie below the directly
     # computed diagonal of the symmetric splitting remainder
-    from subdiff.analysis import _direct_splitting_diagonal
-
     for alpha, grading in ((0.3, 1.0), (0.5, 2.0), (0.7, 2.0 / 0.7)):
         mesh = make_graded_mesh(1.0, 32, grading)
         table = build_kernel_table(mesh, alpha, backend="closed")

@@ -31,7 +31,12 @@ from subdiff import (
     write_diagnostics_csv,
     write_snapshot_csv,
 )
-from subdiff.errors import DimensionMismatchError, NumericalError, ValidationError
+from subdiff.errors import (
+    DimensionMismatchError,
+    LinearSolveError,
+    NumericalError,
+    ValidationError,
+)
 
 
 def test_parse_space():
@@ -466,7 +471,7 @@ def test_march_holds_one_history_sized_array():
     history_bytes = (mesh.num_steps + 1) * initial.nbytes
     tracemalloc.start()
     try:
-        for _ in kernel_module._kernel_rows(mesh, problem.order, "closed"):
+        for _ in kernel_module._kernel_slabs(mesh, problem.order, 0, mesh.num_steps, "closed"):
             pass
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -680,6 +685,68 @@ def test_streamed_march_refuses_a_non_finite_slab(monkeypatch):
     monkeypatch.setattr(kernel_module, "_closed_a_c", poisoned)
     with pytest.raises(NumericalError, match=f"first at level {level}"):
         solve(problem, mesh, backend="closed")
+
+
+def test_march_refuses_a_non_finite_solution_inside_a_slab():
+    # the time factor jumps to 1e308 once t > 0.248, so the right side
+    # overflows first at level 100 (t_100* = 99.75/400), inside the first
+    # slab (levels 1..181) and not at its first row
+    space = parse_space("d1:16")
+    problem = Problem(
+        order=0.5,
+        space=space,
+        source=[(lambda t: 1e308 if t > 0.248 else 1.0, space.first_mode())],
+    )
+    mesh = make_uniform_mesh(1.0, 400)
+    edges = _closed_slab_edges(mesh, 0.5)
+    assert 0 < 100 - 1 < edges[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(LinearSolveError, match=r"^level 100: non-finite solution$"):
+            solve(problem, mesh, backend="closed")
+
+
+def _switching_case(descriptor, t_on):
+    space = parse_space(descriptor)
+    if space.ndim == 1:
+        second = np.sin(2.0 * space.grid)
+    else:
+        xx, yy = space.grid
+        second = np.sin(2.0 * xx) * np.sin(yy)
+    first = space.first_mode()
+    return Problem(
+        order=0.5,
+        space=space,
+        initial=first,
+        source=[(lambda t: 1.0, first), (lambda t: max(t - t_on, 0.0), second)],
+    )
+
+
+@pytest.mark.parametrize("descriptor", ["d1:64", "p2:16"])
+def test_source_switching_on_mid_slab_matches_the_one_row_march(descriptor):
+    # the second term switches on at the seventh level of the third slab;
+    # the slab march must join its modes at that level, as a march of one
+    # row at a time does, and give the same coefficients
+    mesh = make_graded_mesh(1.0, 400, 2.0)
+    edges = _closed_slab_edges(mesh, 0.5)
+    assert len(edges) >= 3
+    join = edges[1] + 7
+    table = build_kernel_table(mesh, 0.5, backend="closed")
+    t_on = 0.5 * (table.t_star[join - 2] + table.t_star[join - 1])
+    problem = _switching_case(descriptor, t_on)
+    streamed = solve(problem, mesh, backend="closed")
+    one_row = initialize_state(problem, mesh)
+    before = one_row.modes.size
+    joined = None
+    for k in range(1, mesh.num_steps + 1):
+        step(one_row, table.row(k))
+        if joined is None and one_row.modes.size > before:
+            joined = k
+    assert joined == join
+    assert np.array_equal(streamed.modes, one_row.modes)
+    new = streamed.coefficients[:, before:]
+    assert np.all(new[:join] == 0.0) and np.all(new[join] != 0.0)
+    scale = np.max(np.abs(one_row.coefficients), axis=0)
+    assert np.all(np.abs(streamed.coefficients - one_row.coefficients) <= 1e-13 * scale)
 
 
 def test_snapshot_csv_1d(tmp_path):
