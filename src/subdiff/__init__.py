@@ -65,11 +65,8 @@ from .kernel import (
     KernelTable,
     apply_operator,
     as_fractional_order,
-    build_kernel_row,
     build_kernel_table,
     caputo_reference,
-    coeff_closed_form,
-    coeff_quadrature,
     dump_kernel_csv,
 )
 from .meshes import (
@@ -96,7 +93,6 @@ from .solver import (
     initialize_state,
     manufactured_problem,
     manufactured_problem_1d,
-    manufactured_problem_2d,
     parse_space,
     solve,
     step,
@@ -136,10 +132,7 @@ __all__ = [
     "as_fractional_order",
     "KernelRow",
     "KernelTable",
-    "build_kernel_row",
     "build_kernel_table",
-    "coeff_closed_form",
-    "coeff_quadrature",
     "apply_operator",
     "caputo_reference",
     "dump_kernel_csv",
@@ -161,7 +154,6 @@ __all__ = [
     "parse_space",
     "manufactured_problem",
     "manufactured_problem_1d",
-    "manufactured_problem_2d",
     "initialize_state",
     "step",
     "solve",

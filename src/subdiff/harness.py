@@ -30,6 +30,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -374,17 +375,18 @@ class ErrorReport:
     verdicts: tuple[Verdict, ...] = ()
     passed: bool = True
 
+    @cached_property
+    def _cells_by_key(self) -> dict:
+        return {(c.alpha, c.family_label, c.num_steps): c for c in self.cells}
+
     def cell(self, alpha: float, family_label: str, num_steps: int) -> CellResult:
-        for cell in self.cells:
-            if (
-                abs(cell.alpha - alpha) < 1e-12
-                and cell.family_label == family_label
-                and cell.num_steps == int(num_steps)
-            ):
-                return cell
-        raise ValidationError(
-            f"no cell for alpha={alpha}, family={family_label!r}, K={num_steps}"
-        )
+        """The cell at exactly one of the spec's alphas, families and step counts."""
+        cell = self._cells_by_key.get((float(alpha), family_label, int(num_steps)))
+        if cell is None:
+            raise ValidationError(
+                f"no cell for alpha={alpha!r}, family={family_label!r}, K={num_steps}"
+            )
+        return cell
 
     def max_errors(self, alpha: float, family_label: str) -> np.ndarray:
         return np.array(
@@ -395,12 +397,10 @@ class ErrorReport:
         )
 
     def observed_orders(self, alpha: float, family_label: str) -> np.ndarray:
-        for (a, label), orders in self.orders.items():
-            if abs(a - alpha) < 1e-12 and label == family_label:
-                return orders
-        raise ValidationError(
-            f"no orders for alpha={alpha}, family={family_label!r}"
-        )
+        orders = self.orders.get((float(alpha), family_label))
+        if orders is None:
+            raise ValidationError(f"no orders for alpha={alpha!r}, family={family_label!r}")
+        return orders
 
     def to_dict(self) -> dict:
         return {
@@ -580,11 +580,7 @@ def _write_alpha_table(path: Path, report: ErrorReport, alpha: float, kind: str)
     spec = report.spec
     ladder = benchmarks.TOLERANCE_LADDER if report.verdicts else None
     header = reproducibility_header(kind, {"alpha": alpha, **spec.parameters()}, ladder)
-    verdict_by = {
-        (v.alpha, v.family_label, v.num_steps): v
-        for v in report.verdicts
-        if abs(v.alpha - alpha) < 1e-12
-    }
+    verdict_by = {(v.alpha, v.family_label, v.num_steps): v for v in report.verdicts}
     rows = []
     for family in spec.families:
         errors = report.max_errors(alpha, family.label)

@@ -22,8 +22,9 @@ The kernel is computed in slabs of consecutive rows, each bounded by a fixed
 entry budget.  A slab's per-entry inputs ``(tau_j, tau_{j+1}, t_k* -
 t_{j-1})`` are formed once; the backend only chooses the function that maps
 them to ``a`` and ``c``.  :func:`build_kernel_table` collects the slabs into
-dense tables for the analysis checks; the solver marches on them directly and
-never holds the table.  Along a run of equal steps, entry ``(k, j)`` has the
+dense tables for the analysis checks and is the one place rows are read from
+(:meth:`KernelTable.row`); the solver marches on the slabs directly and never
+holds the table.  Along a run of equal steps, entry ``(k, j)`` has the
 same inputs as ``(k-1, j-1)``; the closed backend keeps the last entry
 computed at each distance ``k - j`` and reuses it wherever the inputs are
 bit-equal; where the nodes are exact (a dyadic step), such a run is computed
@@ -54,9 +55,6 @@ __all__ = [
     "KernelRow",
     "KernelTable",
     "as_fractional_order",
-    "coeff_quadrature",
-    "coeff_closed_form",
-    "build_kernel_row",
     "build_kernel_table",
     "apply_operator",
     "caputo_reference",
@@ -120,15 +118,14 @@ class KernelRow:
     history interval ``j``); ``a < 0 < b, c`` and ``a + b + c = 0``.  ``d``
     holds ``d_j = c_{j-1} - a_j`` for ``j = 2..k-1`` (length ``k-2``), the
     interior of the history row ``m_row = m_{k,1..k}``; ``t_star`` is the
-    offset evaluation time of the level.  ``b`` is derived on access as
-    ``-(a + c)``; the independently integrated value is available from
-    :func:`coeff_quadrature`.
+    offset evaluation time of the level.  ``b`` and ``d`` are derived on
+    access: ``b`` as ``-(a + c)``, which the zero-sum identity makes exact,
+    and ``d`` as a view of ``m_row``.  Rows come from :meth:`KernelTable.row`.
     """
 
     k: int
     a: np.ndarray
     c: np.ndarray
-    d: np.ndarray
     m_row: np.ndarray
     t_star: float
 
@@ -136,12 +133,9 @@ class KernelRow:
     def b(self) -> np.ndarray:
         return -(self.a + self.c)
 
-
-def _row_view(k: int, a: np.ndarray, c: np.ndarray, m: np.ndarray, t_star: float) -> KernelRow:
-    """Level-``k`` row as views into one row each of the ``a``, ``c`` and ``m`` layouts."""
-    return KernelRow(
-        k=k, a=a[: k - 1], c=c[: k - 1], d=m[1 : k - 1], m_row=m[:k], t_star=float(t_star)
-    )
+    @property
+    def d(self) -> np.ndarray:
+        return self.m_row[1:-1]
 
 
 class KernelTable:
@@ -182,7 +176,9 @@ class KernelTable:
         if not 1 <= k <= self.n:
             raise ValidationError(f"level must lie in [1, {self.n}], got {k}")
         i = k - 1
-        return _row_view(k, self.a[i], self.c[i], self.m[i], self.t_star[i])
+        return KernelRow(
+            k=k, a=self.a[i, :i], c=self.c[i, :i], m_row=self.m[i, :k], t_star=float(self.t_star[i])
+        )
 
     def __iter__(self):
         return (self.row(k) for k in range(1, self.n + 1))
@@ -296,70 +292,6 @@ def _closed_a_c(
 # ---------------------------------------------------------------------------
 
 
-def _quad_scalar(f: Callable[[float], float], lo: float, hi: float) -> float:
-    from scipy.integrate import quad  # oracle only: not loaded with the package
-
-    res = quad(
-        f,
-        lo,
-        hi,
-        epsabs=_QUAD_ABS_TOL,
-        epsrel=_QUAD_REL_TOL,
-        limit=_QUAD_LIMIT,
-        full_output=1,
-    )
-    # the integrator may flag its own stopping heuristics near the roundoff
-    # floor; what the contract requires is the achieved error estimate, so
-    # judge that against the tolerances directly
-    value, abserr = float(res[0]), float(res[1])
-    if len(res) > 3 and abserr > max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value)):
-        raise QuadratureConvergenceError(str(res[3]))
-    return value
-
-
-def coeff_quadrature(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    k: int,
-    j: int,
-) -> tuple[float, float, float]:
-    """Single coefficient triple ``(a_j^k, b_j^k, c_j^k)`` by adaptive quadrature.
-
-    ``a`` and ``b`` integrate their defining reconstruction-weight integrands
-    directly; ``c`` integrates the positive reformulation
-    ``alpha*tau_j^3/(tau_{j+1}*(tau_j+tau_{j+1})) * int_0^1 s*(1-s)*
-    (t_k* - t_j + s*tau_j)^{-alpha-1} ds``, which is exactly equal to the
-    antisymmetric original but immune to the digit loss that cancellation in
-    the original causes once ``t_k* - t_j >> tau_j``.
-    """
-    order = as_fractional_order(order)
-    _check_kj(mesh, k, j)
-    alpha, sigma = order.alpha, order.sigma
-    tau = mesh.steps
-    nodes = mesh.nodes
-    tj, tj1 = tau[j - 1], tau[j]
-    t_star = nodes[k - 1] + sigma * tau[k - 1]
-    w0 = t_star - nodes[j - 1]
-    wj = t_star - nodes[j]
-
-    def fa(theta: float) -> float:
-        return (-2.0 * tj * (1.0 - theta) - tj1) / (
-            (tj + tj1) * (w0 - theta * tj) ** alpha
-        )
-
-    def fb(theta: float) -> float:
-        return (tj + tj1 - 2.0 * tj * theta) / (tj1 * (w0 - theta * tj) ** alpha)
-
-    def fc(s: float) -> float:
-        return s * (1.0 - s) * (wj + s * tj) ** (-alpha - 1.0)
-
-    a = _quad_scalar(fa, 0.0, 1.0)
-    b = _quad_scalar(fb, 0.0, 1.0)
-    c_pref = alpha * tj**3 / (tj1 * (tj + tj1))
-    c = c_pref * _quad_scalar(fc, 0.0, 1.0)
-    return a, b, c
-
-
 def _quadrature_a_c(
     tj: np.ndarray,
     tj1: np.ndarray,
@@ -368,8 +300,12 @@ def _quadrature_a_c(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``a_j^k`` and ``c_j^k`` of many entries by one adaptive quadrature.
 
-    Takes the inputs of :func:`_closed_a_c` and integrates the integrands of
-    :func:`coeff_quadrature` for every entry at once.  Every component
+    Takes the inputs of :func:`_closed_a_c` and integrates the defining
+    integrand of ``a`` and a positive reformulation of that of ``c``,
+    ``alpha*tau_j^3/(tau_{j+1}*(tau_j+tau_{j+1})) * int_0^1 s*(1-s)*
+    (t_k* - t_j + s*tau_j)^{-alpha-1} ds`` (exactly equal to the
+    antisymmetric original but immune to its cancellation once
+    ``t_k* - t_j >> tau_j``), for every entry at once.  Every component
     integrand is pre-divided by its closed-form magnitude so the max-norm
     error control of the vectorized integrator delivers uniform RELATIVE
     accuracy across coefficients that differ by many orders of magnitude.
@@ -423,13 +359,13 @@ def _quadrature_a_c(
 # ---------------------------------------------------------------------------
 
 
-def _slab_edges(start: int, n: int):
-    """The slabs of levels ``start+1..n``, as ``(k0, k1)`` for levels ``k0+1..k1``.
+def _slab_edges(n: int):
+    """The slabs of levels ``1..n``, as ``(k0, k1)`` for levels ``k0+1..k1``.
 
     A slab takes the most rows ``r`` with ``r * (k0 + r) <= _SLAB_ENTRIES``,
     and at least one.
     """
-    k0 = start
+    k0 = 0
     while k0 < n:
         rows = (math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2
         k1 = min(k0 + max(rows, 1), n)
@@ -440,11 +376,10 @@ def _slab_edges(start: int, n: int):
 def _kernel_slabs(
     mesh: TimeMesh,
     order: FractionalOrder,
-    start: int,
     n: int,
     backend: str,
 ):
-    """Kernel data for levels ``start+1..n``, one slab of consecutive rows at a time.
+    """Kernel data for levels ``1..n``, one slab of consecutive rows at a time.
 
     Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
     and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
@@ -470,7 +405,7 @@ def _kernel_slabs(
     # the inputs and coefficients of the last entry computed at each distance
     # k - j; NaN inputs match nothing
     seen_w0, seen_tj, seen_tj1, seen_a, seen_c = np.full((5, n + 1), np.nan)
-    for k0, k1 in _slab_edges(start, n):
+    for k0, k1 in _slab_edges(n):
         a = np.zeros((k1 - k0, k1))
         c = np.zeros((k1 - k0, k1))
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
@@ -530,23 +465,6 @@ def _kernel_slabs(
         del a, c, m, t_star
 
 
-def build_kernel_row(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    k: int,
-    backend: str = "closed",
-) -> KernelRow:
-    """Build the level-``k`` kernel row alone (a one-row slab), with the chosen backend.
-
-    Closed entries are bit-identical to row ``k`` of :func:`build_kernel_table`;
-    quadrature entries agree with it to the integration tolerance.
-    """
-    order = as_fractional_order(order)
-    k = _check_levels(mesh, k)
-    _, _, a, c, m, t_star = next(_kernel_slabs(mesh, order, k - 1, k, backend))
-    return _row_view(k, a[0], c[0], m[0], t_star[0])
-
-
 def build_kernel_table(
     mesh: TimeMesh,
     order: "float | FractionalOrder",
@@ -569,7 +487,7 @@ def build_kernel_table(
     c = np.zeros((n, n))
     m = np.zeros((n, n))
     t_star = np.empty(n)
-    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, 0, n, backend):
+    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, n, backend):
         a[k0:k1, :k1], c[k0:k1, :k1], m[k0:k1, :k1], t_star[k0:k1] = a_s, c_s, m_s, t_s
     logger.debug("built %s kernel table with %d levels", backend, n)
     return KernelTable(mesh, order, backend, a, c, m, t_star)
@@ -712,33 +630,3 @@ def _check_levels(mesh: TimeMesh, n: int | None) -> int:
             f"levels must lie in [1, {mesh.num_steps}], got {n}"
         )
     return n
-
-
-def _check_kj(mesh: TimeMesh, k: int, j: int) -> None:
-    if not 2 <= k <= mesh.num_steps:
-        raise ValidationError(
-            f"coefficients exist for levels 2..{mesh.num_steps}, got k={k}"
-        )
-    if not 1 <= j <= k - 1:
-        raise ValidationError(f"interval index must lie in [1, {k - 1}], got {j}")
-
-
-def coeff_closed_form(
-    mesh: TimeMesh,
-    order: "float | FractionalOrder",
-    k: int,
-    j: int,
-) -> tuple[float, float, float]:
-    """Single coefficient triple ``(a_j^k, b_j^k, c_j^k)`` in closed form.
-
-    Evaluates the antiderivative formulas through series/expm1 regroupings
-    that stay accurate to machine precision for arbitrarily large ratios of
-    history span to step size.  ``b`` is returned as ``-(a + c)``, which the
-    zero-sum identity makes exact; the independently integrated ``b`` is
-    available from :func:`coeff_quadrature`.  The values are entry ``j`` of
-    the closed :func:`build_kernel_row`.
-    """
-    _check_kj(mesh, k, j)
-    row = build_kernel_row(mesh, order, k)
-    a, c = row.a[j - 1], row.c[j - 1]
-    return float(a), float(-(a + c)), float(c)

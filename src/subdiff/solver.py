@@ -84,7 +84,6 @@ __all__ = [
     "parse_space",
     "manufactured_problem",
     "manufactured_problem_1d",
-    "manufactured_problem_2d",
     "initialize_state",
     "step",
     "solve",
@@ -440,13 +439,6 @@ def manufactured_problem_1d(
     return manufactured_problem(order, DirichletLine(intervals))
 
 
-def manufactured_problem_2d(
-    order: "float | FractionalOrder", modes: int = 64
-) -> Problem:
-    """:func:`manufactured_problem` with ``sin x * sin y``, periodic."""
-    return manufactured_problem(order, PeriodicSquare(modes))
-
-
 @dataclass
 class SolverState:
     """Marching state: the coefficient history, active modes and per-step
@@ -692,12 +684,12 @@ def solve(
     """
     n = mesh.num_steps
     if table is None:
-        slabs = _kernel_slabs(mesh, problem.order, 0, n, backend)
+        slabs = _kernel_slabs(mesh, problem.order, n, backend)
     else:
         _check_table(table, problem, mesh)
         slabs = (
             (k0, k1, None, None, table.m[k0:k1, :k1], table.t_star[k0:k1])
-            for k0, k1 in _slab_edges(0, n)
+            for k0, k1 in _slab_edges(n)
         )
     state = initialize_state(problem, mesh)
     for slab in slabs:

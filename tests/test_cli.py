@@ -15,7 +15,6 @@ from subdiff import (
     ExperimentSpec,
     TimeMesh,
     admissibility_thresholds,
-    build_kernel_row,
     build_kernel_table,
     make_graded_mesh,
     read_mesh,
@@ -85,7 +84,7 @@ def test_version_flag(capsys):
 def test_every_default_backend_is_closed():
     # quadrature is the oracle, reached only by asking for it
     sites = (
-        build_kernel_table, build_kernel_row, solve, ExperimentSpec,
+        build_kernel_table, solve, ExperimentSpec,
         reproduce_tables, run_pointwise_comparison, run_stability_soak,
     )
     defaults = {site.__name__: inspect.signature(site).parameters["backend"].default for site in sites}

@@ -253,6 +253,39 @@ def test_run_convergence_report_structure(tmp_path):
     assert "wall" not in csv_path.read_text()
 
 
+
+def test_alphas_closer_than_any_tolerance_each_read_their_own_cells(tmp_path):
+    # the spec keeps every digit of an alpha, so the report, the per-alpha
+    # CSV and the JSON must all key a cell by the exact alpha
+    close = 0.5000000000001
+    spec = ExperimentSpec(
+        alphas=(0.5, close),
+        families=("uniform",),
+        step_counts=(4, 8),
+        space="d1:16",
+        out_dir=str(tmp_path),
+    )
+    report = run_convergence(spec)
+    by_alpha = {}
+    for cell in report.cells:
+        by_alpha.setdefault(cell.alpha, []).append(cell.max_l2_error)
+    assert sorted(by_alpha) == [0.5, close]
+    assert by_alpha[0.5] != by_alpha[close]  # the two orders give different errors
+    for alpha in (0.5, close):
+        assert report.cell(alpha, "uniform", 4).alpha == alpha
+        assert list(report.max_errors(alpha, "uniform")) == by_alpha[alpha]
+        assert report.observed_orders(alpha, "uniform") is report.orders[(alpha, "uniform")]
+        rows = [
+            line.split(",")
+            for line in (tmp_path / f"convergence_alpha{repr(alpha).replace('.', 'p')}.csv")
+            .read_text()
+            .splitlines()
+            if line.startswith("uniform,error,")
+        ]
+        assert [float(v) for v in rows[0][2:]] == by_alpha[alpha]
+    with pytest.raises(ValidationError):
+        report.cell(0.5 + 1e-15, "uniform", 4)
+
 def test_convergence_outputs_are_deterministic(tmp_path, monkeypatch):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_convergence(small_spec(out_dir=dir_a))

@@ -1,5 +1,9 @@
 """Kernel coefficients against a frozen high-precision oracle, row assembly,
-operator application, and the fractional-derivative reference integrator."""
+operator application, and the fractional-derivative reference integrator.
+
+The per-entry quadrature oracle :func:`coeff_quadrature` lives here: it is the
+only route that integrates ``b`` on its own, so the zero-sum identity the
+package relies on (``b = -(a + c)``) is checked against it."""
 import math
 import tracemalloc
 import warnings
@@ -16,11 +20,8 @@ from subdiff import (
     TimeMesh,
     admissibility_thresholds,
     apply_operator,
-    build_kernel_row,
     build_kernel_table,
     caputo_reference,
-    coeff_closed_form,
-    coeff_quadrature,
     dump_kernel_csv,
     make_graded_mesh,
     make_graded_then_uniform,
@@ -48,6 +49,71 @@ ORACLE_COEFFS = {
 }
 
 
+def _quad_scalar(f, lo, hi):
+    from scipy.integrate import quad
+
+    res = quad(
+        f,
+        lo,
+        hi,
+        epsabs=kernel_module._QUAD_ABS_TOL,
+        epsrel=kernel_module._QUAD_REL_TOL,
+        limit=kernel_module._QUAD_LIMIT,
+        full_output=1,
+    )
+    # the integrator may flag its own stopping heuristics near the roundoff
+    # floor; what the oracle requires is the achieved error estimate, so
+    # judge that against the tolerances directly
+    value, abserr = float(res[0]), float(res[1])
+    tol = max(kernel_module._QUAD_ABS_TOL, kernel_module._QUAD_REL_TOL * abs(value))
+    if len(res) > 3 and abserr > tol:
+        raise QuadratureConvergenceError(str(res[3]))
+    return value
+
+
+def _check_kj(mesh, k, j):
+    if not 2 <= k <= mesh.num_steps:
+        raise ValidationError(f"coefficients exist for levels 2..{mesh.num_steps}, got k={k}")
+    if not 1 <= j <= k - 1:
+        raise ValidationError(f"interval index must lie in [1, {k - 1}], got {j}")
+
+
+def coeff_quadrature(mesh, order, k, j):
+    """Single coefficient triple ``(a_j^k, b_j^k, c_j^k)`` by adaptive quadrature.
+
+    ``a`` and ``b`` integrate their defining reconstruction-weight integrands
+    directly; ``c`` integrates the positive reformulation
+    ``alpha*tau_j^3/(tau_{j+1}*(tau_j+tau_{j+1})) * int_0^1 s*(1-s)*
+    (t_k* - t_j + s*tau_j)^{-alpha-1} ds``, which is exactly equal to the
+    antisymmetric original but immune to the digit loss that cancellation in
+    the original causes once ``t_k* - t_j >> tau_j``.
+    """
+    order = kernel_module.as_fractional_order(order)
+    _check_kj(mesh, k, j)
+    alpha, sigma = order.alpha, order.sigma
+    tau = mesh.steps
+    nodes = mesh.nodes
+    tj, tj1 = tau[j - 1], tau[j]
+    t_star = nodes[k - 1] + sigma * tau[k - 1]
+    w0 = t_star - nodes[j - 1]
+    wj = t_star - nodes[j]
+
+    def fa(theta):
+        return (-2.0 * tj * (1.0 - theta) - tj1) / ((tj + tj1) * (w0 - theta * tj) ** alpha)
+
+    def fb(theta):
+        return (tj + tj1 - 2.0 * tj * theta) / (tj1 * (w0 - theta * tj) ** alpha)
+
+    def fc(s):
+        return s * (1.0 - s) * (wj + s * tj) ** (-alpha - 1.0)
+
+    a = _quad_scalar(fa, 0.0, 1.0)
+    b = _quad_scalar(fb, 0.0, 1.0)
+    c_pref = alpha * tj**3 / (tj1 * (tj + tj1))
+    c = c_pref * _quad_scalar(fc, 0.0, 1.0)
+    return a, b, c
+
+
 def test_fractional_order_derived_constants():
     order = FractionalOrder(0.4)
     assert order.sigma == pytest.approx(0.8)
@@ -63,7 +129,8 @@ def test_coefficients_match_frozen_oracle(backend):
     mesh = TimeMesh(ORACLE_NODES)
     for (k, j), expected in ORACLE_COEFFS.items():
         if backend == "closed":
-            triple = coeff_closed_form(mesh, ORACLE_ALPHA, k, j)
+            row = build_kernel_table(mesh, ORACLE_ALPHA, n=k).row(k)
+            triple = (row.a[j - 1], row.b[j - 1], row.c[j - 1])
         else:
             triple = coeff_quadrature(mesh, ORACLE_ALPHA, k, j)
         for got, want in zip(triple, expected):
@@ -82,7 +149,7 @@ def test_quadrature_triple_sums_to_zero():
 def test_coefficient_signs():
     mesh = make_graded_mesh(1.0, 12, 3.0)
     for k in range(2, 13):
-        row = build_kernel_row(mesh, 0.5, k, backend="closed")
+        row = build_kernel_table(mesh, 0.5, n=k).row(k)
         assert np.all(row.a < 0.0)
         assert np.all(row.b > 0.0)
         assert np.all(row.c > 0.0)
@@ -92,20 +159,21 @@ def test_coefficient_signs():
 def test_first_diagonal_entry_uniform():
     # sigma^(1-alpha) / ((1-alpha) * tau^alpha) at alpha = 0.5, tau = 1
     mesh = make_uniform_mesh(4.0, 4)
-    row = build_kernel_row(mesh, 0.5, 1)
+    row = build_kernel_table(mesh, 0.5, n=1).row(1)
     assert row.m_row.shape == (1,)
     assert row.m_row[0] == pytest.approx(1.7320508075688773, rel=1e-15)
     assert row.a.size == 0 and row.d.size == 0
     assert row.t_star == pytest.approx(0.75)
     # level 1 has no coefficient to integrate
-    assert build_kernel_row(mesh, 0.5, 1, backend="quadrature").m_row[0] == row.m_row[0]
+    quadrature = build_kernel_table(mesh, 0.5, n=1, backend="quadrature")
+    assert quadrature.row(1).m_row[0] == row.m_row[0]
 
 
 def test_row_layout_and_derived_arrays():
     mesh = make_graded_mesh(1.0, 10, 2.0)
     order = FractionalOrder(0.7)
     for k in (2, 5, 10):
-        row = build_kernel_row(mesh, order, k, backend="closed")
+        row = build_kernel_table(mesh, order, n=k).row(k)
         assert row.a.shape == (k - 1,)
         assert row.d.shape == (max(k - 2, 0),)
         assert row.m_row.shape == (k,)
@@ -195,7 +263,7 @@ def test_quadrature_refuses_a_missed_tolerance_naming_the_slab(monkeypatch):
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
     k0, k1 = next(
         (k0, k1)
-        for k0, k1, *_ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, 400, "closed")
+        for k0, k1, *_ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 400, "closed")
         if k0 < 300 <= k1
     )
     assert k0 > 0
@@ -335,7 +403,7 @@ def test_closed_table_is_the_same_across_block_edges():
     slabs = [
         (k0, k1)
         for k0, k1, *_ in kernel_module._kernel_slabs(
-            mesh, FractionalOrder(0.4), 0, mesh.num_steps, "closed"
+            mesh, FractionalOrder(0.4), mesh.num_steps, "closed"
         )
     ]
     edges = [k1 for _, k1 in slabs[:-1]]
@@ -379,7 +447,7 @@ def test_closed_slabs_reuse_entries_bit_for_bit(mesh):
     tau, nodes = mesh.steps, mesh.nodes
     slabs = 0
     for k0, k1, a, c, _, _ in kernel_module._kernel_slabs(
-        mesh, order, 0, mesh.num_steps, "closed"
+        mesh, order, mesh.num_steps, "closed"
     ):
         # reference: the slab's closed fill computes every entry of its triangle
         i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
@@ -402,39 +470,12 @@ def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
         return original(tau_j, tau_j1, w0, alpha)
 
     monkeypatch.setattr(kernel_module, "_closed_a_c", counted)
-    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), 0, n, "closed"):
+    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), n, "closed"):
         pass
     # the 1,179,392 entries with j <= 512 touch the graded head and are all
     # computed; of the 2,096,128 on the uniform tail only those in the first
     # slab that reaches their distance there are
     assert sum(computed) < 0.4 * n * (n - 1) / 2
-
-
-def test_build_kernel_row_computes_one_row(monkeypatch):
-    mesh = make_graded_mesh(1.0, 12, 2.0)
-    k = 9
-    row = build_kernel_row(mesh, 0.5, k, backend="closed")
-    want = build_kernel_table(mesh, 0.5, backend="closed").row(k)
-    for name in ("a", "c", "d", "m_row"):
-        assert np.array_equal(getattr(row, name), getattr(want, name)), name
-    assert row.t_star == want.t_star
-    # a quadrature row is integrated as a slab of its own, so it agrees with
-    # the table's row to the integration tolerance rather than bit for bit
-    calls = []
-    original = kernel_module._quadrature_a_c
-
-    def counted(tau_j, *args):
-        calls.append(tau_j.size)
-        return original(tau_j, *args)
-
-    monkeypatch.setattr(kernel_module, "_quadrature_a_c", counted)
-    row = build_kernel_row(mesh, 0.5, k, backend="quadrature")
-    assert calls == [k - 1]
-    want = build_kernel_table(mesh, 0.5, backend="quadrature").row(k)
-    for name in ("a", "c", "d", "m_row"):
-        got, ref = getattr(row, name), getattr(want, name)
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), name
-    assert row.t_star == want.t_star
 
 
 def test_closed_build_memory_is_bounded_by_the_stored_table():
@@ -477,7 +518,7 @@ def test_operator_forms_agree():
 
 def test_operator_handles_field_histories():
     mesh = make_uniform_mesh(1.0, 4)
-    row = build_kernel_row(mesh, 0.5, 3, backend="closed")
+    row = build_kernel_table(mesh, 0.5, n=3).row(3)
     history = np.arange(5.0)[:, None] * np.ones((1, 6))
     out = apply_operator(row, history, 0.5)
     assert out.shape == (6,)
@@ -524,15 +565,11 @@ def test_caputo_reference_edge_cases():
 def test_coefficient_argument_validation():
     mesh = make_uniform_mesh(1.0, 5)
     with pytest.raises(ValidationError):
-        coeff_quadrature(mesh, 0.5, 1, 1)  # coefficients need k >= 2
+        build_kernel_table(mesh, 0.5).row(6)  # beyond the mesh's levels
     with pytest.raises(ValidationError):
-        coeff_quadrature(mesh, 0.5, 3, 3)  # j must stay below k
+        build_kernel_table(mesh, 0.5, n=0)
     with pytest.raises(ValidationError):
-        coeff_closed_form(mesh, 0.5, 6, 1)
-    with pytest.raises(ValidationError):
-        build_kernel_row(mesh, 0.5, 0)
-    with pytest.raises(ValidationError):
-        build_kernel_row(mesh, 0.5, 2, backend="exact")
+        build_kernel_table(mesh, 0.5, n=2, backend="exact")
 
 
 def test_dump_kernel_csv(tmp_path):

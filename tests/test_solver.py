@@ -24,7 +24,6 @@ from subdiff import (
     make_uniform_mesh,
     manufactured_problem,
     manufactured_problem_1d,
-    manufactured_problem_2d,
     parse_space,
     solve,
     step,
@@ -208,7 +207,7 @@ def test_manufactured_1d_accuracy_and_residual():
 def test_single_mode_2d_stays_spectrally_pure():
     # the data excite only the (+-1, +-1) Fourier modes; the marching must
     # not leak energy into any other mode
-    problem = manufactured_problem_2d(0.5, modes=16)
+    problem = manufactured_problem(0.5, PeriodicSquare(16))
     state = solve(problem, make_graded_mesh(1.0, 12, 4.0), backend="closed")
     spectrum = np.abs(np.fft.fft2(state.history[-1]))
     active = np.zeros((16, 16), dtype=bool)
@@ -471,7 +470,7 @@ def test_march_holds_one_history_sized_array():
     history_bytes = (mesh.num_steps + 1) * initial.nbytes
     tracemalloc.start()
     try:
-        for _ in kernel_module._kernel_slabs(mesh, problem.order, 0, mesh.num_steps, "closed"):
+        for _ in kernel_module._kernel_slabs(mesh, problem.order, mesh.num_steps, "closed"):
             pass
         _, stream_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -561,7 +560,7 @@ def test_2d_manufactured_order_near_two():
     alpha = 0.7
     errors = []
     counts = (40, 80, 160)
-    problem = manufactured_problem_2d(alpha, modes=64)
+    problem = manufactured_problem(alpha, PeriodicSquare(64))
     for num_steps in counts:
         mesh = make_graded_mesh(1.0, num_steps, 2.0 / alpha)
         state = solve(problem, mesh, backend="closed")
@@ -624,7 +623,7 @@ def test_solve_rejects_table_for_another_problem():
 
 def _closed_slab_edges(mesh, alpha):
     slabs = kernel_module._kernel_slabs(
-        mesh, FractionalOrder(alpha), 0, mesh.num_steps, "closed"
+        mesh, FractionalOrder(alpha), mesh.num_steps, "closed"
     )
     return [k1 for _, k1, *_ in slabs][:-1]
 
@@ -766,7 +765,7 @@ def test_snapshot_csv_1d(tmp_path):
 
 
 def test_snapshot_csv_2d(tmp_path):
-    problem = manufactured_problem_2d(0.5, modes=8)
+    problem = manufactured_problem(0.5, PeriodicSquare(8))
     state = solve(problem, make_uniform_mesh(1.0, 2), backend="closed")
     path = tmp_path / "snapshot2d.csv"
     write_snapshot_csv(state, str(path), level=1)

@@ -1,13 +1,25 @@
-"""The traced benchmark run wraps program functions by module attribute
+"""Names and scripts outside the package that must keep working.
+
+The traced benchmark run wraps program functions by module attribute
 (``perfbench/spans.py``) and stops when one of them is gone; a refactor that
-renames or drops such a name must fail here first."""
+renames or drops such a name must fail here first.  The same holds for the
+names each module exports in ``__all__`` and for the demo scripts."""
+import importlib
 import importlib.util
+import os
+import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import subdiff
 import subdiff.cli  # noqa: F401  (imports every module the span sites name)
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+MODULES = ["subdiff", *(f"subdiff.{m.name}" for m in pkgutil.iter_modules(subdiff.__path__))]
 
 
 def test_every_span_site_resolves():
@@ -20,3 +32,36 @@ def test_every_span_site_resolves():
         if getattr(sys.modules.get(module), attr, None) is None
     ]
     assert spans._SITES and missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+# 05 writes into demos/out/ and 07 takes several seconds; the rest run in
+# about three seconds together
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_mesh_certification.py",
+        "02_kernel_and_operator.py",
+        "03_positivity_diagnostics.py",
+        "04_solve_subdiffusion.py",
+        "06_stability_soak.py",
+    ],
+)
+def test_demo_runs(demo):
+    src = str(Path(subdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
