@@ -102,9 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
              "graded:r=<n>/alpha, file:<path>",
     )
     mesh_common.add_argument("--file", metavar="PATH", help="mesh file (same as --mesh file:PATH)")
-    mesh_common.add_argument("--K", type=int, metavar="N", help="number of time steps")
-    mesh_common.add_argument("--horizon", type=float, default=1.0, metavar="T",
-                             help="final time (default 1.0)")
+    mesh_common.add_argument("--K", type=int, metavar="N",
+                             help="number of time steps (a mesh file's by default; "
+                                  "any other is refused)")
+    mesh_common.add_argument("--horizon", type=float, metavar="T",
+                             help="final time (default 1.0, or a mesh file's; "
+                                  "a file's other is refused)")
 
     backend_common = argparse.ArgumentParser(add_help=False)
     backend_common.add_argument(
@@ -246,8 +249,7 @@ def _family_needs_alpha(family: MeshFamily) -> bool:
 def _mesh_from_args(args):
     family = _mesh_family_from_args(args)
     if family.kind == "file":
-        mesh = read_mesh(family.path)
-        return family, mesh
+        return family, family.build(alpha=None, horizon=args.horizon, num_steps=args.K)
     if args.K is None:
         raise ValidationError("--K is required when building a mesh from a descriptor")
     alpha = getattr(args, "alpha", None)
@@ -258,8 +260,8 @@ def _mesh_from_args(args):
             )
     elif alpha is None:
         alpha = 0.5  # unused by alpha-independent families
-    mesh = family.build(alpha=alpha, horizon=args.horizon, num_steps=args.K)
-    return family, mesh
+    horizon = 1.0 if args.horizon is None else args.horizon
+    return family, family.build(alpha=alpha, horizon=horizon, num_steps=args.K)
 
 
 def _cmd_mesh_generate(args) -> int:

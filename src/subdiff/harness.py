@@ -137,8 +137,10 @@ class MeshFamily:
             return float(self.grading)
         return float(self.grading_numerator) / float(alpha)
 
-    def build(self, alpha: float, horizon: float, num_steps: int) -> TimeMesh:
-        """Construct the mesh; file meshes must match the requested size."""
+    def build(self, alpha: float, horizon: float | None, num_steps: int | None) -> TimeMesh:
+        """Construct the mesh.  A file mesh must match the requested step
+        count and horizon; either given as None (file meshes only) takes the
+        file's own."""
         if self.kind == "uniform":
             return make_uniform_mesh(horizon, num_steps)
         if self.kind == "graded":
@@ -146,15 +148,15 @@ class MeshFamily:
         if self.kind == "rvariable":
             return make_r_variable_mesh(horizon, num_steps, alpha)
         mesh = read_mesh(self.path)
-        if mesh.num_steps != num_steps:
+        if num_steps is not None and mesh.num_steps != num_steps:
             raise ValidationError(
                 f"mesh file {self.path} has {mesh.num_steps} steps, "
-                f"experiment asks for {num_steps}"
+                f"not the {num_steps} asked for"
             )
-        if not math.isclose(mesh.horizon, horizon, rel_tol=1e-9):
+        if horizon is not None and not math.isclose(mesh.horizon, horizon, rel_tol=1e-9):
             raise ValidationError(
                 f"mesh file {self.path} has horizon {mesh.horizon}, "
-                f"experiment asks for {horizon}"
+                f"not the {horizon} asked for"
             )
         return mesh
 
@@ -477,10 +479,10 @@ def _run_cell(
     spec: ExperimentSpec,
     problem: Problem,
     family: MeshFamily,
-    num_steps: int,
+    mesh: TimeMesh,
 ) -> CellResult:
     alpha = problem.order.alpha
-    mesh = family.build(alpha=alpha, horizon=spec.horizon, num_steps=num_steps)
+    num_steps = mesh.num_steps
     started = time.perf_counter()
     state = solve(problem, mesh, backend=spec.backend)
     wall = time.perf_counter() - started
@@ -500,12 +502,15 @@ def _run_cell(
     )
 
 
-def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
-    """Run all cells of the spec; flush completed cells if one fails."""
+def _execute_cells(spec: ExperimentSpec) -> tuple[list[TimeMesh], list[CellResult]]:
+    """Run all cells of the spec; return their meshes and results, in cell
+    order.  Every mesh is built before the first cell marches, so a family
+    that cannot build one fails the run with no cell marched; completed
+    cells are flushed if a march fails."""
     space = parse_space(spec.space)
     problems = {alpha: manufactured_problem(alpha, space) for alpha in spec.alphas}
     jobs = [
-        (problems[alpha], family, k)
+        (problems[alpha], family, family.build(alpha=alpha, horizon=spec.horizon, num_steps=k))
         for alpha in spec.alphas
         for family in spec.families
         for k in spec.step_counts
@@ -514,8 +519,8 @@ def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
     completed: list[CellResult] = []
     try:
         if workers == 1:
-            for problem, family, k in jobs:
-                completed.append(_run_cell(spec, problem, family, k))
+            for job in jobs:
+                completed.append(_run_cell(spec, *job))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = pool.map(lambda job: _run_cell(spec, *job), jobs)
@@ -525,7 +530,7 @@ def _execute_cells(spec: ExperimentSpec) -> list[CellResult]:
         if spec.out_dir is not None and completed:
             _flush_partial(spec, completed, exc)
         raise
-    return completed
+    return [mesh for _, _, mesh in jobs], completed
 
 
 def _flush_partial(spec: ExperimentSpec, cells: list[CellResult], exc: Exception) -> None:
@@ -631,7 +636,7 @@ def _verdict(cell: CellResult) -> Verdict:
 def _run_report(spec: ExperimentSpec, kind: str, with_verdicts: bool) -> ErrorReport:
     """Run the spec's cells and assemble orders, plus reference verdicts when
     asked; write the ``kind`` files when the spec names an output directory."""
-    cells = _execute_cells(spec)
+    _, cells = _execute_cells(spec)
     verdicts = tuple(_verdict(cell) for cell in cells) if with_verdicts else ()
     report = ErrorReport(
         spec=spec,
@@ -730,8 +735,7 @@ def run_pointwise_comparison(
     )
     num_steps = spec.step_counts[0]
     curves = []
-    for family, cell in zip(spec.families, _execute_cells(spec)):
-        mesh = family.build(alpha=order.alpha, horizon=spec.horizon, num_steps=num_steps)
+    for mesh, cell in zip(*_execute_cells(spec)):
         curves.append(
             PointwiseCurve(
                 family_label=cell.family_label,

@@ -497,15 +497,12 @@ def apply_operator(
     row: KernelRow,
     history: np.ndarray,
     order: "float | FractionalOrder",
-    form: str = "history",
 ) -> np.ndarray | float:
     """Apply the level-``k`` discrete fractional derivative to a history.
 
     ``history`` holds the solution values at levels ``0..k`` along its first
-    axis (extra trailing axes are carried through).  ``form`` selects the
-    algebraically equivalent evaluation: ``"history"`` combines the history
-    row ``m``, ``"delta"`` weights the level increments with ``a, d, c``; the
-    two agree to a relative 1e-12 and the difference is a test invariant.
+    axis (extra trailing axes are carried through), and is weighted with the
+    level's history row ``m``.
     """
     order = as_fractional_order(order)
     hist = np.asarray(history, dtype=float)
@@ -514,23 +511,10 @@ def apply_operator(
         raise DimensionMismatchError(
             f"history needs at least {k + 1} levels, got {hist.shape[0]}"
         )
-    hist = hist[: k + 1]
-    if form == "history":
-        m = row.m_row
-        value = m[-1] * hist[k] - m[0] * hist[0]
-        if k >= 2:
-            value = value - np.tensordot(np.diff(m), hist[1:k], axes=(0, 0))
-    elif form == "delta":
-        deltas = np.diff(hist, axis=0)
-        if k == 1:
-            value = row.m_row[0] * deltas[0]
-        else:
-            # m_{k,k} * delta_k bundles the current-interval weight with c_{k-1}
-            value = row.m_row[-1] * deltas[-1] - row.a[0] * deltas[0]
-            if k >= 3:
-                value = value + np.tensordot(row.d, deltas[1 : k - 1], axes=(0, 0))
-    else:
-        raise ValidationError(f"form must be 'history' or 'delta', got {form!r}")
+    m = row.m_row
+    value = m[-1] * hist[k] - m[0] * hist[0]
+    if k >= 2:
+        value = value - np.tensordot(np.diff(m), hist[1:k], axes=(0, 0))
     result = value / order.gamma_1ma
     return float(result) if np.ndim(result) == 0 else result
 

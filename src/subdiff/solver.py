@@ -27,18 +27,17 @@ each a function of time times a spatial profile, so each profile is
 transformed once, when the :class:`Problem` is built.  The scheme is
 diagonal in the eigenbasis, so :func:`solve` marches eigen-coefficients,
 one scalar recursion per mode, and only on the active set: the modes where
-the initial field or the profile of a source term already switched on has a
-coefficient above ``_MODE_FLOOR`` (1e-13) times the largest coefficient of
-that field.  A source term switches on at the first level where its time
-factor is nonzero; the set only grows, and a mode joins with its all-zero
-past.  What the floor drops is at most 1e-13 of its field, 700 times the
-transforms' own rounding of a single mode, and the largest dropped fraction
-is kept as ``SolverState.dropped``.  The run keeps only the coefficient
-history, ``(K+1) x |S|`` for ``|S|`` active modes; a field is built on
-demand (``SolverState.field``), and the norms are taken on the
-coefficients by Parseval.  :func:`solve` streams the kernel's history rows
-in slabs of consecutive levels and never holds the dense kernel table, only
-the coefficient history and one slab.  It marches a slab at a time, with no
+the initial field or any source profile has a coefficient above
+``_MODE_FLOOR`` (1e-13) times the largest coefficient of that field.  The
+set is a property of the run's data, fixed before level 1 and kept in
+ascending order.  What the floor drops is at most 1e-13 of its field, 700
+times the transforms' own rounding of a single mode, and the largest
+dropped fraction is kept as ``SolverState.dropped``.  The run keeps only
+the coefficient history, ``(K+1) x |S|`` for ``|S|`` active modes; a
+field is built on demand (``SolverState.field``), and the norms are taken
+on the coefficients by Parseval.  :func:`solve` streams the kernel's
+history rows in slabs of consecutive levels and never holds the dense
+kernel table, only the coefficient history and one slab.  It marches a slab at a time, with no
 transform: the history a slab's levels take from the levels before it is one
 matrix product, and each level adds only a dot over the slab's earlier
 levels and one division per mode.  The time factors are taken once per
@@ -95,8 +94,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
-# A coefficient joins the active set above this fraction of the largest
-# coefficient of its field: 700x the transforms' own rounding of one mode.
+# A mode is active where some field's coefficient is above this fraction of
+# that field's largest: 700x the transforms' own rounding of one mode.
 _MODE_FLOOR = 1e-13
 # Entries rows * (k + |S|) of one part of a slab, for levels up to k on |S|
 # active modes.  It bounds the march's temporaries (the differenced history
@@ -444,20 +443,19 @@ class SolverState:
     """Marching state: the coefficient history, active modes and per-step
     diagnostics.
 
-    ``coefficients`` is the packed coefficient history, ``(K+1) x |S|``:
-    row ``k`` holds level ``k``'s eigen-coefficients on the active modes,
-    column ``j`` that of mode ``modes[j]`` (a flat index into the space's
-    eigenbasis), zero at unreached levels and before the mode joined.
-    ``modes`` is the active set in the order its modes joined, and
-    ``active`` marks them on the flattened eigenbasis.  ``dropped`` is the
-    largest coefficient, relative to the largest of its field, that the
-    initial field or a switched-on source profile had on a mode outside the
-    active set, and ``switched_on[i]`` whether source term ``i`` has had a
-    nonzero time factor yet.  ``residual[k]`` is the relative max-norm
-    residual of the level-``k`` diagonal solve and ``h1_seminorm[k]`` the
-    energy seminorm of the solution, both 0.0 at unreached levels.  Fields
-    are built only on request: :meth:`field` one level, :attr:`history`
-    every computed level.
+    ``modes`` is the active set, fixed by :func:`initialize_state`: the
+    flat indices into the space's eigenbasis, ascending, where the initial
+    field or any source profile has a coefficient above ``_MODE_FLOOR``
+    times the largest coefficient of that field.  ``coefficients`` is the
+    packed coefficient history, ``(K+1) x |S|``: row ``k`` holds level
+    ``k``'s eigen-coefficients on the active modes, column ``j`` that of
+    mode ``modes[j]``, zero at unreached levels.  ``dropped`` is the largest
+    coefficient, relative to the largest of its own field, that any of these
+    fields has outside the active set.  ``residual[k]`` is the relative
+    max-norm residual of the level-``k`` diagonal solve and
+    ``h1_seminorm[k]`` the energy seminorm of the solution, both 0.0 at
+    unreached levels.  Fields are built only on request: :meth:`field` one
+    level, :attr:`history` every computed level.
     """
 
     problem: Problem
@@ -467,16 +465,14 @@ class SolverState:
     h1_seminorm: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
     modes: np.ndarray = field(repr=False)
-    active: np.ndarray = field(repr=False)
     dropped: float = 0.0
-    switched_on: np.ndarray = field(init=False, repr=False)
 
     def field(self, k: int) -> np.ndarray:
         """The solution field at computed level ``k`` (0..``level``)."""
         k = int(k)
         if not 0 <= k <= self.level:
             raise ValidationError(f"level {k} outside computed range 0..{self.level}")
-        flat = np.zeros(self.active.size)
+        flat = np.zeros(self.problem.initial.size)
         flat[self.modes] = self.coefficients[k]
         return self.problem.space.inverse(flat.reshape(self.problem.initial.shape))
 
@@ -503,56 +499,38 @@ class NormReport:
 
 
 def initialize_state(problem: Problem, mesh: TimeMesh) -> SolverState:
-    """Allocate the state and seed level 0 with the initial field's
-    coefficients on its active modes (see :class:`SolverState`)."""
+    """Allocate the state on the run's active set and seed level 0 with the
+    initial field's coefficients (see :class:`SolverState`)."""
     k_total = mesh.num_steps
     space = problem.space
     h1 = np.zeros(k_total + 1)
     h1[0] = space.h1_seminorm(problem.initial)
-    state = SolverState(
+    initial = space.forward(problem.initial).ravel()
+    magnitude = np.abs(np.vstack([initial, problem.source_coefficients]))
+    peak = magnitude.max(axis=1)
+    modes = np.flatnonzero((magnitude > _MODE_FLOOR * peak[:, None]).any(axis=0))
+    left = np.delete(magnitude, modes, axis=1).max(axis=1, initial=0.0)
+    live = peak > 0.0
+    coefficients = np.zeros((k_total + 1, modes.size))
+    coefficients[0] = initial[modes]
+    return SolverState(
         problem=problem,
         mesh=mesh,
         level=0,
-        coefficients=np.zeros((k_total + 1, 0)),
+        coefficients=coefficients,
         h1_seminorm=h1,
         residual=np.zeros(k_total + 1),
-        modes=np.zeros(0, dtype=np.intp),
-        active=np.zeros(problem.initial.size, dtype=bool),
+        modes=modes,
+        dropped=float(np.max(left[live] / peak[live], initial=0.0)),
     )
-    state.switched_on = np.zeros(len(problem.source), dtype=bool)
-    coeffs = space.forward(problem.initial).ravel()
-    _activate(state, coeffs)
-    state.coefficients[0] = coeffs[state.modes]
-    return state
-
-
-def _activate(state: SolverState, coeffs: np.ndarray) -> None:
-    """Add to the active set the modes where a field's flat coefficients
-    exceed ``_MODE_FLOOR`` times their largest, widening the coefficient
-    history by their all-zero columns; record what stays out."""
-    magnitude = np.abs(coeffs)
-    peak = float(magnitude.max())
-    outside = ~state.active
-    joining = outside & (magnitude > _MODE_FLOOR * peak)
-    if joining.any():
-        new = np.flatnonzero(joining)
-        state.active[new] = True
-        outside[new] = False
-        state.modes = np.concatenate([state.modes, new])
-        grown = np.zeros((state.coefficients.shape[0], state.modes.size))
-        grown[:, : state.coefficients.shape[1]] = state.coefficients
-        state.coefficients = grown
-    if peak > 0.0:
-        left = float(magnitude.max(where=outside, initial=0.0))
-        state.dropped = max(state.dropped, left / peak)
 
 
 def step(state: SolverState, row: KernelRow) -> SolverState:
     """Advance the state one level using the given kernel row.
 
     The row's level must be ``state.level + 1``.  This is the one-row case
-    of :func:`solve`'s slab march (:func:`_march_piece` gives the equation a
-    level solves).  Returns the same state object with ``coefficients``,
+    of :func:`solve`'s slab march (:func:`_march` gives the equation a level
+    solves).  Returns the same state object with ``coefficients``,
     ``h1_seminorm`` and ``residual`` filled at the new level.
     """
     _march(state, row.m_row[None, :], np.array([row.t_star]))
@@ -564,38 +542,9 @@ def _march(state: SolverState, m: np.ndarray, t_star: np.ndarray) -> None:
     laid out as those rows of a :class:`KernelTable` (``(k1 - k0) x k1``),
     and their offset points ``t_star``; ``k0`` must be ``state.level``.
 
-    The source's time factors are taken for the whole slab first.  The slab
-    is cut at every level where a source term switches on, and that term's
-    modes join before the level is solved, so each piece marches one active
-    set (see :func:`_march_piece`).
-    """
-    rows, k1 = m.shape
-    k0 = k1 - rows
-    if k0 != state.level:
-        raise DimensionMismatchError(
-            f"row level {k0 + 1} does not follow state level {state.level}"
-        )
-    problem = state.problem
-    factors = None
-    cuts = {0, rows}
-    if problem.source:
-        factors = _time_factors(problem.source, t_star, k0 + 1, "source")
-        waiting = factors[:, ~state.switched_on] != 0.0
-        cuts.update(np.argmax(waiting, axis=0)[waiting.any(axis=0)].tolist())
-    cuts = sorted(cuts)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if factors is not None:
-            for i in np.flatnonzero((factors[lo] != 0.0) & ~state.switched_on):
-                state.switched_on[i] = True
-                _activate(state, problem.source_coefficients[i])
-        _march_piece(state, m[lo:hi, : k0 + hi], None if factors is None else factors[lo:hi])
-
-
-def _march_piece(state: SolverState, m: np.ndarray, factors: np.ndarray | None) -> None:
-    """March levels ``k0+1..k1`` on one active set, from their history rows
-    ``m`` (``(k1 - k0) x k1``) and source time factors (None: no source).
-
-    Level ``k`` solves, on each active mode, the diagonal equation
+    The source's time factors are taken for the whole slab first, so one
+    that is not a finite real number is refused before any of its levels is
+    marched.  Level ``k`` solves, on each active mode, the diagonal equation
     ``(m_kk / Gamma(1-alpha) + sigma lam) c_k = rhs_k`` with
     ``rhs_k = f_k - (alpha/2) lam c_{k-1} + sum_j (m_{k,j+1} - m_{k,j}) c_j /
     Gamma(1-alpha)`` over ``j = 0..k-1`` (``m_{k,0} = 0``).  The levels go
@@ -610,14 +559,21 @@ def _march_piece(state: SolverState, m: np.ndarray, factors: np.ndarray | None) 
     """
     rows, k1 = m.shape
     k0 = k1 - rows
+    if k0 != state.level:
+        raise DimensionMismatchError(
+            f"row level {k0 + 1} does not follow state level {state.level}"
+        )
     problem = state.problem
+    source = None
+    if problem.source:
+        factors = _time_factors(problem.source, t_star, k0 + 1, "source")
+        source = problem.source_coefficients[:, state.modes]
     order = problem.order
     space = problem.space
     c = state.coefficients
     lam = space.laplacian_symbol.ravel()[state.modes]
     half_lam = 0.5 * order.alpha * lam
     sigma_lam = order.sigma * lam
-    source = None if factors is None else problem.source_coefficients[:, state.modes]
     # as few parts as the budget allows, their rows evened out
     parts = -(-rows // max(_PART_ENTRIES // (k1 + lam.size), 1))
     size = -(-rows // parts)
@@ -677,10 +633,10 @@ def solve(
     the same slab edges, bit-identical to the streamed run.  A table for
     another order, or on a mesh whose first ``mesh.num_steps + 1`` nodes
     differ, is refused with ValidationError.  The march runs a slab at a
-    time on the active modes' coefficients (see :func:`_march` and
-    :func:`_march_piece`), and the returned state holds only their history
-    (see :class:`SolverState`).  A source time factor that is not a finite
-    real number is refused before its slab is marched, naming its level.
+    time on the active modes' coefficients (see :func:`_march`), and the
+    returned state holds only their history (see :class:`SolverState`).  A
+    source time factor that is not a finite real number is refused before
+    its slab is marched, naming its level.
     """
     n = mesh.num_steps
     if table is None:
@@ -699,7 +655,7 @@ def solve(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,
         state.modes.size,
-        state.active.size,
+        problem.initial.size,
         float(np.max(state.residual)),
         state.dropped,
     )
@@ -744,7 +700,7 @@ def discrete_norms(state: SolverState) -> NormReport:
         factors = _time_factors(problem.exact, state.mesh.nodes[:levels], 0, "exact")
         exact_hat = problem.exact_coefficients
         diff = coeffs - factors @ exact_hat[:, state.modes]
-        outside = exact_hat[:, ~state.active]
+        outside = np.delete(exact_hat, state.modes, axis=1)
         energy = np.einsum("ks,ks->k", diff, diff)
         energy += np.einsum("ki,ij,kj->k", factors, outside @ outside.T, factors)
         l2_error = np.sqrt(weight * np.maximum(energy, 0.0))

@@ -427,6 +427,29 @@ def test_mesh_and_file_flags_conflict(tmp_path, capsys):
     assert "either --mesh or --file" in err
 
 
+def test_a_mesh_file_refuses_a_step_count_or_horizon_it_does_not_have(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    write_mesh(make_graded_mesh(1.0, 10, 2.0), path)
+    solve_args = ["solve", "--file", str(path), "--alpha", "0.5", "--space", "d1:16"]
+    for flags, message in (
+        (["--K", "100", "--horizon", "5"], "has 10 steps"),
+        (["--K", "100"], "has 10 steps"),
+        (["--horizon", "5"], "has horizon 1.0"),
+    ):
+        code, out, err = run_cli(capsys, *solve_args, *flags)
+        assert code == EXIT_INVALID, flags
+        assert message in err and out == ""
+    # left out, or the file's own, each flag takes the file's value
+    for flags in ([], ["--K", "10"], ["--horizon", "1"], ["--K", "10", "--horizon", "1.0"]):
+        code, out, _ = run_cli(capsys, *solve_args, *flags, "--out-dir", str(tmp_path))
+        assert code == EXIT_OK, flags
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["num_steps"], summary["horizon"]) == (10, 1.0)
+    for command in (["mesh-certify"], ["analyze", "--alpha", "0.5"]):
+        code, _, err = run_cli(capsys, *command, "--file", str(path), "--K", "12")
+        assert code == EXIT_INVALID and "has 10 steps" in err
+
+
 def test_reproduce_tables_headers_keep_every_digit_of_alpha(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")

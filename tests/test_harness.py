@@ -14,6 +14,7 @@ from subdiff import (
     benchmark_families,
     compute_orders,
     make_graded_mesh,
+    make_uniform_mesh,
     parse_config_file,
     parse_mesh_descriptor,
     reproduce_tables,
@@ -23,7 +24,8 @@ from subdiff import (
     write_mesh,
 )
 from subdiff.benchmarks import FAMILY_LABELS
-from subdiff.errors import ValidationError
+from subdiff import harness
+from subdiff.errors import LinearSolveError, ValidationError
 from subdiff.harness import WORKERS_ENV_VAR, _resolve_workers
 
 
@@ -304,33 +306,80 @@ def test_convergence_outputs_are_deterministic(tmp_path, monkeypatch):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def test_failed_experiment_flushes_finished_cells(tmp_path):
-    # a stored 8-step mesh serves K=8 and is refused at K=16: the finished
+def test_failed_experiment_flushes_finished_cells(tmp_path, monkeypatch):
+    # the alpha 0.5 cell marches and the alpha 0.7 one fails: the finished
     # cell goes to partial_cells.csv, then the error propagates
     mesh_path = tmp_path / "m8.txt"
     write_mesh(make_graded_mesh(1.0, 8, 2.0), mesh_path)
     out_dir = tmp_path / "out"
     spec = ExperimentSpec(
-        alphas=(0.5,),
+        alphas=(0.5, 0.7),
         families=(f"file:{mesh_path}",),
-        step_counts=(8, 16),
+        step_counts=(8,),
         space="d1:32",
         backend="closed",
         out_dir=str(out_dir),
     )
-    with pytest.raises(ValidationError, match="asks for 16"):
+
+    def solve(problem, mesh, backend):
+        if problem.order.alpha == 0.7:
+            raise LinearSolveError("level 3: non-finite solution")
+        return real_solve(problem, mesh, backend=backend)
+
+    real_solve = harness.solve
+    monkeypatch.setattr(harness, "solve", solve)
+    with pytest.raises(LinearSolveError, match="level 3"):
         run_convergence(spec)
     lines = (out_dir / "partial_cells.csv").read_text().splitlines()
     header = [line for line in lines if line.startswith("#")]
     data = [line for line in lines if not line.startswith("#")]
     assert header[0] == "# subdiff 0.1.0 partial-convergence-cells"
-    assert header[-1] == "# incomplete = ValidationError"
+    assert header[-1] == "# incomplete = LinearSolveError"
     assert data[0] == "alpha,family,num_steps,max_l2_error,argmax_level"
     assert len(data) == 2
     alpha, family, num_steps, error, argmax = data[1].split(",")
     assert (alpha, family, num_steps) == ("0.5", f"file:{mesh_path}", "8")
     assert 0.0 < float(error) < 1.0 and 1 <= int(argmax) <= 8
     assert not (out_dir / "convergence_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [("graded:r=0.5", "grading must be >= 1"), ("file", "has 4 steps, not the 8 asked for")],
+    ids=["graded", "file"],
+)
+def test_a_family_that_cannot_build_a_mesh_fails_before_any_cell_marches(
+    tmp_path, monkeypatch, bad, message
+):
+    # graded:r=0.5 passes the family check but no mesh builder takes it; a
+    # stored 4-step mesh serves K=4 and is refused at K=8
+    mesh_path = tmp_path / "m4.txt"
+    write_mesh(make_uniform_mesh(1.0, 4), mesh_path)
+    family = f"file:{mesh_path}" if bad == "file" else bad
+    out_dir = tmp_path / "out"
+    spec = ExperimentSpec(
+        alphas=(0.5,),
+        families=("uniform", family),
+        step_counts=(4, 8),
+        space="d1:16",
+        backend="closed",
+        out_dir=str(out_dir),
+    )
+    marched = []
+
+    def solve(problem, mesh, backend):
+        marched.append(mesh.num_steps)
+        return real_solve(problem, mesh, backend=backend)
+
+    real_solve = harness.solve
+    monkeypatch.setattr(harness, "solve", solve)
+    with pytest.raises(ValidationError, match=message):
+        run_convergence(spec)
+    assert marched == []
+    assert not (out_dir / "partial_cells.csv").exists()
+    with pytest.raises(ValidationError, match=message):
+        run_pointwise_comparison(0.5, families=("uniform", family), num_steps=8, space="d1:16")
+    assert marched == []
 
 
 def test_alpha_table_layout(tmp_path):

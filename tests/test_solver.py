@@ -406,9 +406,10 @@ def test_manufactured_problems_march_their_own_modes():
 
 
 def test_source_adds_a_mode_when_it_first_excites_it():
-    # sin 2x enters the source once t > 0.5; it joins the active set at the
-    # first level whose offset point passes 0.5, with an all-zero past, and
-    # each mode then follows its own scalar recursion
+    # sin 2x enters the source once t > 0.5; its mode is in the active set
+    # from level 0, as every source profile's is, and stays at rounding level
+    # until the first level whose offset point passes 0.5; each mode follows
+    # its own scalar recursion
     order = FractionalOrder(0.5)
     space = parse_space("d1:64")
     x = space.grid
@@ -421,17 +422,17 @@ def test_source_adds_a_mode_when_it_first_excites_it():
     mesh = make_graded_mesh(1.0, 32, 2.0)
     table = build_kernel_table(mesh, order, backend="closed")
     state = initialize_state(problem, mesh)
-    assert state.modes.size == 0
-    joined = None
+    assert state.modes.tolist() == [1, 3]
     for k in range(1, mesh.num_steps + 1):
         step(state, table.row(k))
-        if joined is None and state.modes.size == 2:
-            joined = k
     first = next(k for k in range(1, 33) if table.row(k).t_star > 0.5)
-    assert joined == first
-    assert state.modes.tolist() == [1, 3]
+    scale = np.max(np.abs(state.coefficients))
+    # the late mode picks up only the first profile's transform rounding
+    assert np.all(np.abs(state.coefficients[:first, 1]) <= 1e-15 * scale)
+    assert np.all(np.abs(state.coefficients[first:, 1]) > 1e-9 * scale)
 
     state = solve(problem, mesh, table=table)
+    assert state.modes.tolist() == [1, 3]
     lam = space.laplacian_symbol
     for mode, index, forcing in ((modes[0], 1, lambda t: 1.0), (modes[1], 3, ramp)):
         v = _scalar_mode_march(table, order, lam[index], forcing)
@@ -455,6 +456,28 @@ def test_small_initial_mode_is_kept():
     v = _scalar_mode_march(table, order, space.laplacian_symbol[5], lambda t: 0.0, start=1e-6)
     projected = state.history @ (mode / np.dot(mode, mode))
     assert np.max(np.abs(projected - v) / np.abs(v)) <= 1e-9
+
+
+def test_active_set_is_fixed_from_every_field_before_level_one():
+    # a term whose factor is zero throughout still brings its mode; what each
+    # field leaves below the floor is measured against its own peak
+    space = parse_space("d1:64")
+    x = space.grid
+    problem = Problem(
+        order=0.5,
+        space=space,
+        initial=np.sin(x) + 1e-14 * np.sin(3.0 * x),
+        source=[(lambda t: 0.0, 5.0 * (np.sin(2.0 * x) + 1e-15 * np.sin(4.0 * x)))],
+    )
+    mesh = make_uniform_mesh(1.0, 4)
+    state = initialize_state(problem, mesh)
+    assert state.modes.tolist() == [1, 3]
+    assert state.coefficients.shape == (5, 2)
+    assert state.dropped == pytest.approx(1e-14, rel=0.1)
+    solved = solve(problem, mesh, backend="closed")
+    assert np.array_equal(solved.modes, state.modes)
+    # it holds only the initial field's transform rounding
+    assert np.all(np.abs(solved.coefficients[:, 1]) <= 1e-15 * np.abs(solved.coefficients[0, 0]))
 
 
 def test_march_holds_one_history_sized_array():
@@ -723,8 +746,9 @@ def _switching_case(descriptor, t_on):
 @pytest.mark.parametrize("descriptor", ["d1:64", "p2:16"])
 def test_source_switching_on_mid_slab_matches_the_one_row_march(descriptor):
     # the second term switches on at the seventh level of the third slab;
-    # the slab march must join its modes at that level, as a march of one
-    # row at a time does, and give the same coefficients
+    # its modes are active from level 0 and stay at rounding level until
+    # then, and the slab march gives the coefficients of a march of one row
+    # at a time
     mesh = make_graded_mesh(1.0, 400, 2.0)
     edges = _closed_slab_edges(mesh, 0.5)
     assert len(edges) >= 3
@@ -734,16 +758,15 @@ def test_source_switching_on_mid_slab_matches_the_one_row_march(descriptor):
     problem = _switching_case(descriptor, t_on)
     streamed = solve(problem, mesh, backend="closed")
     one_row = initialize_state(problem, mesh)
-    before = one_row.modes.size
-    joined = None
+    assert np.array_equal(streamed.modes, one_row.modes)
+    assert np.all(np.diff(one_row.modes) > 0)
     for k in range(1, mesh.num_steps + 1):
         step(one_row, table.row(k))
-        if joined is None and one_row.modes.size > before:
-            joined = k
-    assert joined == join
-    assert np.array_equal(streamed.modes, one_row.modes)
-    new = streamed.coefficients[:, before:]
-    assert np.all(new[:join] == 0.0) and np.all(new[join] != 0.0)
+    first = np.abs(problem.source_coefficients[0, streamed.modes])
+    late = streamed.coefficients[:, first <= 1e-13 * first.max()]
+    assert late.shape[1] == (1 if descriptor == "d1:64" else 4)
+    top = np.max(np.abs(streamed.coefficients))
+    assert np.all(np.abs(late[:join]) <= 1e-15 * top) and np.all(np.abs(late[join]) > 1e-9 * top)
     scale = np.max(np.abs(one_row.coefficients), axis=0)
     assert np.all(np.abs(streamed.coefficients - one_row.coefficients) <= 1e-13 * scale)
 
