@@ -28,7 +28,6 @@ __all__ = [
     "reference_orders",
     "tolerance_ladder",
     "theoretical_order",
-    "grading_for_label",
 ]
 
 ALPHAS = (0.3, 0.5, 0.7)
@@ -122,12 +121,3 @@ def tolerance_ladder(reference_value: float) -> float:
 def theoretical_order(alpha: float, grading: float) -> float:
     """Predicted convergence order ``min(grading * alpha, 2)``."""
     return min(float(grading) * float(alpha), 2.0)
-
-
-def grading_for_label(label: str, alpha: float) -> float:
-    """Resolve a benchmark family label (``r=<x>`` or ``r=<n>/alpha``) to its
-    grading exponent."""
-    if label not in FAMILY_LABELS:
-        raise ValidationError(f"unknown benchmark family {label!r}")
-    numerator, per_alpha, _ = label[2:].partition("/alpha")
-    return float(numerator) / float(alpha) if per_alpha else float(numerator)

@@ -7,9 +7,12 @@ standard error as ``subdiff: error: <category>: <message>``.
 
 Outputs land under the directory given by ``--out-dir`` and every written
 file starts with a reproducibility header (version, parameters,
-tolerances).  ``--config`` accepts a key = value experiment file whose
-entries override the corresponding flags; the SUBDIFF_WORKERS environment
-variable sets the default worker count.
+tolerances).  ``reproduce-tables --config`` reads a key = value experiment
+file by one rule: the flags are defaults and a config entry overrides its
+flag; a custom-experiment key runs that experiment in place of the
+benchmark tables, and the table-only settings (``--paper-exact``,
+``--extended`` or their keys) are refused with it.  The SUBDIFF_WORKERS
+environment variable sets the default worker count.
 """
 from __future__ import annotations
 
@@ -31,22 +34,24 @@ from .analysis import (
     check_psd,
     positivity_certificate,  # not called here; perfbench/spans.py wraps this name in this module
 )
-from .benchmarks import ALPHAS
 from .errors import NumericalError, SubdiffError, ValidationError
 from .harness import (
     WORKERS_ENV_VAR,
     ExperimentSpec,
     MeshFamily,
+    _tables_or_experiment,
     parse_config_file,
-    parse_config_list,
-    parse_config_value,
     parse_mesh_descriptor,
     reproduce_tables,
     run_convergence,
     run_stability_soak,
 )
 from .kernel import BACKENDS, build_kernel_table, dump_kernel_csv
-from .meshes import certify_mesh, read_mesh, write_mesh
+from .meshes import (
+    certify_mesh,
+    read_mesh,  # not called here; perfbench/spans.py wraps this name in this module
+    write_mesh,
+)
 from .provenance import json_text, reproducibility_header, write_json
 from .solver import (
     Problem,
@@ -181,17 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
             "and the four mesh families.  --paper-exact uses the reference "
             "spatial grid and issues per-cell verdicts under the tolerance "
             "ladder (exit 3 if any cell misses).  A --config file (keys alphas, "
-            "paper_exact, extended, backend, workers, out_dir) overrides flags; "
-            "a config carrying meshes, step_counts, space or horizon runs that "
-            "custom experiment instead (no reference verdicts).  Other keys "
-            "are refused."
+            "backend, workers, out_dir, paper_exact, extended) overrides the "
+            "flag of each key it sets.  A config carrying meshes, step_counts, "
+            "space or horizon runs that custom experiment instead (no reference "
+            "verdicts), and is refused together with --paper-exact, --extended "
+            "or their keys.  Other keys are refused."
         ),
     )
     p.add_argument("--alpha", type=float, action="append", metavar="A",
                    help="restrict to this alpha (repeatable; default all)")
-    p.add_argument("--paper-exact", action="store_true",
+    # None when left out: only a given flag counts against a custom config
+    p.add_argument("--paper-exact", action="store_true", default=None,
                    help="reference spatial grid h=2*pi/10000 plus cell verdicts")
-    p.add_argument("--extended", action="store_true",
+    p.add_argument("--extended", action="store_true", default=None,
                    help="include the {320,480,640} step counts")
     p.add_argument("--workers", type=int, metavar="N",
                    help=f"parallel cells (default ${WORKERS_ENV_VAR} or 1)")
@@ -209,8 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--alpha", type=float, required=True, help="fractional order in (0,1)")
-    p.add_argument("--horizon", type=float, default=50.0, help="final time (default 50)")
-    p.add_argument("--K", type=int, default=500, help="total steps (default 500)")
+    p.add_argument("--horizon", type=float,
+                   help="final time (default 50, or a mesh file's; a file's other is refused)")
+    p.add_argument("--K", type=int,
+                   help="total steps (default 500, or a mesh file's; any other is refused)")
     p.add_argument("--grading", type=float, default=2.0,
                    help="grading exponent of the initial layer (default 2)")
     p.add_argument("--split-time", type=float, default=1.0,
@@ -222,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-source", action="store_true",
                    help="decay run: zero forcing, monotone norms expected")
     p.add_argument("--mesh-file", metavar="PATH",
-                   help="march on this stored mesh instead of the built one")
+                   help="march on this stored mesh instead of the built one; "
+                        "the grading and split flags are then unused")
     p.add_argument("--plateau-factor", type=float, default=1.01,
                    help="allowed late-window growth factor (default 1.01)")
     p.add_argument("--out-dir", metavar="DIR",
@@ -232,36 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mesh_family_from_args(args) -> MeshFamily:
-    if getattr(args, "file", None):
-        if getattr(args, "mesh", None):
-            raise ValidationError("give either --mesh or --file, not both")
-        return MeshFamily(kind="file", path=args.file)
-    if not getattr(args, "mesh", None):
-        raise ValidationError("a mesh is required: --mesh DESC or --file PATH")
-    return parse_mesh_descriptor(args.mesh)
-
-
-def _family_needs_alpha(family: MeshFamily) -> bool:
-    return family.kind == "rvariable" or family.grading_numerator is not None
-
-
 def _mesh_from_args(args):
-    family = _mesh_family_from_args(args)
-    if family.kind == "file":
-        return family, family.build(alpha=None, horizon=args.horizon, num_steps=args.K)
-    if args.K is None:
-        raise ValidationError("--K is required when building a mesh from a descriptor")
-    alpha = getattr(args, "alpha", None)
-    if _family_needs_alpha(family):
-        if alpha is None:
-            raise ValidationError(
-                f"mesh family {family.label!r} depends on alpha; pass --alpha"
-            )
-    elif alpha is None:
-        alpha = 0.5  # unused by alpha-independent families
-    horizon = 1.0 if args.horizon is None else args.horizon
-    return family, family.build(alpha=alpha, horizon=horizon, num_steps=args.K)
+    if args.mesh and args.file:
+        raise ValidationError("give either --mesh or --file, not both")
+    if not (args.mesh or args.file):
+        raise ValidationError("a mesh is required: --mesh DESC or --file PATH")
+    family = parse_mesh_descriptor(args.mesh or f"file:{args.file}")
+    return family, family.build(alpha=args.alpha, horizon=args.horizon, num_steps=args.K)
 
 
 def _cmd_mesh_generate(args) -> int:
@@ -272,7 +259,7 @@ def _cmd_mesh_generate(args) -> int:
         "descriptor": family.label,
         "admissible": certificate.satisfied,
     }
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         comments["alpha"] = args.alpha
     write_mesh(mesh, args.out, comments=comments)
     print(
@@ -388,15 +375,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"config key {key} must be boolean, got {text!r}")
-
-
 def _print_report_tables(report) -> None:
     spec = report.spec
     for alpha in spec.alphas:
@@ -431,55 +409,24 @@ def _print_report_tables(report) -> None:
 
 def _cmd_reproduce_tables(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    if {"meshes", "step_counts", "space", "horizon"} & set(config):
-        mapping = dict(config)
-        mapping.setdefault(
-            "alphas", ",".join(repr(a) for a in (args.alpha or ALPHAS))
-        )
-        mapping.setdefault("backend", args.backend)
-        if args.workers is not None:
-            mapping.setdefault("workers", str(args.workers))
-        if args.out_dir is not None:
-            mapping.setdefault("out_dir", args.out_dir)
-        spec = ExperimentSpec.from_mapping(mapping)
-        report = run_convergence(spec)
-        _print_report_tables(report)
-        return EXIT_OK
-    unknown = set(config) - {"alphas", "paper_exact", "extended", "backend", "workers", "out_dir"}
-    if unknown:
-        raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
-    alphas = args.alpha
-    if "alphas" in config:
-        alphas = parse_config_list("alphas", config["alphas"], float)
-    paper_exact = args.paper_exact
-    if "paper_exact" in config:
-        paper_exact = _parse_bool(config["paper_exact"], "paper_exact")
-    extended = args.extended
-    if "extended" in config:
-        extended = _parse_bool(config["extended"], "extended")
-    backend = config.get("backend", args.backend)
-    workers = args.workers
-    if "workers" in config:
-        workers = parse_config_value("workers", config["workers"], int)
-    out_dir = config.get("out_dir", args.out_dir)
-    report = reproduce_tables(
-        alphas=alphas,
-        extended=extended,
-        paper_exact=paper_exact,
-        backend=backend,
-        workers=workers,
-        out_dir=out_dir,
-    )
+    run = _tables_or_experiment(vars(args), config)
+    if isinstance(run, ExperimentSpec):
+        report = run_convergence(run)
+    else:
+        report = reproduce_tables(**run)
     _print_report_tables(report)
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
 def _cmd_soak(args) -> int:
-    mesh = read_mesh(args.mesh_file) if args.mesh_file else None
+    mesh = None
+    if args.mesh_file:
+        family = MeshFamily(kind="file", path=args.mesh_file)
+        mesh = family.build(alpha=None, horizon=args.horizon, num_steps=args.K)
     report = run_stability_soak(
         args.alpha,
-        horizon=args.horizon,
-        num_steps=args.K,
+        horizon=50.0 if args.horizon is None else args.horizon,
+        num_steps=500 if args.K is None else args.K,
         grading=args.grading,
         split_time=args.split_time,
         split_steps=args.split_steps,

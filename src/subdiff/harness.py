@@ -30,7 +30,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -38,9 +38,11 @@ import numpy as np
 
 from . import benchmarks
 from .errors import ValidationError
-from .kernel import BACKENDS, as_fractional_order
+from .kernel import _check_backend, as_fractional_order
 from .meshes import (
     TimeMesh,
+    _check_grading,
+    _check_horizon,
     certify_mesh,
     make_graded_mesh,
     make_graded_then_uniform,
@@ -110,9 +112,13 @@ class MeshFamily:
                 raise ValidationError(
                     "graded family needs exactly one of grading, grading_numerator"
                 )
-            value = self.grading if self.grading is not None else self.grading_numerator
-            if not float(value) > 0.0:
-                raise ValidationError(f"grading must be positive, got {value}")
+            if self.grading is not None:
+                _check_grading(self.grading)
+            # whether n/alpha >= 1 holds depends on the alpha a build is given
+            elif not 0.0 < float(self.grading_numerator) < math.inf:
+                raise ValidationError(
+                    f"grading numerator must be finite and > 0, got {self.grading_numerator}"
+                )
         else:
             if self.grading is not None or self.grading_numerator is not None:
                 raise ValidationError(f"{self.kind} family takes no grading")
@@ -137,10 +143,16 @@ class MeshFamily:
             return float(self.grading)
         return float(self.grading_numerator) / float(alpha)
 
-    def build(self, alpha: float, horizon: float | None, num_steps: int | None) -> TimeMesh:
-        """Construct the mesh.  A file mesh must match the requested step
-        count and horizon; either given as None (file meshes only) takes the
-        file's own."""
+    def build(self, alpha: float | None, horizon: float | None, num_steps: int | None) -> TimeMesh:
+        """Construct the mesh.  ``alpha`` may be None where the family does not
+        depend on it.  A descriptor needs ``num_steps`` and takes horizon 1.0
+        for None; a file mesh must match each one given, and None takes its own."""
+        if self.kind != "file":
+            if num_steps is None:
+                raise ValidationError(f"mesh family {self.label!r} needs a step count")
+            if alpha is None and (self.kind == "rvariable" or self.grading_numerator is not None):
+                raise ValidationError(f"mesh family {self.label!r} depends on alpha; give one")
+            horizon = 1.0 if horizon is None else horizon
         if self.kind == "uniform":
             return make_uniform_mesh(horizon, num_steps)
         if self.kind == "graded":
@@ -180,9 +192,7 @@ def parse_mesh_descriptor(text: str) -> MeshFamily:
                 )
             return MeshFamily(kind="graded", grading=float(value))
         except ValueError as exc:
-            raise ValidationError(
-                f"bad grading in mesh descriptor {text!r}"
-            ) from exc
+            raise ValidationError(f"bad grading in mesh descriptor {text!r}: {exc}") from exc
     raise ValidationError(
         f"bad mesh descriptor {text!r}; expected uniform, rvariable, "
         "graded:r=<x>, graded:r=<n>/alpha, or file:<path>"
@@ -235,10 +245,8 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(step_counts, step_counts[1:])):
             raise ValidationError(f"step_counts must be strictly increasing: {step_counts}")
         parse_space(self.space)
-        if not float(self.horizon) > 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if self.backend not in BACKENDS:
-            raise ValidationError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        _check_horizon(self.horizon)
+        _check_backend(self.backend)
         if self.workers is not None and int(self.workers) < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "alphas", alphas)
@@ -253,35 +261,7 @@ class ExperimentSpec:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ExperimentSpec":
         """Build a spec from config-file keys (see :func:`parse_config_file`)."""
-        known = {
-            "alphas", "meshes", "step_counts", "space", "horizon", "backend",
-            "workers", "out_dir",
-        }
-        unknown = set(mapping) - known
-        if unknown:
-            raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        if "alphas" in mapping:
-            kwargs["alphas"] = parse_config_list("alphas", mapping["alphas"], float)
-        if "meshes" in mapping:
-            kwargs["families"] = parse_config_list(
-                "meshes", mapping["meshes"], parse_mesh_descriptor
-            )
-        if "step_counts" in mapping:
-            kwargs["step_counts"] = parse_config_list(
-                "step_counts", mapping["step_counts"], int
-            )
-        for key in ("space", "backend", "out_dir"):
-            if key in mapping:
-                kwargs[key] = mapping[key]
-        if "horizon" in mapping:
-            kwargs["horizon"] = parse_config_value("horizon", mapping["horizon"], float)
-        if "workers" in mapping:
-            kwargs["workers"] = parse_config_value("workers", mapping["workers"], int)
-        missing = {"alphas", "families", "step_counts"} - set(kwargs)
-        if missing:
-            raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
-        return cls(**kwargs)
+        return _custom_spec(_config_settings({}, mapping))
 
     def parameters(self) -> dict:
         """Header-ready parameter mapping (deterministic order)."""
@@ -321,6 +301,72 @@ def parse_config_list(key: str, text: str, kind) -> tuple:
     converted as by :func:`parse_config_value`."""
     items = (item.strip() for item in text.split(","))
     return tuple(parse_config_value(key, item, kind) for item in items if item)
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValidationError(f"config key {key} must be boolean, got {text!r}")
+
+
+# The one table of a reproduce-tables run's settings: each config key with the
+# flag that gives its default (None: no flag) and the parser of its text.
+_CONFIG_KEYS = {
+    "alphas": ("alpha", partial(parse_config_list, kind=float)),
+    "backend": ("backend", partial(parse_config_value, kind=str)),
+    "workers": ("workers", partial(parse_config_value, kind=int)),
+    "out_dir": ("out_dir", partial(parse_config_value, kind=str)),
+    "paper_exact": ("paper_exact", _parse_bool),
+    "extended": ("extended", _parse_bool),
+    "meshes": (None, partial(parse_config_list, kind=parse_mesh_descriptor)),
+    "step_counts": (None, partial(parse_config_list, kind=int)),
+    "space": (None, partial(parse_config_value, kind=str)),
+    "horizon": (None, partial(parse_config_value, kind=float)),
+}
+_TABLE_KEYS = ("paper_exact", "extended")
+_CUSTOM_KEYS = ("meshes", "step_counts", "space", "horizon")
+
+
+def _config_settings(flags: Mapping[str, object], config: Mapping[str, str]) -> dict:
+    """Each key's parsed config entry, or else its flag's value if not None."""
+    unknown = set(config) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown experiment keys: {sorted(unknown)}")
+    settings = {}
+    for key, (flag, parse) in _CONFIG_KEYS.items():
+        if key in config:
+            settings[key] = parse(key, config[key])
+        elif flags.get(flag) is not None:
+            settings[key] = flags[flag]
+    return settings
+
+
+def _custom_spec(settings: dict) -> "ExperimentSpec":
+    table = [key for key in _TABLE_KEYS if key in settings]
+    if table:
+        raise ValidationError(
+            f"the benchmark-table keys {table} do not mix with the "
+            f"custom-experiment keys {list(_CUSTOM_KEYS)}"
+        )
+    missing = {"alphas", "meshes", "step_counts"} - set(settings)
+    if missing:
+        raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
+    return ExperimentSpec(families=settings.pop("meshes"), **settings)
+
+
+def _tables_or_experiment(
+    flags: Mapping[str, object], config: Mapping[str, str]
+) -> "ExperimentSpec | dict":
+    """A reproduce-tables run: the spec of the custom experiment if any custom
+    key is set (over every benchmark alpha by default), else the keyword
+    arguments of :func:`reproduce_tables`."""
+    settings = _config_settings(flags, config)
+    if any(key in settings for key in _CUSTOM_KEYS):
+        return _custom_spec({"alphas": benchmarks.ALPHAS, **settings})
+    return settings
 
 
 def parse_config_file(path: "str | Path") -> dict[str, str]:

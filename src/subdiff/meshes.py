@@ -222,9 +222,7 @@ def make_graded_mesh(horizon: float, num_steps: int, grading: float) -> TimeMesh
     fractional problem has weak regularity; ``grading = 1`` is uniform.
     """
     horizon, num_steps = _check_horizon_steps(horizon, num_steps)
-    grading = float(grading)
-    if not np.isfinite(grading) or grading < 1.0:
-        raise ValidationError(f"grading must be >= 1, got {grading}")
+    grading = _check_grading(grading)
     j = np.arange(num_steps + 1, dtype=float)
     nodes = horizon * (j / num_steps) ** grading
     nodes[0], nodes[-1] = 0.0, horizon
@@ -322,14 +320,26 @@ def read_mesh(path: str | Path) -> TimeMesh:
     return TimeMesh(np.asarray(nodes))
 
 
-def _check_horizon_steps(horizon: float, num_steps: int) -> tuple[float, int]:
+def _check_horizon(horizon: float) -> float:
     horizon = float(horizon)
-    num_steps = int(num_steps)
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    return horizon
+
+
+def _check_horizon_steps(horizon: float, num_steps: int) -> tuple[float, int]:
+    horizon = _check_horizon(horizon)
+    num_steps = int(num_steps)
     if num_steps < 1:
         raise ValidationError(f"num_steps must be >= 1, got {num_steps}")
     return horizon, num_steps
+
+
+def _check_grading(grading: float) -> float:
+    grading = float(grading)
+    if not np.isfinite(grading) or grading < 1.0:
+        raise ValidationError(f"grading must be >= 1, got {grading}")
+    return grading
 
 
 def _check_alpha(alpha: float) -> float:

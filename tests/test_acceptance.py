@@ -33,6 +33,7 @@ from subdiff import (
     make_graded_mesh,
     make_r_variable_mesh,
     make_uniform_mesh,
+    parse_mesh_descriptor,
     reproduce_tables,
     run_pointwise_comparison,
     run_stability_soak,
@@ -186,7 +187,7 @@ def test_criterion_03_order_envelope(announce):
     for alpha in benchmarks.ALPHAS:
         problem = time_only_problem(alpha)
         for label in benchmarks.FAMILY_LABELS:
-            grading = benchmarks.grading_for_label(label, alpha)
+            grading = parse_mesh_descriptor(f"graded:{label}").grading_at(alpha)
             errors = [
                 discrete_norms(
                     solve(problem, make_graded_mesh(1.0, k, grading), backend="closed")
@@ -227,7 +228,7 @@ def test_criterion_04_operator_positivity(
     named = []
     for alpha in benchmarks.ALPHAS:
         for label in benchmarks.FAMILY_LABELS:
-            grading = benchmarks.grading_for_label(label, alpha)
+            grading = parse_mesh_descriptor(f"graded:{label}").grading_at(alpha)
             named.append(
                 (alpha, make_graded_mesh(1.0, FUZZ_LEVELS, grading), label, "quadrature")
             )
@@ -305,7 +306,7 @@ def test_criterion_06_complementary_kernel(announce):
     rows, cols = np.tril_indices(FUZZ_LEVELS)
     for alpha in benchmarks.ALPHAS:
         for label in benchmarks.FAMILY_LABELS:
-            grading = benchmarks.grading_for_label(label, alpha)
+            grading = parse_mesh_descriptor(f"graded:{label}").grading_at(alpha)
             mesh = make_graded_mesh(1.0, FUZZ_LEVELS, grading)
             table = build_kernel_table(mesh, alpha, backend="quadrature")
             p = build_complementary_kernel(table)
@@ -387,7 +388,7 @@ def test_criterion_08_backend_equivalence(announce):
     meshes = []
     for alpha in benchmarks.ALPHAS:
         for label in benchmarks.FAMILY_LABELS:
-            grading = benchmarks.grading_for_label(label, alpha)
+            grading = parse_mesh_descriptor(f"graded:{label}").grading_at(alpha)
             meshes.append((alpha, make_graded_mesh(1.0, num_steps, grading), label))
         meshes.append((alpha, make_r_variable_mesh(1.0, num_steps, alpha), "rvariable"))
         meshes.append((alpha, make_uniform_mesh(1.0, num_steps), "uniform"))

@@ -371,6 +371,29 @@ def test_reproduce_tables_refuses_an_unknown_config_key(tmp_path, capsys):
     )
 
 
+def test_reproduce_tables_refuses_table_settings_with_a_custom_config(tmp_path, capsys):
+    # --paper-exact and --extended, or their keys, set the benchmark tables,
+    # which a custom experiment does not run: they are refused, not ignored
+    custom = "meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n"
+    config = tmp_path / "exp.cfg"
+    runs = (
+        (custom, ["--paper-exact", "--extended"], "['paper_exact', 'extended']"),
+        (custom + "paper_exact = true\n", [], "['paper_exact']"),
+        (custom + "extended = false\n", ["--paper-exact"], "['paper_exact', 'extended']"),
+    )
+    for text, flags, keys in runs:
+        config.write_text(text)
+        code, stdout, err = run_cli(
+            capsys, "reproduce-tables", *flags, "--config", str(config)
+        )
+        assert (code, stdout) == (EXIT_INVALID, ""), flags
+        assert err == (
+            f"subdiff: error: invalid-parameter: the benchmark-table keys {keys} do not "
+            "mix with the custom-experiment keys ['meshes', 'step_counts', 'space', "
+            "'horizon']\n"
+        )
+
+
 @pytest.mark.parametrize("factor", ["nan", "inf", "-1", "0"])
 def test_soak_refuses_a_bad_plateau_factor(capsys, factor):
     code, stdout, err = run_cli(
@@ -445,9 +468,15 @@ def test_a_mesh_file_refuses_a_step_count_or_horizon_it_does_not_have(tmp_path, 
         assert code == EXIT_OK, flags
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert (summary["num_steps"], summary["horizon"]) == (10, 1.0)
-    for command in (["mesh-certify"], ["analyze", "--alpha", "0.5"]):
-        code, _, err = run_cli(capsys, *command, "--file", str(path), "--K", "12")
+    for command in (
+        ["mesh-certify", "--file", str(path)],
+        ["analyze", "--alpha", "0.5", "--file", str(path)],
+        ["soak", "--alpha", "0.5", "--mesh-file", str(path)],
+    ):
+        code, _, err = run_cli(capsys, *command, "--K", "12")
         assert code == EXIT_INVALID and "has 10 steps" in err
+        code, _, err = run_cli(capsys, *command, "--horizon", "5")
+        assert code == EXIT_INVALID and "has horizon 1.0" in err
 
 
 def test_reproduce_tables_headers_keep_every_digit_of_alpha(tmp_path, capsys):

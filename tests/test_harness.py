@@ -94,7 +94,11 @@ def test_parse_mesh_descriptor():
     assert family.grading_numerator == 3.0
     family = parse_mesh_descriptor("file:/tmp/mesh.txt")
     assert family.kind == "file" and family.path == "/tmp/mesh.txt"
-    for bad in ("", "graded", "graded:r=", "graded:2", "strange:1"):
+    for bad in (
+        "", "graded", "graded:r=", "graded:2", "strange:1",
+        # a fixed grading below 1 or infinite builds no mesh
+        "graded:r=0.5", "graded:r=inf",
+    ):
         with pytest.raises(ValidationError):
             parse_mesh_descriptor(bad)
 
@@ -119,6 +123,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), backend="odd")
     with pytest.raises(ValidationError):
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), space="d1:bad")
+    with pytest.raises(ValidationError, match="horizon must be positive and finite"):
+        ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), horizon=math.inf)
 
 
 def test_experiment_spec_refuses_duplicate_alphas():
@@ -345,14 +351,15 @@ def test_failed_experiment_flushes_finished_cells(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     ("bad", "message"),
-    [("graded:r=0.5", "grading must be >= 1"), ("file", "has 4 steps, not the 8 asked for")],
+    [("graded:r=0.2/alpha", "grading must be >= 1"), ("file", "has 4 steps, not the 8 asked for")],
     ids=["graded", "file"],
 )
 def test_a_family_that_cannot_build_a_mesh_fails_before_any_cell_marches(
     tmp_path, monkeypatch, bad, message
 ):
-    # graded:r=0.5 passes the family check but no mesh builder takes it; a
-    # stored 4-step mesh serves K=4 and is refused at K=8
+    # graded:r=0.2/alpha passes the family check, but at alpha 0.5 its grading
+    # 0.4 is one no mesh builder takes; a stored 4-step mesh serves K=4 and is
+    # refused at K=8
     mesh_path = tmp_path / "m4.txt"
     write_mesh(make_uniform_mesh(1.0, 4), mesh_path)
     family = f"file:{mesh_path}" if bad == "file" else bad
