@@ -28,10 +28,12 @@ from .errors import SingularDiagonalError, ValidationError
 from .kernel import KernelTable, build_kernel_table
 from .meshes import (
     TimeMesh,
+    _check_count,
     admissibility_thresholds,
     certify_mesh,
     ratio_condition_margins,
 )
+from .provenance import record_dict
 
 # Unused here: build_kernel_table and this alias stay only because
 # perfbench/spans.py wraps both names in this module.
@@ -90,17 +92,7 @@ class PsdReport:
     diagonal_B_lower: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_eigenvalue": self.max_eigenvalue,
-            "scaled_min_eigenvalue": self.scaled_min_eigenvalue,
-            "passed": self.passed,
-            "mesh_admissible": self.mesh_admissible,
-            "rel_tol": self.rel_tol,
-            "g": [float(v) for v in self.g],
-            "diagonal_B_lower": [float(v) for v in self.diagonal_B_lower],
-        }
+        return record_dict(self)
 
 
 def ratio_condition_holds(mesh: TimeMesh, n: int | None = None) -> bool:
@@ -109,8 +101,8 @@ def ratio_condition_holds(mesh: TimeMesh, n: int | None = None) -> bool:
     This is the premise of the P9/P10 monotonicity properties; admissible
     meshes always satisfy it.
     """
-    n = mesh.num_steps if n is None else int(n)
-    rho = mesh.ratios[: max(n - 1, 0)]
+    n = mesh.num_steps if n is None else _check_count(n, "n", high=mesh.num_steps)
+    rho = mesh.ratios[: n - 1]
     if rho.size < 2:
         return True
     return bool(np.all(ratio_condition_margins(rho) >= 0.0))

@@ -34,11 +34,12 @@ from .analysis import (
     check_psd,
     positivity_certificate,  # not called here; perfbench/spans.py wraps this name in this module
 )
-from .errors import NumericalError, SubdiffError, ValidationError
+from .errors import SubdiffError, ValidationError
 from .harness import (
     WORKERS_ENV_VAR,
     ExperimentSpec,
     MeshFamily,
+    _table_rows,
     _tables_or_experiment,
     parse_config_file,
     parse_mesh_descriptor,
@@ -52,7 +53,7 @@ from .meshes import (
     read_mesh,  # not called here; perfbench/spans.py wraps this name in this module
     write_mesh,
 )
-from .provenance import json_text, reproducibility_header, write_json
+from .provenance import json_text, record_dict, reproducibility_header, write_json
 from .solver import (
     Problem,
     discrete_norms,
@@ -327,7 +328,7 @@ def _cmd_analyze(args) -> int:
         write_json(out_dir / "analysis.json", "operator-analysis", payload)
         header = reproducibility_header(
             "kernel-coefficients",
-            {"mesh": family.label, "alpha": args.alpha, "levels": n, "backend": args.backend},
+            {"mesh": family.label, "alpha": args.alpha, "levels": n, "backend": table.backend},
         )
         dump_kernel_csv(table, out_dir / "kernel.csv", header_lines=header)
     return EXIT_OK if checks_ok else EXIT_VERDICT
@@ -366,32 +367,23 @@ def _cmd_solve(args) -> int:
             "space": space.descriptor,
             "problem": problem.name,
             "backend": args.backend,
-            "max_l2_error": norms.max_l2_error,
-            "argmax_level": norms.argmax_level,
             "h1_seminorm_final": float(state.h1_seminorm[state.level]),
-            "residual_max": norms.residual_max,
+            **record_dict(norms, omit=("l2_error", "l2_norm", "h1_seminorm")),
         }
         write_json(out_dir / "summary.json", "solve-summary", payload)
     return EXIT_OK
 
 
 def _print_report_tables(report) -> None:
+    """Print the column, error and order rows of each alpha's table, with
+    errors as ``.4e``; the files carry the full rows (see ``_table_rows``)."""
     spec = report.spec
     for alpha in spec.alphas:
         print(f"alpha = {alpha!r}  (space {spec.space}, backend {spec.backend})")
-        width = 13
-        head = "family".ljust(12) + "metric".ljust(10)
-        head += "".join(f"K={k}".rjust(width) for k in spec.step_counts)
-        print(head)
-        for family in spec.families:
-            errors = report.max_errors(alpha, family.label)
-            orders = report.observed_orders(alpha, family.label)
-            row = family.label.ljust(12) + "error".ljust(10)
-            row += "".join(f"{e:.4e}".rjust(width) for e in errors)
-            print(row)
-            row = family.label.ljust(12) + "order".ljust(10) + " " * width
-            row += "".join(f"{o:.4f}".rjust(width) for o in orders)
-            print(row)
+        for label, metric, *values in _table_rows(report, alpha):
+            if metric in ("metric", "error", "order"):
+                cells = (f"{v:.4e}" if isinstance(v, float) else v for v in values)
+                print(label.ljust(12) + metric.ljust(10) + "".join(c.rjust(13) for c in cells))
         print()
     if report.verdicts:
         failed = [v for v in report.verdicts if not v.passed]
@@ -470,10 +462,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"subdiff: error: {exc.category}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except NumericalError as exc:
-        print(f"subdiff: error: {exc.category}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SubdiffError as exc:
+    except SubdiffError as exc:  # NumericalError and the rest
         print(f"subdiff: error: {exc.category}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

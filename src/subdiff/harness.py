@@ -41,6 +41,7 @@ from .errors import ValidationError
 from .kernel import _check_backend, as_fractional_order
 from .meshes import (
     TimeMesh,
+    _check_count,
     _check_grading,
     _check_horizon,
     certify_mesh,
@@ -50,7 +51,7 @@ from .meshes import (
     make_uniform_mesh,
     read_mesh,
 )
-from .provenance import reproducibility_header, write_csv, write_json
+from .provenance import record_dict, reproducibility_header, write_csv, write_json
 from .solver import (
     Problem,
     discrete_norms,
@@ -239,24 +240,23 @@ class ExperimentSpec:
         labels = [f.label for f in families]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate mesh families: {labels}")
-        step_counts = tuple(int(k) for k in _as_iterable(self.step_counts))
-        if not step_counts or step_counts[0] < 1:
-            raise ValidationError("step_counts must be nonempty positive integers")
+        step_counts = tuple(
+            _check_count(k, "step_counts") for k in _as_iterable(self.step_counts)
+        )
+        if not step_counts:
+            raise ValidationError("step_counts must be nonempty")
         if any(b <= a for a, b in zip(step_counts, step_counts[1:])):
             raise ValidationError(f"step_counts must be strictly increasing: {step_counts}")
         parse_space(self.space)
         _check_horizon(self.horizon)
         _check_backend(self.backend)
-        if self.workers is not None and int(self.workers) < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        if self.workers is not None:
+            object.__setattr__(self, "workers", _check_count(self.workers, "workers"))
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "step_counts", step_counts)
         object.__setattr__(self, "space", str(self.space))
         object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(
-            self, "workers", None if self.workers is None else int(self.workers)
-        )
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, str]) -> "ExperimentSpec":
@@ -386,6 +386,10 @@ def parse_config_file(path: "str | Path") -> dict[str, str]:
     return mapping
 
 
+# cells and verdicts are written with their family label under this key
+_FAMILY_KEY = {"family_label": "family"}
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One (alpha, mesh family, step count) run of the convergence study."""
@@ -415,21 +419,40 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Assembled convergence results: cells, observed orders, verdicts."""
+    """Assembled convergence results: cells and verdicts, with the observed
+    orders derived from the cells."""
 
     spec: ExperimentSpec
     cells: tuple[CellResult, ...]
-    orders: dict = field(default_factory=dict)
     verdicts: tuple[Verdict, ...] = ()
-    passed: bool = True
 
     @cached_property
     def _cells_by_key(self) -> dict:
         return {(c.alpha, c.family_label, c.num_steps): c for c in self.cells}
 
+    @cached_property
+    def orders(self) -> dict:
+        """Observed orders keyed by (alpha, family label); empty where the spec
+        has one step count or an error is not positive."""
+        orders = {}
+        for alpha in self.spec.alphas:
+            for family in self.spec.families:
+                errors = self.max_errors(alpha, family.label)
+                if errors.size >= 2 and np.all(errors > 0.0):
+                    orders[(alpha, family.label)] = compute_orders(errors, self.spec.step_counts)
+                else:
+                    orders[(alpha, family.label)] = np.zeros(0)
+        return orders
+
+    @property
+    def passed(self) -> bool:
+        """Whether every verdict passed (True without verdicts)."""
+        return all(v.passed for v in self.verdicts)
+
     def cell(self, alpha: float, family_label: str, num_steps: int) -> CellResult:
         """The cell at exactly one of the spec's alphas, families and step counts."""
-        cell = self._cells_by_key.get((float(alpha), family_label, int(num_steps)))
+        key = (float(alpha), family_label, _check_count(num_steps, "num_steps"))
+        cell = self._cells_by_key.get(key)
         if cell is None:
             raise ValidationError(
                 f"no cell for alpha={alpha!r}, family={family_label!r}, K={num_steps}"
@@ -453,34 +476,12 @@ class ErrorReport:
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.parameters(),
-            "cells": [
-                {
-                    "alpha": cell.alpha,
-                    "family": cell.family_label,
-                    "num_steps": cell.num_steps,
-                    "max_l2_error": cell.max_l2_error,
-                    "argmax_level": cell.argmax_level,
-                    "residual_max": cell.residual_max,
-                }
-                for cell in self.cells
-            ],
+            "cells": [record_dict(c, omit=("l2_error",), rename=_FAMILY_KEY) for c in self.cells],
             "orders": {
-                f"alpha={alpha!r}|{label}": [float(v) for v in orders]
+                f"alpha={alpha!r}|{label}": orders.tolist()
                 for (alpha, label), orders in self.orders.items()
             },
-            "verdicts": [
-                {
-                    "alpha": v.alpha,
-                    "family": v.family_label,
-                    "num_steps": v.num_steps,
-                    "value": v.value,
-                    "reference": v.reference,
-                    "rel_dev": v.rel_dev,
-                    "rel_tol": v.rel_tol,
-                    "passed": v.passed,
-                }
-                for v in self.verdicts
-            ],
+            "verdicts": [record_dict(v, rename=_FAMILY_KEY) for v in self.verdicts],
             "passed": self.passed,
         }
 
@@ -508,7 +509,7 @@ def compute_orders(errors: Sequence[float], step_counts: Sequence[int]) -> np.nd
 
 def _resolve_workers(explicit: int | None) -> int:
     if explicit is not None:
-        return int(explicit)
+        return explicit
     raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if not raw:
         return 1
@@ -586,31 +587,11 @@ def _flush_partial(spec: ExperimentSpec, cells: list[CellResult], exc: Exception
         spec.parameters(),
         extra=[f"# incomplete = {type(exc).__name__}"],
     )
-    write_csv(
-        path,
-        header,
-        ["alpha", "family", "num_steps", "max_l2_error", "argmax_level"],
-        (
-            [c.alpha, c.family_label, c.num_steps, c.max_l2_error, c.argmax_level]
-            for c in cells
-        ),
-    )
+    records = [
+        record_dict(c, omit=("l2_error", "residual_max"), rename=_FAMILY_KEY) for c in cells
+    ]
+    write_csv(path, header, list(records[0]), (r.values() for r in records))
     logger.warning("experiment aborted; %d finished cells flushed to %s", len(cells), path)
-
-
-def _orders_by_group(spec: ExperimentSpec, cells: list[CellResult]) -> dict:
-    orders: dict = {}
-    by_key: dict = {}
-    for cell in cells:
-        by_key[(cell.alpha, cell.family_label, cell.num_steps)] = cell.max_l2_error
-    for alpha in spec.alphas:
-        for family in spec.families:
-            errors = [by_key[(alpha, family.label, k)] for k in spec.step_counts]
-            if len(errors) >= 2 and all(e > 0.0 for e in errors):
-                orders[(alpha, family.label)] = compute_orders(errors, spec.step_counts)
-            else:
-                orders[(alpha, family.label)] = np.zeros(0)
-    return orders
 
 
 def _alpha_slug(alpha: float) -> str:
@@ -621,18 +602,16 @@ def _family_slug(label: str) -> str:
     return label.replace("=", "").replace("/", "-").replace(":", "-")
 
 
-def _write_alpha_table(path: Path, report: ErrorReport, alpha: float, kind: str) -> None:
-    """One CSV per alpha in the benchmark layout.
+def _table_rows(report: ErrorReport, alpha: float) -> list[list]:
+    """One alpha's table in the benchmark layout: the column row, then per
+    family an error row and an order row (aligned to the right), plus
+    reference, deviation and verdict rows when the report carries verdicts.
 
-    Rows come in per-family blocks (error row, then order row aligned to the
-    right); columns are the step counts.  Reference/deviation rows and the
-    tolerance ladder are added when the report carries verdicts.
+    Errors and references stay floats; the other entries are text.
     """
     spec = report.spec
-    ladder = benchmarks.TOLERANCE_LADDER if report.verdicts else None
-    header = reproducibility_header(kind, {"alpha": alpha, **spec.parameters()}, ladder)
     verdict_by = {(v.alpha, v.family_label, v.num_steps): v for v in report.verdicts}
-    rows = []
+    rows = [["family", "metric", *(f"K={k}" for k in spec.step_counts)]]
     for family in spec.families:
         errors = report.max_errors(alpha, family.label)
         orders = report.observed_orders(alpha, family.label)
@@ -643,9 +622,16 @@ def _write_alpha_table(path: Path, report: ErrorReport, alpha: float, kind: str)
             rows.append([family.label, "reference", *(v.reference for v in refs)])
             rows.append([family.label, "rel_deviation", *(f"{v.rel_dev:.2e}" for v in refs)])
             rows.append([family.label, "verdict", *("pass" if v.passed else "FAIL" for v in refs)])
-    write_csv(
-        path, header, ["family", "metric"] + [f"K={k}" for k in spec.step_counts], rows
-    )
+    return rows
+
+
+def _write_alpha_table(path: Path, report: ErrorReport, alpha: float, kind: str) -> None:
+    """One CSV per alpha of :func:`_table_rows`, with the tolerance ladder in
+    its header when the report carries verdicts."""
+    ladder = benchmarks.TOLERANCE_LADDER if report.verdicts else None
+    header = reproducibility_header(kind, {"alpha": alpha, **report.spec.parameters()}, ladder)
+    columns, *rows = _table_rows(report, alpha)
+    write_csv(path, header, columns, rows)
 
 
 def _write_report_files(report: ErrorReport, kind: str) -> None:
@@ -684,13 +670,7 @@ def _run_report(spec: ExperimentSpec, kind: str, with_verdicts: bool) -> ErrorRe
     asked; write the ``kind`` files when the spec names an output directory."""
     _, cells = _execute_cells(spec)
     verdicts = tuple(_verdict(cell) for cell in cells) if with_verdicts else ()
-    report = ErrorReport(
-        spec=spec,
-        cells=tuple(cells),
-        orders=_orders_by_group(spec, cells),
-        verdicts=verdicts,
-        passed=all(v.passed for v in verdicts),
-    )
+    report = ErrorReport(spec=spec, cells=tuple(cells), verdicts=verdicts)
     _write_report_files(report, kind)
     if verdicts:
         logger.info(
@@ -843,23 +823,7 @@ class SoakReport:
     l2_norm: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "num_steps": self.num_steps,
-            "horizon": self.horizon,
-            "zero_source": self.zero_source,
-            "mesh_admissible": self.mesh_admissible,
-            "first_violation": self.first_violation,
-            "plateau_factor": self.plateau_factor,
-            "max_first_window": self.max_first_window,
-            "max_second_window": self.max_second_window,
-            "growth_ratio": self.growth_ratio,
-            "plateau_ok": self.plateau_ok,
-            "h1_nonincreasing": self.h1_nonincreasing,
-            "l2_nonincreasing": self.l2_nonincreasing,
-            "residual_max": self.residual_max,
-            "passed": self.passed,
-        }
+        return record_dict(self, omit=("times", "h1_seminorm", "l2_norm"))
 
 
 def run_stability_soak(

@@ -47,7 +47,7 @@ from .errors import (
     SingularDiagonalError,
     ValidationError,
 )
-from .meshes import TimeMesh
+from .meshes import TimeMesh, _check_alpha, _check_count
 from .provenance import write_csv
 
 __all__ = [
@@ -94,9 +94,7 @@ class FractionalOrder:
     gamma_2ma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"fractional order must lie in (0, 1), got {alpha}")
+        alpha = _check_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", 1.0 - 0.5 * alpha)
         object.__setattr__(self, "gamma_1ma", math.gamma(1.0 - alpha))
@@ -173,8 +171,7 @@ class KernelTable:
 
     def row(self, k: int) -> KernelRow:
         """Row for level ``k`` (1-based)."""
-        if not 1 <= k <= self.n:
-            raise ValidationError(f"level must lie in [1, {self.n}], got {k}")
+        k = _check_count(k, "level", high=self.n)
         i = k - 1
         return KernelRow(
             k=k, a=self.a[i, :i], c=self.c[i, :i], m_row=self.m[i, :k], t_star=float(self.t_star[i])
@@ -571,32 +568,23 @@ def caputo_reference(
     return (float(res1[0]) + float(res2[0])) / order.gamma_1ma
 
 
-def dump_kernel_csv(table: KernelTable, path: "str | Path", header_lines: Sequence[str] = ()) -> None:
+def dump_kernel_csv(table: KernelTable, path: "str | Path", header_lines: Sequence[str]) -> None:
     """Write every kernel coefficient to CSV for external inspection.
 
     One line per (level, interval) pair; fields outside a coefficient's
-    defined range are left empty.  '#' header lines carry provenance.
+    defined range are left empty.  The file opens with ``header_lines``, a
+    reproducibility header (see :func:`subdiff.provenance.reproducibility_header`).
     """
-    # header lines may arrive pre-formatted as comments
-    header = [
-        "# subdiff kernel table",
-        *(text if text.startswith("#") else f"# {text}" for text in header_lines),
-        f"# backend: {table.backend}",
-    ]
 
     def rows():
         for row in table:
-            k = row.k
-            row_b = row.b
-            for j in range(1, k + 1):
-                a = f"{row.a[j - 1]:.17g}" if j <= k - 1 else ""
-                b = f"{row_b[j - 1]:.17g}" if j <= k - 1 else ""
-                c = f"{row.c[j - 1]:.17g}" if j <= k - 1 else ""
-                d = f"{row.d[j - 2]:.17g}" if 2 <= j <= k - 1 else ""
-                m = f"{row.m_row[j - 1]:.17g}"
-                yield [k, j, f"{row.t_star:.17g}", a, b, c, d, m]
+            k, b = row.k, row.b
+            for j in range(1, k):
+                d = row.d[j - 2] if j >= 2 else ""
+                yield [k, j, row.t_star, row.a[j - 1], b[j - 1], row.c[j - 1], d, row.m_row[j - 1]]
+            yield [k, k, row.t_star, "", "", "", "", row.m_row[k - 1]]
 
-    write_csv(path, header, ["level", "interval", "t_star", "a", "b", "c", "d", "m"], rows())
+    write_csv(path, header_lines, ["level", "interval", "t_star", "a", "b", "c", "d", "m"], rows())
     logger.info("wrote kernel table (%d levels) to %s", table.n, path)
 
 
@@ -608,9 +596,4 @@ def _check_backend(backend: str) -> None:
 def _check_levels(mesh: TimeMesh, n: int | None) -> int:
     if n is None:
         return mesh.num_steps
-    n = int(n)
-    if not 1 <= n <= mesh.num_steps:
-        raise ValidationError(
-            f"levels must lie in [1, {mesh.num_steps}], got {n}"
-        )
-    return n
+    return _check_count(n, "levels", high=mesh.num_steps)

@@ -18,6 +18,7 @@ semidefinite.  Two universal constants control it:
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MeshFileError, NonMonotoneMeshError, ValidationError
+from .provenance import record_dict
 
 __all__ = [
     "TimeMesh",
@@ -137,11 +139,7 @@ class TimeMesh:
 
     def head(self, num_steps: int) -> "TimeMesh":
         """Sub-mesh consisting of the first ``num_steps`` steps."""
-        n = int(num_steps)
-        if not 1 <= n <= self.num_steps:
-            raise ValidationError(
-                f"head needs 1 <= num_steps <= {self.num_steps}, got {num_steps}"
-            )
+        n = _check_count(num_steps, "num_steps", high=self.num_steps)
         return TimeMesh(self.nodes[: n + 1])
 
 
@@ -164,13 +162,7 @@ class AdmissibilityReport:
     per_step_margin: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "first_violation": self.first_violation,
-            "rho_star": self.rho_star,
-            "eta": self.eta,
-            "per_step_margin": [float(m) for m in self.per_step_margin],
-        }
+        return record_dict(self)
 
 
 def certify_mesh(mesh: TimeMesh) -> AdmissibilityReport:
@@ -211,7 +203,7 @@ def certify_mesh(mesh: TimeMesh) -> AdmissibilityReport:
 
 def make_uniform_mesh(horizon: float, num_steps: int) -> TimeMesh:
     """Equispaced mesh with ``num_steps`` steps on ``[0, horizon]``."""
-    horizon, num_steps = _check_horizon_steps(horizon, num_steps)
+    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
     return TimeMesh(np.linspace(0.0, horizon, num_steps + 1))
 
 
@@ -221,7 +213,7 @@ def make_graded_mesh(horizon: float, num_steps: int, grading: float) -> TimeMesh
     ``grading`` >= 1 concentrates steps near t = 0 where the solution of the
     fractional problem has weak regularity; ``grading = 1`` is uniform.
     """
-    horizon, num_steps = _check_horizon_steps(horizon, num_steps)
+    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
     grading = _check_grading(grading)
     j = np.arange(num_steps + 1, dtype=float)
     nodes = horizon * (j / num_steps) ** grading
@@ -239,7 +231,7 @@ def make_r_variable_mesh(horizon: float, num_steps: int, alpha: float) -> TimeMe
     decreasing, which keeps the nodes strictly increasing for any
     ``alpha`` in (0, 1).
     """
-    horizon, num_steps = _check_horizon_steps(horizon, num_steps)
+    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
     alpha = _check_alpha(alpha)
     j = np.arange(1, num_steps + 1, dtype=float)
     if num_steps == 1:
@@ -267,17 +259,13 @@ def make_graded_then_uniform(
     ``[split_time, horizon]``.  Useful for long-horizon runs that still need
     initial-layer resolution.
     """
-    horizon, num_steps = _check_horizon_steps(horizon, num_steps)
+    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
     split_time = float(split_time)
-    split_steps = int(split_steps)
     if not 0.0 < split_time < horizon:
         raise ValidationError(
             f"split_time must lie in (0, horizon={horizon}), got {split_time}"
         )
-    if not 1 <= split_steps < num_steps:
-        raise ValidationError(
-            f"split_steps must lie in [1, num_steps={num_steps}), got {split_steps}"
-        )
+    split_steps = _check_count(split_steps, "split_steps", high=num_steps - 1)
     head = make_graded_mesh(split_time, split_steps, grading)
     tail = np.linspace(split_time, horizon, num_steps - split_steps + 1)
     return TimeMesh(np.concatenate([head.nodes, tail[1:]]))
@@ -327,12 +315,24 @@ def _check_horizon(horizon: float) -> float:
     return horizon
 
 
-def _check_horizon_steps(horizon: float, num_steps: int) -> tuple[float, int]:
-    horizon = _check_horizon(horizon)
-    num_steps = int(num_steps)
-    if num_steps < 1:
-        raise ValidationError(f"num_steps must be >= 1, got {num_steps}")
-    return horizon, num_steps
+def _check_count(value: int, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int in ``[low, high]`` (no upper bound for None).
+
+    Python and numpy integers are taken; a bool, a float such as 8.0 or
+    8.7, a string or anything else is refused, as is a count out of range,
+    with a ValidationError that names the input.
+    """
+    if isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if high is None and count < low:
+        raise ValidationError(f"{name} must be >= {low}, got {count}")
+    if high is not None and not low <= count <= high:
+        raise ValidationError(f"{name} must lie in [{low}, {high}], got {count}")
+    return count
 
 
 def _check_grading(grading: float) -> float:

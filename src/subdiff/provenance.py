@@ -6,14 +6,18 @@ tolerances in force; the column row and the data rows follow.  JSON files
 and the JSON the command line prints are sorted, indented objects carrying
 ``version`` and ``kind`` keys.  Nothing written carries timestamps or host
 information, so identical runs produce bit-identical files.  Both writers
-create the parent directory of the file they write.
+create the parent directory of the file they write.  :func:`record_dict`
+turns a report record into the plain mapping the JSON writer takes.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
+
+import numpy as np
 
 from ._version import __version__
 
@@ -23,6 +27,7 @@ __all__ = [
     "write_csv",
     "json_text",
     "write_json",
+    "record_dict",
 ]
 
 
@@ -92,3 +97,24 @@ def write_json(path: "str | Path", kind: str, payload: Mapping[str, object]) -> 
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         handle.write(json_text(kind, payload) + "\n")
+
+
+def record_dict(
+    record: object, omit: Iterable[str] = (), rename: Mapping[str, str] | None = None
+) -> dict:
+    """A dataclass record's fields as a dict, in field order.
+
+    Arrays become lists and numpy scalars Python numbers; the ``omit``
+    fields are left out, and ``rename`` maps a field name to the key it is
+    written under.
+    """
+    rename = rename or {}
+    return {
+        rename.get(f.name, f.name): _plain(getattr(record, f.name))
+        for f in dataclasses.fields(record)
+        if f.name not in omit
+    }
+
+
+def _plain(value: object) -> object:
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value

@@ -71,7 +71,7 @@ from .kernel import (
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
-from .meshes import TimeMesh
+from .meshes import TimeMesh, _check_count
 from .provenance import reproducibility_header, write_csv
 
 __all__ = [
@@ -116,11 +116,9 @@ class DirichletLine:
     ndim: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if int(self.intervals) < 3:
-            raise ValidationError(f"intervals must be >= 3, got {self.intervals}")
+        object.__setattr__(self, "intervals", _check_count(self.intervals, "intervals", 3))
         if not float(self.length) > 0.0:
             raise ValidationError(f"length must be positive, got {self.length}")
-        object.__setattr__(self, "intervals", int(self.intervals))
         object.__setattr__(self, "length", float(self.length))
 
     @property
@@ -193,11 +191,9 @@ class PeriodicSquare:
     ndim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        if int(self.modes) < 3:
-            raise ValidationError(f"modes must be >= 3, got {self.modes}")
+        object.__setattr__(self, "modes", _check_count(self.modes, "modes", 3))
         if not float(self.length) > 0.0:
             raise ValidationError(f"length must be positive, got {self.length}")
-        object.__setattr__(self, "modes", int(self.modes))
         object.__setattr__(self, "length", float(self.length))
 
     @property
@@ -317,18 +313,9 @@ class Problem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", as_fractional_order(self.order))
         zero = self.space.zero_field()
-        if self.initial is None:
-            object.__setattr__(self, "initial", zero)
-        else:
-            initial = np.asarray(self.initial, dtype=float)
-            if initial.shape != zero.shape:
-                raise DimensionMismatchError(
-                    f"initial field shape {initial.shape} does not match "
-                    f"space shape {zero.shape}"
-                )
-            if not np.all(np.isfinite(initial)):
-                raise ValidationError("initial field has non-finite entries")
-            object.__setattr__(self, "initial", initial)
+        initial = self.initial
+        initial = zero if initial is None else _space_field(initial, zero.shape, "initial field")
+        object.__setattr__(self, "initial", initial)
         source = () if self.source is None else self.source
         source, source_hat = _separable_terms(self.space, source, "source")
         object.__setattr__(self, "source", source)
@@ -361,14 +348,7 @@ def _separable_terms(space, terms, what: str) -> tuple[tuple[Term, ...], np.ndar
             ) from exc
         if not callable(time_function):
             raise ValidationError(f"{what} term {i}: time function is not callable")
-        profile = np.array(profile, dtype=float)
-        if profile.shape != shape:
-            raise DimensionMismatchError(
-                f"{what} term {i}: profile shape {profile.shape} does not match "
-                f"space shape {shape}"
-            )
-        if not np.all(np.isfinite(profile)):
-            raise ValidationError(f"{what} term {i}: profile has non-finite entries")
+        profile = _space_field(profile, shape, f"{what} term {i}: profile").copy()
         profile.flags.writeable = False
         checked.append((time_function, profile))
     coefficients = np.zeros((len(checked), math.prod(shape)))
@@ -376,6 +356,19 @@ def _separable_terms(space, terms, what: str) -> tuple[tuple[Term, ...], np.ndar
         row[:] = space.forward(profile).ravel()
     coefficients.flags.writeable = False
     return tuple(checked), coefficients
+
+
+def _space_field(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a float array, refused unless it has the space's
+    ``shape`` and finite entries; ``name`` opens the refusal message."""
+    values = np.asarray(value, dtype=float)
+    if values.shape != shape:
+        raise DimensionMismatchError(
+            f"{name} shape {values.shape} does not match space shape {shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return values
 
 
 def _time_factors(terms: Sequence[Term], times: np.ndarray, first: int, what: str) -> np.ndarray:
@@ -469,9 +462,7 @@ class SolverState:
 
     def field(self, k: int) -> np.ndarray:
         """The solution field at computed level ``k`` (0..``level``)."""
-        k = int(k)
-        if not 0 <= k <= self.level:
-            raise ValidationError(f"level {k} outside computed range 0..{self.level}")
+        k = _check_count(k, "level", 0, self.level)
         flat = np.zeros(self.problem.initial.size)
         flat[self.modes] = self.coefficients[k]
         return self.problem.space.inverse(flat.reshape(self.problem.initial.shape))
@@ -716,35 +707,34 @@ def discrete_norms(state: SolverState) -> NormReport:
     )
 
 
+def _run_parameters(state: SolverState) -> dict:
+    """The header parameters every file of a run opens with."""
+    problem = state.problem
+    return {
+        "problem": problem.name or "custom",
+        "alpha": problem.order.alpha,
+        "space": problem.space.descriptor,
+        "num_steps": state.mesh.num_steps,
+        "horizon": state.mesh.horizon,
+    }
+
+
 def write_snapshot_csv(state: SolverState, path: str, level: int | None = None) -> None:
     """Write the solution field at one time level as CSV.
 
     Columns are ``x,u`` on the line and ``x,y,u`` on the square.  Defaults
     to the last computed level.
     """
-    level = state.level if level is None else int(level)
-    if not 0 <= level <= state.level:
-        raise ValidationError(
-            f"snapshot level {level} outside computed range 0..{state.level}"
-        )
-    problem = state.problem
-    space = problem.space
+    level = state.level if level is None else level
+    values = state.field(level).ravel()
+    space = state.problem.space
     t = float(state.mesh.nodes[level])
     header = reproducibility_header(
-        "solution-snapshot",
-        {
-            "problem": problem.name or "custom",
-            "alpha": problem.order.alpha,
-            "space": space.descriptor,
-            "num_steps": state.mesh.num_steps,
-            "horizon": state.mesh.horizon,
-            "level": level,
-            "t": t,
-        },
+        "solution-snapshot", {**_run_parameters(state), "level": level, "t": t}
     )
     coords = [space.grid] if space.ndim == 1 else [g.ravel() for g in space.grid]
     columns = ["x", "y"][: space.ndim] + ["u"]
-    write_csv(path, header, columns, zip(*coords, state.field(level).ravel()))
+    write_csv(path, header, columns, zip(*coords, values))
 
 
 def write_diagnostics_csv(state: SolverState, path: str) -> None:
@@ -754,17 +744,7 @@ def write_diagnostics_csv(state: SolverState, path: str) -> None:
     when the problem has no reference solution.
     """
     report = discrete_norms(state)
-    problem = state.problem
-    header = reproducibility_header(
-        "diagnostics-stream",
-        {
-            "problem": problem.name or "custom",
-            "alpha": problem.order.alpha,
-            "space": problem.space.descriptor,
-            "num_steps": state.mesh.num_steps,
-            "horizon": state.mesh.horizon,
-        },
-    )
+    header = reproducibility_header("diagnostics-stream", _run_parameters(state))
     levels = state.level + 1
     errors = [""] * levels if report.l2_error is None else report.l2_error
     write_csv(

@@ -297,6 +297,29 @@ def test_reproduce_tables_custom_config(tmp_path, capsys):
     assert (results / "convergence_summary.json").exists()
 
 
+def test_printed_tables_show_the_written_column_error_and_order_rows(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        "alphas = 0.3, 0.5\nmeshes = graded:r=2, uniform\nstep_counts = 8, 16, 32\n"
+        f"space = d1:32\nout_dir = {tmp_path}\n"
+    )
+    code, stdout, _ = run_cli(capsys, "reproduce-tables", "--config", str(config))
+    assert code == EXIT_OK
+    printed = [line.split() for line in stdout.splitlines()]
+    for alpha in ("0.3", "0.5"):
+        name = f"convergence_alpha{alpha.replace('.', 'p')}.csv"
+        lines = (tmp_path / name).read_text().splitlines()
+        written = [line.split(",") for line in lines if not line.startswith("#")]
+        # errors print as .4e; the order row's empty first entry is blank space
+        shown = [
+            row[:2] + [f"{float(v):.4e}" if row[1] == "error" else v for v in row[2:] if v]
+            for row in written
+        ]
+        start = [line[:3] for line in printed].index(["alpha", "=", alpha]) + 1
+        assert printed[start : start + len(shown) + 1] == shown + [[]]
+        assert len(shown) == 5
+
+
 def test_reproduce_tables_custom_config_forwards_alpha_flags_exactly(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")

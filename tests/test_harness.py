@@ -262,6 +262,36 @@ def test_run_convergence_report_structure(tmp_path):
 
 
 
+def test_report_orders_and_verdict_derive_from_cells_and_verdicts():
+    report = run_convergence(small_spec())
+    for family in ("r=2", "uniform"):
+        assert np.array_equal(
+            report.orders[(0.5, family)],
+            compute_orders(report.max_errors(0.5, family), (8, 16)),
+        )
+    assert report.passed
+    cell = report.cells[0]
+    verdict = harness.Verdict(
+        alpha=cell.alpha, family_label=cell.family_label, num_steps=cell.num_steps,
+        value=cell.max_l2_error, reference=1.0, rel_dev=0.5, rel_tol=0.01, passed=False,
+    )
+    failed = harness.ErrorReport(spec=report.spec, cells=report.cells, verdicts=(verdict,))
+    assert not failed.passed
+    payload = failed.to_dict()
+    assert payload["passed"] is False
+    assert payload["orders"] == report.to_dict()["orders"]
+    # each record is written under its own field names, family_label as family
+    # and without a cell's per-level error curve
+    assert sorted(payload["cells"][0]) == [
+        "alpha", "argmax_level", "family", "max_l2_error", "num_steps", "residual_max",
+    ]
+    assert payload["verdicts"] == [{
+        "alpha": cell.alpha, "family": cell.family_label, "num_steps": cell.num_steps,
+        "value": cell.max_l2_error, "reference": 1.0, "rel_dev": 0.5, "rel_tol": 0.01,
+        "passed": False,
+    }]
+
+
 def test_alphas_closer_than_any_tolerance_each_read_their_own_cells(tmp_path):
     # the spec keeps every digit of an alpha, so the report, the per-alpha
     # CSV and the JSON must all key a cell by the exact alpha

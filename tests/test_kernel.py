@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subdiff
 import subdiff.kernel as kernel_module
 from subdiff import (
     FractionalOrder,
@@ -33,6 +34,7 @@ from subdiff.errors import (
     QuadratureConvergenceError,
     ValidationError,
 )
+from subdiff.provenance import reproducibility_header
 
 # Coefficient triples (a, b, c) on the nodes below at order 0.35, integrated
 # with 40-digit arithmetic (mpmath.quad of the three reconstruction-weight
@@ -588,10 +590,27 @@ def test_dump_kernel_csv(tmp_path):
     mesh = make_graded_mesh(1.0, 5, 2.0)
     table = build_kernel_table(mesh, 0.5, backend="closed")
     path = tmp_path / "kernel.csv"
-    dump_kernel_csv(table, path, header_lines=["alpha = 0.5"])
+    # the header is written as given, with no line of its own added
+    header = reproducibility_header("kernel-coefficients", {"mesh": "r=2", "backend": "closed"})
+    dump_kernel_csv(table, path, header_lines=header)
     lines = path.read_text().splitlines()
-    assert "# alpha = 0.5" in lines
-    assert "# backend: closed" in lines
-    data = [line for line in lines if not line.startswith("#")]
-    # one header row plus one row per (k, j) history entry
-    assert len(data) == 1 + sum(k for k in range(1, 6))
+    assert lines[:4] == [
+        f"# subdiff {subdiff.__version__} kernel-coefficients",
+        "# mesh = r=2",
+        "# backend = closed",
+        "level,interval,t_star,a,b,c,d,m",
+    ]
+    # one row per (k, j) history entry, every float written with repr
+    data = lines[4:]
+    assert len(data) == sum(k for k in range(1, 6))
+    for line in data:
+        k, j, t_star, a, b, c, d, m = line.split(",")
+        row = table.row(int(k))
+        j = int(j)
+        assert t_star == repr(row.t_star)
+        assert m == repr(float(row.m_row[j - 1]))
+        if j < int(k):
+            assert (a, b, c) == tuple(repr(float(v[j - 1])) for v in (row.a, row.b, row.c))
+        else:
+            assert a == b == c == ""
+        assert d == (repr(float(row.d[j - 2])) if 2 <= j < int(k) else "")

@@ -278,3 +278,95 @@ def test_read_mesh_rejects_nonmonotone(tmp_path):
     path.write_text("0.0\n0.5\n0.25\n1.0\n")
     with pytest.raises(NonMonotoneMeshError):
         read_mesh(path)
+
+
+def _count_sites(tmp_path):
+    """Each site that takes a count: (name in its message, call, bad value,
+    good value).  The cases in the first block truncated at 8.7 and the like
+    before one check served them all."""
+    import subdiff
+
+    mesh = make_graded_mesh(1.0, 8, 2.0)
+    state = subdiff.solve(subdiff.manufactured_problem_1d(0.5, 16), mesh)
+    spec = dict(alphas=(0.5,), families=("uniform",), step_counts=(8, 16), space="d1:16")
+    report = subdiff.run_convergence(subdiff.ExperimentSpec(**{**spec, "step_counts": (4, 8)}))
+    return {
+        "spec-step-counts": (
+            "step_counts",
+            lambda v: subdiff.ExperimentSpec(**{**spec, "step_counts": (v, 16.2)}),
+            8.7,
+            None,
+        ),
+        "spec-workers": ("workers", lambda v: subdiff.ExperimentSpec(**spec, workers=v), 1.9, 2),
+        "mesh-steps": ("num_steps", lambda v: make_uniform_mesh(1.0, v), 8.7, 8),
+        "family-build": (
+            "num_steps",
+            lambda v: subdiff.parse_mesh_descriptor("uniform").build(None, None, v),
+            8.7,
+            8,
+        ),
+        "split-steps": (
+            "split_steps",
+            lambda v: make_graded_then_uniform(50, 2560, 2, 1, v),
+            512.9,
+            512,
+        ),
+        "head": ("num_steps", lambda v: mesh.head(v), 3.9, 3),
+        "kernel-levels": ("levels", lambda v: subdiff.build_kernel_table(mesh, 0.5, n=v), 4.5, 4),
+        "table-row": ("level", lambda v: subdiff.build_kernel_table(mesh, 0.5).row(v), 2.5, 2),
+        "dirichlet": ("intervals", lambda v: subdiff.DirichletLine(v), 64.5, 64),
+        "periodic": ("modes", lambda v: subdiff.PeriodicSquare(v), 8.5, 8),
+        "state-field": ("level", lambda v: state.field(v), 3.9, 3),
+        "snapshot": (
+            "level",
+            lambda v: subdiff.write_snapshot_csv(state, str(tmp_path / "s.csv"), level=v),
+            3.9,
+            3,
+        ),
+        "report-cell": ("num_steps", lambda v: report.cell(0.5, "uniform", v), 4.5, 4),
+        "ratio-condition": ("n", lambda v: subdiff.ratio_condition_holds(mesh, v), 4.5, 4),
+    }
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        "spec-step-counts", "spec-workers", "mesh-steps", "family-build", "split-steps",
+        "head", "kernel-levels", "table-row", "dirichlet", "periodic", "state-field",
+        "snapshot", "report-cell", "ratio-condition",
+    ],
+)
+def test_every_count_site_refuses_a_non_integer(site, tmp_path):
+    name, call, bad, good = _count_sites(tmp_path)[site]
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got {bad}$"):
+        call(bad)
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got .*{bad}"):
+        call(np.float64(bad))
+    if good is not None:
+        call(np.int64(good))
+        call(good)
+
+
+def test_a_spec_keeps_numpy_counts_as_ints():
+    from subdiff import ExperimentSpec
+
+    spec = ExperimentSpec(
+        alphas=(0.5,), families=("uniform",), step_counts=np.array([8, 16]), workers=np.int64(2)
+    )
+    assert spec.step_counts == (8, 16) and spec.workers == 2
+    assert all(type(k) is int for k in (*spec.step_counts, spec.workers))
+
+
+def test_check_count_takes_integers_only_and_applies_its_bounds():
+    from subdiff.meshes import _check_count
+
+    assert _check_count(np.int32(5), "k") == 5
+    assert type(_check_count(np.uint8(5), "k")) is int
+    for bad in (True, 5.0, "5", None, np.array([5])):
+        with pytest.raises(ValidationError, match="^k must be an integer, got"):
+            _check_count(bad, "k")
+    assert _check_count(0, "k", 0, 3) == 0
+    with pytest.raises(ValidationError, match=r"^k must be >= 1, got 0$"):
+        _check_count(0, "k")
+    with pytest.raises(ValidationError, match=r"^k must lie in \[0, 3\], got 4$"):
+        _check_count(4, "k", 0, 3)

@@ -551,7 +551,7 @@ def test_field_is_the_history_level(descriptor):
     for k in range(13):
         assert np.array_equal(state.field(k), history[k])
     for bad in (-1, 13):
-        with pytest.raises(ValidationError, match="outside computed range"):
+        with pytest.raises(ValidationError, match=r"level must lie in \[0, 12\]"):
             state.field(bad)
 
 
