@@ -6,6 +6,18 @@ errors (bad user input) map to exit code 1, numerical failures to exit code 2.
 """
 from __future__ import annotations
 
+__all__ = [
+    "SubdiffError",
+    "ValidationError",
+    "NonMonotoneMeshError",
+    "DimensionMismatchError",
+    "MeshFileError",
+    "NumericalError",
+    "QuadratureConvergenceError",
+    "SingularDiagonalError",
+    "LinearSolveError",
+]
+
 
 class SubdiffError(Exception):
     """Base class for all package-specific errors."""

@@ -20,13 +20,15 @@ Two independent evaluation backends are provided:
 
 The kernel is computed in slabs of consecutive rows, each bounded by a fixed
 entry budget.  A slab's per-entry inputs ``(tau_j, tau_{j+1}, t_k* -
-t_{j-1})`` are formed once; the backend only chooses the function that maps
-them to ``a`` and ``c``.  :func:`build_kernel_table` collects the slabs into
-dense tables for the analysis checks and is the one place rows are read from
-(:meth:`KernelTable.row`); the solver marches on the slabs directly and never
-holds the table.  Along a run of equal steps, entry ``(k, j)`` has the
-same inputs as ``(k-1, j-1)``; the closed backend keeps the last entry
-computed at each distance ``k - j`` and reuses it wherever the inputs are
+t_{j-1})`` are formed once, as one dense block of its rows by the columns
+``j < k1``; the backend only chooses the function that maps the valid
+(lower-triangular) entries to ``a`` and ``c``.  :func:`build_kernel_table`
+collects the slabs into dense tables for the analysis checks and is the one
+place rows are read from (:meth:`KernelTable.row`); the solver marches on the
+slabs directly and never holds the table.  Along a run of equal steps, entry
+``(k, j)`` has the same inputs as ``(k-1, j-1)``; the closed backend compares
+each entry with the entry at the same distance ``k - j`` in the previous
+slab's last row and copies its coefficients wherever the inputs are
 bit-equal; where the nodes are exact (a dyadic step), such a run is computed
 once per distance.
 """
@@ -39,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -51,6 +54,7 @@ from .meshes import TimeMesh, _check_alpha, _check_count
 from .provenance import write_csv
 
 __all__ = [
+    "BACKENDS",
     "FractionalOrder",
     "KernelRow",
     "KernelTable",
@@ -68,6 +72,9 @@ BACKENDS = ("closed", "quadrature")
 # Below this step/history-span ratio the antiderivative formulas are summed as
 # series; above it direct expm1/log1p evaluation is already stable.
 _SERIES_CUTOFF = 0.6
+
+# The series loop tests for convergence once every this many terms.
+_SERIES_CHECK = 4
 
 # Entries (rows x width) of one kernel slab.  This bounds both the slab the
 # march holds and the temporaries of one vectorized closed pass, so the late
@@ -196,13 +203,16 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     summed as explicit power series with positive terms; above it the direct
     expm1/log1p forms are used.  Inputs must satisfy ``0 < delta < 1``.
 
-    Each series entry stops on its own.  The entries are sorted by ``delta``,
-    so those still running form a suffix, and every iteration drops the leading
+    Each series entry stops on its own.  The entries are sorted by the binary
+    exponent of ``delta``, so those still running form a suffix that is
+    updated in place, and every ``_SERIES_CHECK``-th term drops the leading
     run that has converged.  This gives the same bits as summing every entry
     until the slowest converges: once an entry passes the test its term and
     its increment to ``psi`` are below half an ulp of their sums, and both
     keep shrinking for ``x <= 0.6`` (the term ratio is ``x*(alpha+m-3)/m``),
-    so each later addition rounds back to the same sum.
+    so each later addition rounds back to the same sum.  The order within a
+    binade and the spacing of the tests therefore decide only how many such
+    additions an entry makes.
     """
     delta = np.asarray(delta, dtype=float)
     phi = np.empty_like(delta)
@@ -210,18 +220,24 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     small = delta <= _SERIES_CUTOFF
     if np.any(small):
         idx = np.flatnonzero(small)
-        idx = idx[np.argsort(delta[idx])]
+        # sort on the binary exponent alone: a stable radix sort of 16-bit keys
+        idx = idx[np.argsort((delta[idx].view(np.int64) >> 52).astype(np.uint16), kind="stable")]
         x = delta[idx]
         term = 0.5 * x * x
         sphi = term.copy()
         spsi = np.zeros_like(x)
+        inc = np.empty_like(x)
         lo = 0  # entries lo: are still running; term holds their last term
         for m in range(3, 201):
-            term = term * x[lo:] * (alpha + m - 3.0) / m
+            term *= x[lo:]
+            term *= alpha + m - 3.0
+            term /= m
             sphi[lo:] += term
-            inc = term * (m - 2.0)
-            spsi[lo:] += inc
-            done = (inc <= 1e-17 * np.maximum(spsi[lo:], 1e-300)) & (
+            np.multiply(term, m - 2.0, out=inc[lo:])
+            spsi[lo:] += inc[lo:]
+            if m % _SERIES_CHECK:
+                continue
+            done = (inc[lo:] <= 1e-17 * np.maximum(spsi[lo:], 1e-300)) & (
                 term <= 1e-17 * sphi[lo:]
             )
             step = done.size if done.all() else int(np.argmin(done))
@@ -381,15 +397,17 @@ def _kernel_slabs(
     Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
     and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
     a :class:`KernelTable`, on the edges of :func:`_slab_edges`.  The inputs
-    ``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` of every entry of a slab are
-    formed at once.  The closed backend maps
-    them in one vectorized pass; every entry's series stops on its own (see
-    :func:`_phi_psi`), so where slab edges fall does not change a bit.  It
-    computes only the entries whose inputs differ from those of the last
-    entry computed at the same distance ``k - j`` (held for the previous
-    slab's last row) and copies the rest: an entry depends on nothing but its
+    ``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` of a slab are formed at once, as a
+    dense ``(k1 - k0) x (k1 - 1)`` block by broadcasting; its entries with
+    ``j < k`` are valid.  The closed backend maps them in one vectorized
+    pass; every entry's series stops on its own (see :func:`_phi_psi`), so
+    where slab edges fall does not change a bit.  It computes only the
+    entries whose inputs differ from those of the entry at the same distance
+    ``k - j`` in the previous slab's last row, read through a sliding window
+    of that row, and copies the rest: an entry depends on nothing but its
     inputs and ``alpha``, so a copy is the same bits.  The quadrature backend
-    integrates every entry of a slab in one :func:`_quadrature_a_c` call.
+    integrates every valid entry of a slab, in row-major order, in one
+    :func:`_quadrature_a_c` call.
     Raises SingularDiagonalError when a diagonal entry is not positive,
     NumericalError when a coefficient is not finite, naming the first such
     level, and QuadratureConvergenceError, naming the slab's levels, when the
@@ -399,36 +417,40 @@ def _kernel_slabs(
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
-    # the inputs and coefficients of the last entry computed at each distance
-    # k - j; NaN inputs match nothing
-    seen_w0, seen_tj, seen_tj1, seen_a, seen_c = np.full((5, n + 1), np.nan)
+    # inputs and coefficients of the previous slab's last row, by column
+    prev = np.empty((5, 0))
     for k0, k1 in _slab_edges(n):
-        a = np.zeros((k1 - k0, k1))
-        c = np.zeros((k1 - k0, k1))
+        rows, width = k1 - k0, k1 - 1
+        a = np.zeros((rows, k1))
+        c = np.zeros((rows, k1))
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
-        # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1
-        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-        w0 = t_star[i] - nodes[js]  # t_k* - t_{j-1}
-        tj, tj1 = tau[js], tau[js + 1]
-        at, dist = i * k1 + js, i + k0 - js  # position in the flat slab; k - j
-        del i, js  # _closed_a_c's temporaries set the slab's peak; add none beside them
+        # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1; the
+        # block holds columns j < k1 of every row and is valid where j < k
+        w0 = t_star[:, None] - nodes[None, :width]  # t_k* - t_{j-1}
+        tj = np.broadcast_to(tau[:width], w0.shape)
+        tj1 = np.broadcast_to(tau[1:k1], w0.shape)
+        valid = np.tri(rows, width, k0 - 1, dtype=bool)
+        block_a, block_c = a[:, :width], c[:, :width]
         if backend == "closed":
-            hit = (w0 == seen_w0[dist]) & (tj == seen_tj[dist]) & (tj1 == seen_tj1[dist])
-            flat_a, flat_c = a.reshape(-1), c.reshape(-1)
-            # gather the cached a, c for the hits alone, not for every entry
-            hit_at, dist = at[hit], dist[hit]
-            flat_a[hit_at], flat_c[hit_at] = seen_a[dist], seen_c[dist]
-            miss = ~hit
-            at, w0, tj, tj1 = at[miss], w0[miss], tj[miss], tj1[miss]
-            flat_a[at], flat_c[at] = _closed_a_c(tj, tj1, w0, alpha)
-            # the slab's last row (level k1) holds each distance 1..k1-1 once,
-            # in reverse order
-            seen_w0[1:k1] = (t_star[-1] - nodes[: k1 - 1])[::-1]
-            seen_tj[1:k1], seen_tj1[1:k1] = tau[: k1 - 1][::-1], tau[1:k1][::-1]
-            seen_a[1:k1], seen_c[1:k1] = a[-1, : k1 - 1][::-1], c[-1, : k1 - 1][::-1]
-        elif at.size:  # level 1 alone has no entries
+            # entry (i, j-1) has the distance k - j of column j-2-i of the
+            # previous slab's last row: row i of the window view is that row
+            # shifted right by i + 1 and padded with NaN, which matches nothing
+            pad = np.full((5, rows), np.nan)
+            padded = np.concatenate([pad, prev, pad], axis=1)
+            seen = sliding_window_view(padded, width, axis=1)[:, rows - 1 :: -1]
+            hit = w0 == seen[0]
+            hit &= tj == seen[1]
+            hit &= tj1 == seen[2]
+            np.copyto(block_a, seen[3], where=hit)
+            np.copyto(block_c, seen[4], where=hit)
+            miss = valid & ~hit
+            block_a[miss], block_c[miss] = _closed_a_c(tj[miss], tj1[miss], w0[miss], alpha)
+            prev = np.stack([w0[-1], tau[:width], tau[1:k1], block_a[-1], block_c[-1]])
+        elif k1 > 1:  # level 1 alone has no entries
             try:
-                a.flat[at], c.flat[at] = _quadrature_a_c(tj, tj1, w0, alpha)
+                block_a[valid], block_c[valid] = _quadrature_a_c(
+                    tj[valid], tj1[valid], w0[valid], alpha
+                )
             except QuadratureConvergenceError as exc:
                 raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
         # one scalar power per level: a vectorized power can differ in the last

@@ -11,7 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subdiff
@@ -393,6 +393,15 @@ _DELTAS = st.one_of(
     deltas=st.lists(_DELTAS, min_size=1, max_size=300),
     alpha=st.floats(1e-3, 0.999),
 )
+# one binade in descending order: the exponent sort keeps the slowest first
+@example(deltas=[0.5 - 0.01 * i for i in range(1, 25)], alpha=0.5)
+# at alpha 0.5 these stop on their own after terms 33, 19, 14 and 13, all
+# between two convergence tests
+@example(deltas=[0.3, 0.1, 0.03, 0.02], alpha=0.5)
+@example(deltas=[1e-300], alpha=0.5)
+@example(deltas=[1e-300, 0.2, 1e-300], alpha=1e-3)
+@example(deltas=[math.nextafter(0.6, 0.0), 0.6, math.nextafter(0.6, 1.0)], alpha=0.999)
+@example(deltas=[math.nextafter(0.6, 1.0), 0.6, math.nextafter(0.6, 0.0)], alpha=1e-3)
 def test_phi_psi_stops_each_entry_without_changing_a_bit(deltas, alpha):
     phi, psi = kernel_module._phi_psi(np.array(deltas), alpha)
     ref_phi, ref_psi = _phi_psi_shared_stop(np.array(deltas), alpha)
@@ -439,18 +448,40 @@ def _fuzzed_mesh(num_steps, seed):
     return TimeMesh(np.concatenate([[0.0], np.cumsum(np.cumprod([1.0, *ratios]))]))
 
 
-@pytest.mark.parametrize(
-    "mesh",
-    [_soak_mesh(), make_uniform_mesh(1.0, 512), make_graded_mesh(1.0, 400, 2.0), _fuzzed_mesh(400, 11)],
-    ids=["soak", "dyadic-uniform", "graded", "fuzzed"],
-)
-def test_closed_slabs_reuse_entries_bit_for_bit(mesh):
-    order = FractionalOrder(0.5)
+def _contrast_mesh():
+    # steps from 1e-140 to 0.25: products of two steps leave the normal range
+    # (the closed forms' low branch), and runs of equal tiny steps give hits
+    return TimeMesh(np.cumsum([0.0] + [1e-140] * 200 + [1e-70] * 50 + [1e-5] * 50 + [0.25] * 300))
+
+
+# (mesh, alpha, first level checked); the reference is the whole triangle of
+# each slab, so on the long mesh only its late slabs, of two rows, are checked
+_REUSE_CASES = {
+    "soak": (_soak_mesh(), 0.5, 0),
+    "dyadic-uniform": (make_uniform_mesh(1.0, 512), 0.5, 0),
+    "graded": (make_graded_mesh(1.0, 400, 2.0), 0.5, 0),
+    "fuzzed": (_fuzzed_mesh(400, 11), 0.5, 0),
+    # a tail step of 49/1200: node rounding breaks most equalities
+    "non-dyadic-tail": (make_graded_then_uniform(50.0, 1500, 2.0, 1.0, 300), 0.5, 0),
+    "contrast-1e140": (_contrast_mesh(), 0.5, 0),
+    "alpha-0.01": (make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128), 0.01, 0),
+    "alpha-0.99": (make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128), 0.99, 0),
+    "long": (make_uniform_mesh(11.0, 11264), 0.5, 11000),
+}
+
+
+@pytest.mark.parametrize("case", list(_REUSE_CASES))
+def test_closed_slabs_reuse_entries_bit_for_bit(case):
+    mesh, alpha, first = _REUSE_CASES[case]
+    order = FractionalOrder(alpha)
     tau, nodes = mesh.steps, mesh.nodes
     slabs = 0
     for k0, k1, a, c, _, _ in kernel_module._kernel_slabs(
         mesh, order, mesh.num_steps, "closed"
     ):
+        if k0 < first:
+            continue
+        assert first == 0 or k1 - k0 <= 2
         # reference: the slab's closed fill computes every entry of its triangle
         i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
         w0 = nodes[i + k0] + order.sigma * tau[i + k0] - nodes[js]
@@ -459,6 +490,28 @@ def test_closed_slabs_reuse_entries_bit_for_bit(mesh):
         assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c), (k0, k1)
         slabs += 1
     assert slabs >= 3  # slab edges fall inside the uniform runs
+
+
+def test_quadrature_slabs_take_their_entries_in_row_major_order(monkeypatch):
+    mesh = _fuzzed_mesh(300, 3)
+    order = FractionalOrder(0.4)
+    tau, nodes = mesh.steps, mesh.nodes
+    calls = []
+
+    def recorded(tj, tj1, w0, alpha):
+        calls.append((tj, tj1, w0))
+        return kernel_module._closed_a_c(tj, tj1, w0, alpha)
+
+    monkeypatch.setattr(kernel_module, "_quadrature_a_c", recorded)
+    slabs = list(kernel_module._kernel_slabs(mesh, order, mesh.num_steps, "quadrature"))
+    closed = build_kernel_table(mesh, order, backend="closed")
+    assert len(slabs) >= 2 and len(calls) == len(slabs)
+    for (k0, k1, a, c, _, _), (tj, tj1, w0) in zip(slabs, calls):
+        # the entries of np.tril_indices, in its order, and placed back there
+        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
+        assert np.array_equal(tj, tau[js]) and np.array_equal(tj1, tau[js + 1])
+        assert np.array_equal(w0, nodes[i + k0] + order.sigma * tau[i + k0] - nodes[js])
+        assert np.array_equal(a, closed.a[k0:k1, :k1]) and np.array_equal(c, closed.c[k0:k1, :k1])
 
 
 def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
@@ -492,6 +545,20 @@ def test_closed_build_memory_is_bounded_by_the_stored_table():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * n * n + 16 * 2**20
+
+
+def test_closed_stream_memory_stays_small():
+    # a slab and the temporaries of its fill are a few arrays of at most
+    # _SLAB_ENTRIES entries each, whatever K is; at K=2560 they peak near 5 MB
+    mesh = _soak_mesh()
+    tracemalloc.start()
+    try:
+        for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), mesh.num_steps, "closed"):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_operator_annihilates_constants():

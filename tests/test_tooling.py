@@ -41,6 +41,24 @@ def test_every_public_name_resolves(name):
     assert missing == []
 
 
+def test_every_package_export_is_listed_in_its_module_all():
+    # the package re-exports module names; each must be in the __all__ of a
+    # module that holds the same object (the version string and the
+    # benchmarks module are the package's own)
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    unlisted = [
+        name
+        for name in subdiff.__all__
+        if name not in ("__version__", "benchmarks")
+        and not any(
+            name in getattr(module, "__all__", ())
+            and getattr(module, name) is getattr(subdiff, name)
+            for module in modules
+        )
+    ]
+    assert unlisted == []
+
+
 # 05 writes into demos/out/ and 07 takes several seconds; the rest run in
 # about three seconds together
 @pytest.mark.parametrize(
