@@ -61,14 +61,11 @@ from .solver import (
 )
 
 __all__ = [
-    "WORKERS_ENV_VAR",
     "MeshFamily",
     "parse_mesh_descriptor",
     "benchmark_families",
     "ExperimentSpec",
     "parse_config_file",
-    "parse_config_value",
-    "parse_config_list",
     "CellResult",
     "Verdict",
     "ErrorReport",
@@ -284,7 +281,7 @@ def _as_iterable(value) -> Iterable:
         return (value,)
 
 
-def parse_config_value(key: str, text: str, kind):
+def _parse_config_value(key: str, text: str, kind):
     """Convert one config value with ``kind`` (``int``, ``float`` or a parser
     such as :func:`parse_mesh_descriptor`); a value that does not convert is
     refused with ValidationError naming the key."""
@@ -296,11 +293,11 @@ def parse_config_value(key: str, text: str, kind):
         ) from exc
 
 
-def parse_config_list(key: str, text: str, kind) -> tuple:
+def _parse_config_list(key: str, text: str, kind) -> tuple:
     """A comma-separated config value: each nonblank item, stripped, is
-    converted as by :func:`parse_config_value`."""
+    converted as by :func:`_parse_config_value`."""
     items = (item.strip() for item in text.split(","))
-    return tuple(parse_config_value(key, item, kind) for item in items if item)
+    return tuple(_parse_config_value(key, item, kind) for item in items if item)
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -315,16 +312,16 @@ def _parse_bool(key: str, text: str) -> bool:
 # The one table of a reproduce-tables run's settings: each config key with the
 # flag that gives its default (None: no flag) and the parser of its text.
 _CONFIG_KEYS = {
-    "alphas": ("alpha", partial(parse_config_list, kind=float)),
-    "backend": ("backend", partial(parse_config_value, kind=str)),
-    "workers": ("workers", partial(parse_config_value, kind=int)),
-    "out_dir": ("out_dir", partial(parse_config_value, kind=str)),
+    "alphas": ("alpha", partial(_parse_config_list, kind=float)),
+    "backend": ("backend", partial(_parse_config_value, kind=str)),
+    "workers": ("workers", partial(_parse_config_value, kind=int)),
+    "out_dir": ("out_dir", partial(_parse_config_value, kind=str)),
     "paper_exact": ("paper_exact", _parse_bool),
     "extended": ("extended", _parse_bool),
-    "meshes": (None, partial(parse_config_list, kind=parse_mesh_descriptor)),
-    "step_counts": (None, partial(parse_config_list, kind=int)),
-    "space": (None, partial(parse_config_value, kind=str)),
-    "horizon": (None, partial(parse_config_value, kind=float)),
+    "meshes": (None, partial(_parse_config_list, kind=parse_mesh_descriptor)),
+    "step_counts": (None, partial(_parse_config_list, kind=int)),
+    "space": (None, partial(_parse_config_value, kind=str)),
+    "horizon": (None, partial(_parse_config_value, kind=float)),
 }
 _TABLE_KEYS = ("paper_exact", "extended")
 _CUSTOM_KEYS = ("meshes", "step_counts", "space", "horizon")

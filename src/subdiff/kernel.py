@@ -30,7 +30,11 @@ slabs directly and never holds the table.  Along a run of equal steps, entry
 each entry with the entry at the same distance ``k - j`` in the previous
 slab's last row and copies its coefficients wherever the inputs are
 bit-equal; where the nodes are exact (a dyadic step), such a run is computed
-once per distance.
+once per distance.  Each stream of slabs fills them all in one workspace of
+its own, sized once from the slab edges: the closed forms write every
+entry-sized result into its rows through ``out=``, by the same operations
+in the same order, so a slab is the same bits wherever it is stored, and a
+yielded slab is valid until the next one is requested.
 """
 from __future__ import annotations
 
@@ -77,7 +81,7 @@ _SERIES_CUTOFF = 0.6
 _SERIES_CHECK = 4
 
 # Entries (rows x width) of one kernel slab.  This bounds both the slab the
-# march holds and the temporaries of one vectorized closed pass, so the late
+# march holds and the workspace of one vectorized closed pass, so the late
 # slabs of a long mesh hold few rows.
 _SLAB_ENTRIES = 2**15
 
@@ -193,7 +197,9 @@ class KernelTable:
 # ---------------------------------------------------------------------------
 
 
-def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _phi_psi(
+    delta: np.ndarray, alpha: float, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Stable evaluation of the two antiderivative remainder functions.
 
     ``phi(x) = x + ((1-x)^{2-alpha} - 1)/(2-alpha)`` and
@@ -213,20 +219,41 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     so each later addition rounds back to the same sum.  The order within a
     binade and the spacing of the tests therefore decide only how many such
     additions an entry makes.
+
+    ``delta`` is one-dimensional.  Every entry-sized array goes in the rows
+    of ``work``, a ``(7, >= delta.size)`` float array that must not hold
+    ``delta`` (allocated when not given): ``phi`` and ``psi`` are returned as
+    views of its first two rows, and the rest is scratch.  The sort order is
+    the one array allocated.
     """
     delta = np.asarray(delta, dtype=float)
-    phi = np.empty_like(delta)
-    psi = np.empty_like(delta)
-    small = delta <= _SERIES_CUTOFF
-    if np.any(small):
-        idx = np.flatnonzero(small)
-        # sort on the binary exponent alone: a stable radix sort of 16-bit keys
-        idx = idx[np.argsort((delta[idx].view(np.int64) >> 52).astype(np.uint16), kind="stable")]
-        x = delta[idx]
-        term = 0.5 * x * x
-        sphi = term.copy()
-        spsi = np.zeros_like(x)
-        inc = np.empty_like(x)
+    size = delta.size
+    if work is None:
+        work = np.empty((7, size))
+    phi, psi, x, term, sphi, spsi, inc = (row[:size] for row in work)
+    small = phi.view(bool)[:size]
+    np.less_equal(delta, _SERIES_CUTOFF, out=small)
+    # sort on the binary exponent alone, the direct entries last: a stable
+    # radix sort of 16-bit keys
+    exponent = x.view(np.int64)
+    np.right_shift(delta.view(np.int64), 52, out=exponent)
+    keys = term.view(np.uint16)[:size]
+    np.copyto(keys, exponent, casting="unsafe")
+    np.logical_not(small, out=psi.view(bool)[:size])
+    np.copyto(keys, 2047, where=psi.view(bool)[:size])
+    order = np.argsort(keys, kind="stable")
+    count = int(np.count_nonzero(small))
+    if count:
+        idx = order[:count]
+        x, term, sphi, spsi, inc = x[:count], term[:count], sphi[:count], spsi[:count], inc[:count]
+        np.take(delta, idx, out=x, mode="clip")
+        np.multiply(0.5, x, out=term)
+        term *= x
+        np.copyto(sphi, term)
+        spsi.fill(0.0)
+        # convergence tests: the bound in psi's row, the two flags in phi's
+        bound, passed = psi[:count], phi.view(bool)[:count]
+        also = phi.view(bool)[size : size + count]
         lo = 0  # entries lo: are still running; term holds their last term
         for m in range(3, 201):
             term *= x[lo:]
@@ -237,23 +264,42 @@ def _phi_psi(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
             spsi[lo:] += inc[lo:]
             if m % _SERIES_CHECK:
                 continue
-            done = (inc[lo:] <= 1e-17 * np.maximum(spsi[lo:], 1e-300)) & (
-                term <= 1e-17 * sphi[lo:]
-            )
+            done, other, limit = passed[: count - lo], also[: count - lo], bound[lo:]
+            np.maximum(spsi[lo:], 1e-300, out=limit)
+            limit *= 1e-17
+            np.less_equal(inc[lo:], limit, out=done)
+            np.multiply(sphi[lo:], 1e-17, out=limit)
+            np.less_equal(term, limit, out=other)
+            done &= other
             step = done.size if done.all() else int(np.argmin(done))
             lo += step
-            if lo == x.size:
+            if lo == count:
                 break
             term = term[step:]
-        phi[idx] = (1.0 - alpha) * sphi
-        psi[idx] = (1.0 - alpha) * spsi
-    big = ~small
-    if np.any(big):
-        x = delta[big]
-        lp = np.log1p(-x)
-        e2 = np.expm1((2.0 - alpha) * lp)
-        phi[big] = x + e2 / (2.0 - alpha)
-        psi[big] = -2.0 * e2 / (2.0 - alpha) - x * (1.0 + np.exp((1.0 - alpha) * lp))
+        sphi *= 1.0 - alpha
+        spsi *= 1.0 - alpha
+        phi[idx] = sphi
+        psi[idx] = spsi
+    big = order[count:]
+    if big.size:
+        # the series rows are free again
+        x, lp, e2, value, tail = (row[: big.size] for row in work[2:])
+        np.take(delta, big, out=x, mode="clip")
+        np.negative(x, out=lp)
+        np.log1p(lp, out=lp)
+        np.multiply(2.0 - alpha, lp, out=e2)
+        np.expm1(e2, out=e2)
+        np.divide(e2, 2.0 - alpha, out=value)
+        np.add(x, value, out=value)
+        phi[big] = value
+        np.multiply(-2.0, e2, out=value)
+        value /= 2.0 - alpha
+        np.multiply(1.0 - alpha, lp, out=tail)
+        np.exp(tail, out=tail)
+        np.add(1.0, tail, out=tail)
+        np.multiply(x, tail, out=tail)
+        value -= tail
+        psi[big] = value
     return phi, psi
 
 
@@ -262,6 +308,7 @@ def _closed_a_c(
     tau_j1: np.ndarray,
     w0: np.ndarray,
     alpha: float,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized closed-form ``a_j^k`` and ``c_j^k``.
 
@@ -275,17 +322,58 @@ def _closed_a_c(
     steep meshes with step contrasts near 1e100), the same formulas are
     evaluated with the powers of ``delta`` divided out, so no intermediate
     leaves the normal range.
+
+    The inputs are one-dimensional.  Every entry-sized array goes in the
+    rows of ``work``, an ``(8, >= tau_j.size)`` float array that must not
+    hold the inputs (allocated when not given): ``a`` and ``c`` are returned
+    as views of its last two rows.  Each one is computed by the same
+    operations in the same order as the plain expressions in the comments,
+    so the bits do not depend on where they are stored.
     """
-    delta = tau_j / w0
-    phi, psi = _phi_psi(delta, alpha)
+    size = tau_j.size
+    if work is None:
+        work = np.empty((8, size))
+    delta, phi, psi, r3, r4, r5, a, c = (row[:size] for row in work)
+    np.divide(tau_j, w0, out=delta)
+    _phi_psi(delta, alpha, work[1:, :size])
     one_m = 1.0 - alpha
-    # w0^{1-alpha} - (w0-tau_j)^{1-alpha}, computed without cancellation
-    head = -(w0**one_m) * np.expm1(one_m * np.log1p(-delta))
-    w2 = w0 ** (2.0 - alpha)
+    # head = -(w0**one_m) * expm1(one_m * log1p(-delta)), that is
+    # w0^{1-alpha} - (w0-tau_j)^{1-alpha} computed without cancellation
+    head = a
+    np.power(w0, one_m, out=r3)
+    np.negative(r3, out=r3)
+    np.negative(delta, out=r4)
+    np.log1p(r4, out=r4)
+    np.multiply(one_m, r4, out=r4)
+    np.expm1(r4, out=r4)
+    np.multiply(r3, r4, out=head)
+    w2 = r3
+    np.power(w0, 2.0 - alpha, out=w2)
+    span = r4
+    np.add(tau_j, tau_j1, out=span)
     with np.errstate(divide="ignore", invalid="ignore"):  # such entries are redone below
-        a = -(tau_j1 * head + 2.0 * w2 * phi) / (one_m * tau_j * (tau_j + tau_j1))
-        c = w2 * psi / (one_m * tau_j1 * (tau_j + tau_j1))
-    low = np.minimum(w2 * np.minimum(phi, psi), np.minimum(tau_j, tau_j1) ** 2) < 1e-250
+        # a = -(tau_j1 * head + 2.0 * w2 * phi) / (one_m * tau_j * (tau_j + tau_j1))
+        np.multiply(tau_j1, head, out=a)
+        np.multiply(2.0, w2, out=r5)
+        r5 *= phi
+        a += r5
+        np.negative(a, out=a)
+        np.multiply(one_m, tau_j, out=r5)
+        r5 *= span
+        a /= r5
+        # c = w2 * psi / (one_m * tau_j1 * (tau_j + tau_j1))
+        np.multiply(w2, psi, out=c)
+        np.multiply(one_m, tau_j1, out=r5)
+        r5 *= span
+        c /= r5
+    # low = minimum(w2 * minimum(phi, psi), minimum(tau_j, tau_j1) ** 2) < 1e-250
+    np.minimum(phi, psi, out=r4)
+    np.multiply(w2, r4, out=r4)
+    np.minimum(tau_j, tau_j1, out=r5)
+    np.square(r5, out=r5)
+    np.minimum(r4, r5, out=r4)
+    low = r5.view(bool)[:size]
+    np.less(r4, 1e-250, out=low)
     if np.any(low):
         tj, tj1, w, d = tau_j[low], tau_j1[low], w0[low], delta[low]
         # phi/delta^2 and psi/delta^3; below delta = 1e-17 the series' first
@@ -408,6 +496,13 @@ def _kernel_slabs(
     inputs and ``alpha``, so a copy is the same bits.  The quadrature backend
     integrates every valid entry of a slab, in row-major order, in one
     :func:`_quadrature_a_c` call.
+
+    The stream fills every slab in one workspace, sized from the slab edges
+    before the first and reused by the rest, so a slab allocates little
+    beyond an index array and a sort order.  The yielded ``a``, ``c`` and
+    ``m`` are views into it: a slab is valid until the next one is
+    requested, and a consumer that keeps one copies it.  The workspace belongs to this
+    generator alone, so streams in other threads share nothing.
     Raises SingularDiagonalError when a diagonal entry is not positive,
     NumericalError when a coefficient is not finite, naming the first such
     level, and QuadratureConvergenceError, naming the slab's levels, when the
@@ -417,16 +512,33 @@ def _kernel_slabs(
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
-    # inputs and coefficients of the previous slab's last row, by column
-    prev = np.empty((5, 0))
-    for k0, k1 in _slab_edges(n):
+    edges = list(_slab_edges(n))
+    most_rows = max(k1 - k0 for k0, k1 in edges)
+    most_entries = max((k1 - k0) * k1 for k0, k1 in edges)
+    most_valid = max((k1 - k0) * (k0 + k1 - 1) // 2 for k0, k1 in edges)
+    # One float pool holds, in turn, a slab's dense w0 block (from row 3 of
+    # `work`, 11 rows of most_valid floats), the inputs of its missed entries
+    # (rows 0-2), the work of _closed_a_c (rows 3-10, its a and c in rows 9
+    # and 10), and then the slab's a, c and m, packed from the pool's start.
+    # Each is written only once what it overlaps is done with: a slab's valid
+    # entries are at least a quarter of its block when n >= 2, so the slab's
+    # a and c (at most 8 rows) end before row 9.
+    pool = np.empty(max(11 * most_valid, 3 * most_entries))
+    work = pool[: 11 * most_valid].reshape(11, most_valid)
+    # inputs and coefficients of the previous slab's last row by column,
+    # from column most_rows on; the NaN around them matches nothing
+    prev = np.full((5, most_rows + n), np.nan)
+    for k0, k1 in edges:
         rows, width = k1 - k0, k1 - 1
-        a = np.zeros((rows, k1))
-        c = np.zeros((rows, k1))
+        size = rows * k1
+        a = pool[:size].reshape(rows, k1)
+        c = pool[size : 2 * size].reshape(rows, k1)
+        m = pool[2 * size : 3 * size].reshape(rows, k1)
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
         # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1; the
         # block holds columns j < k1 of every row and is valid where j < k
-        w0 = t_star[:, None] - nodes[None, :width]  # t_k* - t_{j-1}
+        w0 = pool[3 * most_valid : 3 * most_valid + rows * width].reshape(rows, width)
+        np.subtract(t_star[:, None], nodes[None, :width], out=w0)  # t_k* - t_{j-1}
         tj = np.broadcast_to(tau[:width], w0.shape)
         tj1 = np.broadcast_to(tau[1:k1], w0.shape)
         valid = np.tri(rows, width, k0 - 1, dtype=bool)
@@ -434,33 +546,47 @@ def _kernel_slabs(
         if backend == "closed":
             # entry (i, j-1) has the distance k - j of column j-2-i of the
             # previous slab's last row: row i of the window view is that row
-            # shifted right by i + 1 and padded with NaN, which matches nothing
-            pad = np.full((5, rows), np.nan)
-            padded = np.concatenate([pad, prev, pad], axis=1)
-            seen = sliding_window_view(padded, width, axis=1)[:, rows - 1 :: -1]
+            # shifted right by i + 1
+            seen = sliding_window_view(prev, width, axis=1)[:, most_rows - rows : most_rows]
+            seen = seen[:, ::-1]
             hit = w0 == seen[0]
             hit &= tj == seen[1]
             hit &= tj1 == seen[2]
+            miss = valid & ~hit
+            last = prev[:, most_rows : most_rows + width]
+            last[:3] = w0[-1], tau[:width], tau[1:k1]
+            at = np.flatnonzero(miss)
+            inputs = work[:3, : at.size]
+            np.take(w0, at, out=inputs[2], mode="clip")
+            at %= width  # the column j - 1 of each missed entry
+            np.take(tau, at, out=inputs[0], mode="clip")
+            np.take(tau[1:], at, out=inputs[1], mode="clip")
+            del at  # freed before _closed_a_c allocates its sort order
+            coefficients = _closed_a_c(*inputs, alpha, work[3:, : inputs.shape[1]])
+            a.fill(0.0)
+            c.fill(0.0)
             np.copyto(block_a, seen[3], where=hit)
             np.copyto(block_c, seen[4], where=hit)
-            miss = valid & ~hit
-            block_a[miss], block_c[miss] = _closed_a_c(tj[miss], tj1[miss], w0[miss], alpha)
-            prev = np.stack([w0[-1], tau[:width], tau[1:k1], block_a[-1], block_c[-1]])
-        elif k1 > 1:  # level 1 alone has no entries
-            try:
-                block_a[valid], block_c[valid] = _quadrature_a_c(
-                    tj[valid], tj1[valid], w0[valid], alpha
-                )
-            except QuadratureConvergenceError as exc:
-                raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
+            block_a[miss], block_c[miss] = coefficients
+            last[3:] = block_a[-1], block_c[-1]
+        else:
+            inputs = tj[valid], tj1[valid], w0[valid]
+            a.fill(0.0)
+            c.fill(0.0)
+            if k1 > 1:  # level 1 alone has no entries
+                try:
+                    block_a[valid], block_c[valid] = _quadrature_a_c(*inputs, alpha)
+                except QuadratureConvergenceError as exc:
+                    raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
         # one scalar power per level: a vectorized power can differ in the last
         # bit, which would change every solution the march writes
         diag = np.array([
             sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha) for t in tau[k0:k1]
         ])
-        m = np.empty_like(a)
         # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it, zero above it
         np.subtract(c[:, :-1], a[:, 1:], out=m[:, 1:])
+        # through a temporary: NumPy 2.4's np.negative from one strided column
+        # into another reads the wrong entries when both are 8 x 8 blocks
         m[:, 0] = -a[:, 0]
         on_diag = (np.arange(k1 - k0), np.arange(k0, k1))
         m[on_diag] += diag
@@ -480,8 +606,6 @@ def _kernel_slabs(
         for arr in (a, c, m, t_star):
             arr.flags.writeable = False
         yield k0, k1, a, c, m, t_star
-        # a consumer that drops the slab frees it before the next one is filled
-        del a, c, m, t_star
 
 
 def build_kernel_table(

@@ -528,7 +528,29 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
     return state
 
 
-def _march(state: SolverState, m: np.ndarray, t_star: np.ndarray) -> None:
+def _part_rows(rows: int, k1: int, modes: int) -> int:
+    """Rows per part of a slab of ``rows`` levels up to ``k1`` on ``modes``
+    active modes: as few parts as ``_PART_ENTRIES`` allows, their rows
+    evened out."""
+    parts = -(-rows // max(_PART_ENTRIES // (k1 + modes), 1))
+    return -(-rows // parts)
+
+
+def _march_buffers(edges, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The differenced history rows, right sides and work array
+    :func:`_march` needs for every slab ``(k0, k1)`` of ``edges``."""
+    parts = [(_part_rows(k1 - k0, k1, modes), k1) for k0, k1 in edges]
+    rows = max(size for size, _ in parts)
+    dm = np.empty(max(size * k1 for size, k1 in parts))
+    return dm, np.empty((rows, modes)), np.empty((rows, modes))
+
+
+def _march(
+    state: SolverState,
+    m: np.ndarray,
+    t_star: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> None:
     """March one slab: levels ``k0+1..k1`` from their history rows ``m``,
     laid out as those rows of a :class:`KernelTable` (``(k1 - k0) x k1``),
     and their offset points ``t_star``; ``k0`` must be ``state.level``.
@@ -539,14 +561,16 @@ def _march(state: SolverState, m: np.ndarray, t_star: np.ndarray) -> None:
     ``(m_kk / Gamma(1-alpha) + sigma lam) c_k = rhs_k`` with
     ``rhs_k = f_k - (alpha/2) lam c_{k-1} + sum_j (m_{k,j+1} - m_{k,j}) c_j /
     Gamma(1-alpha)`` over ``j = 0..k-1`` (``m_{k,0} = 0``).  The levels go
-    in parts of at most ``_PART_ENTRIES`` entries, in buffers reused from
-    part to part.  The history sum over the levels before a part is one
-    matrix product for the whole part; each level then adds its dot over
-    the part's earlier levels and does its division.  The finite check, the
-    residual (that of the diagonal system, relative to its right side) and
-    the H1 seminorm (by Parseval: the transforms are orthonormal) are taken
-    for the whole part.  A non-finite solution is refused, naming its first
-    level.
+    in parts of at most ``_PART_ENTRIES`` entries, in ``buffers`` from
+    :func:`_march_buffers`, which :func:`solve` allocates once for the whole
+    run and reuses from part to part and slab to slab (a one-slab set is
+    allocated when none is given).  The history sum over the levels before
+    a part is one matrix product for the whole part; each level then adds
+    its dot over the part's earlier levels and does its division.  The
+    finite check, the residual (that of the diagonal system, relative to
+    its right side) and the H1 seminorm (by Parseval: the transforms are
+    orthonormal) are taken for the whole part.  A non-finite solution is
+    refused, naming its first level.
     """
     rows, k1 = m.shape
     k0 = k1 - rows
@@ -565,12 +589,10 @@ def _march(state: SolverState, m: np.ndarray, t_star: np.ndarray) -> None:
     lam = space.laplacian_symbol.ravel()[state.modes]
     half_lam = 0.5 * order.alpha * lam
     sigma_lam = order.sigma * lam
-    # as few parts as the budget allows, their rows evened out
-    parts = -(-rows // max(_PART_ENTRIES // (k1 + lam.size), 1))
-    size = -(-rows // parts)
-    dm_buffer = np.empty(size * k1)
-    rhs_buffer = np.empty((size, lam.size))
-    work_buffer = np.empty_like(rhs_buffer)
+    size = _part_rows(rows, k1, lam.size)
+    if buffers is None:
+        buffers = _march_buffers([(k0, k1)], lam.size)
+    dm_buffer, rhs_buffer, work_buffer = buffers
     for p in range(0, rows, size):
         q = min(p + size, rows)
         start, top = k0 + p, k0 + q  # the part's levels are start+1..top
@@ -618,10 +640,12 @@ def solve(
     """March the problem across the whole mesh and return the final state.
 
     The kernel's history rows are computed by ``backend`` in slabs of
-    consecutive rows as the march reaches them, and each slab is dropped
-    once it is marched.  A prebuilt ``table`` may be supplied instead, by
-    callers that reuse one; its first ``mesh.num_steps`` rows are marched on
-    the same slab edges, bit-identical to the streamed run.  A table for
+    consecutive rows as the march reaches them, each in the one workspace
+    of the kernel stream, so the next slab overwrites the one just marched;
+    the march's own buffers are allocated once for the run.  A prebuilt
+    ``table`` may be supplied instead, by callers that reuse one; its first
+    ``mesh.num_steps`` rows are marched on the same slab edges,
+    bit-identical to the streamed run.  A table for
     another order, or on a mesh whose first ``mesh.num_steps + 1`` nodes
     differ, is refused with ValidationError.  The march runs a slab at a
     time on the active modes' coefficients (see :func:`_march`), and the
@@ -639,9 +663,9 @@ def solve(
             for k0, k1 in _slab_edges(n)
         )
     state = initialize_state(problem, mesh)
-    for slab in slabs:
-        _march(state, slab[4], slab[5])
-        del slab  # the march holds one slab: this one is freed before the next is filled
+    buffers = _march_buffers(_slab_edges(n), state.modes.size)
+    for _, _, _, _, m, t_star in slabs:
+        _march(state, m, t_star, buffers)
     logger.debug(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,

@@ -59,6 +59,14 @@ def test_every_package_export_is_listed_in_its_module_all():
     assert unlisted == []
 
 
+@pytest.mark.parametrize("name", ["analysis", "errors", "harness", "kernel", "meshes", "solver"])
+def test_every_module_export_is_a_package_export(name):
+    # the other direction of the check above: a module lists in its __all__
+    # only names the package exports too
+    module = importlib.import_module(f"subdiff.{name}")
+    assert [attr for attr in module.__all__ if attr not in subdiff.__all__] == []
+
+
 # 05 writes into demos/out/ and 07 takes several seconds; the rest run in
 # about three seconds together
 @pytest.mark.parametrize(
