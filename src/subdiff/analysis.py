@@ -56,6 +56,9 @@ _EPS = float(np.finfo(float).eps)
 # Comparisons whose sides are small differences of full-magnitude entries
 # cannot be decided in f64 below a few ulps of the entries themselves.
 _ROUNDING_ALLOWANCE = 8.0 * _EPS
+# Columns per block of the complementary-kernel sweep (16 and 64 were slower
+# on 128-level tables).
+_COMPLEMENTARY_BLOCK = 32
 
 
 class Violation(NamedTuple):
@@ -317,24 +320,37 @@ def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
 def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray:
     """Discrete resolvent rows ``P`` with ``P M`` the all-ones lower triangle.
 
-    Solves the triangular system so that
-    ``sum_l P[k,l] M[l,j] = 1`` for every ``j <= k``; on admissible meshes
-    all entries are nonnegative, which is what makes the operator's inverse
-    order-preserving.  Accepts a kernel table or a dense lower-triangular
-    history matrix.
-    """
-    from scipy.linalg import solve_triangular  # not loaded with the package
+    Solves ``sum_l P[k,l] M[l,j] = 1`` for every ``j <= k``; on admissible
+    meshes all entries are nonnegative, which is what makes the operator's
+    inverse order-preserving.  Accepts a kernel table or a dense
+    lower-triangular history matrix with a finite, positive diagonal.
 
+    ``P`` is lower triangular, so its columns ``J = j0:j1`` (blocks of
+    ``_COMPLEMENTARY_BLOCK``, taken from the right) satisfy
+    ``P[j0:, J] M[J, J] = L[j0:, J] - P[j0:, j1:] M[j1:, J]`` with ``L`` the
+    all-ones lower triangle, whose right side holds only columns already
+    found.  ``np.linalg.solve`` factors the upper-triangular ``M[J, J]^T``
+    by LU with partial pivoting: every entry below its diagonal is zero, so
+    no row is swapped, the factor ``U`` is ``M[J, J]^T`` itself and the
+    solve is plain back substitution.
+    """
     m = source.m if isinstance(source, KernelTable) else np.asarray(source, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("history matrix must be square")
-    n = m.shape[0]
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("history matrix must be finite")
+    if np.any(np.triu(m, 1)):
+        raise ValidationError("history matrix must be lower triangular")
     if np.any(np.diag(m) <= 0.0):
         raise SingularDiagonalError("history matrix needs a positive diagonal")
-    # P M = L (L the all-ones lower triangle) is M^T P^T = L^T, one
-    # upper-triangular solve for all columns of P^T at once
-    ones_upper = np.triu(np.ones((n, n)))
-    return solve_triangular(m.T, ones_upper, lower=False).T
+    n = m.shape[0]
+    p = np.zeros((n, n))
+    ones = np.tri(n)
+    for j1 in range(n, 0, -_COMPLEMENTARY_BLOCK):
+        j0 = max(j1 - _COMPLEMENTARY_BLOCK, 0)
+        rhs = ones[j0:, j0:j1] - p[j0:, j1:] @ m[j1:, j0:j1]
+        p[j0:, j0:j1] = np.linalg.solve(m[j0:j1, j0:j1].T, rhs.T).T
+    return p
 
 
 @functools.lru_cache(maxsize=8)

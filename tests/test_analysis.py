@@ -2,6 +2,7 @@
 and the complementary (resolvent) kernel."""
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from subdiff import (
     TimeMesh,
@@ -211,6 +212,72 @@ def test_complementary_kernel_errors():
         build_complementary_kernel(np.array([[0.0]]))
     with pytest.raises(ValidationError):
         build_complementary_kernel(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 0.0], [np.nan, 2.0]],
+        [[np.nan, 0.0], [1.0, 2.0]],
+        [[np.inf, 0.0], [1.0, 2.0]],
+        [[1.0, 0.0], [-np.inf, 2.0]],
+    ],
+    ids=["nan-below", "nan-diagonal", "inf-diagonal", "minus-inf-below"],
+)
+def test_complementary_kernel_refuses_non_finite_entries(m):
+    # a NaN diagonal passes a "<= 0" test, so finiteness is checked first
+    with pytest.raises(ValidationError, match="must be finite"):
+        build_complementary_kernel(np.array(m))
+
+
+def test_complementary_kernel_refuses_entries_above_the_diagonal():
+    # the answer for the lower triangle alone would be silently wrong
+    with pytest.raises(ValidationError, match="must be lower triangular"):
+        build_complementary_kernel(np.array([[2.0, 5.0], [1.0, 2.0]]))
+
+
+def _operator_fuzz_tables(seed, count=64, levels=128):
+    # built as perfbench's operator-fuzz builds its meshes: unit first step,
+    # every step ratio uniform in [eta, 3], alpha cycling 0.3/0.5/0.7
+    rng = np.random.default_rng(seed)
+    _, eta = admissibility_thresholds()
+    alphas = (0.3, 0.5, 0.7)
+    return [
+        build_kernel_table(
+            mesh_from_ratios(rng.uniform(eta, 3.0, size=levels - 1)), alphas[i % 3], backend="closed"
+        ).m
+        for i in range(count)
+    ]
+
+
+_SWEEP_CASES = {
+    # seed 407's mesh 12 has max|P| about 1e9
+    "fuzz-seed-1": lambda: _operator_fuzz_tables(1),
+    "fuzz-seed-407": lambda: _operator_fuzz_tables(407),
+    "graded-r3": lambda: [build_kernel_table(make_graded_mesh(1.0, 128, 3.0), 0.5, backend="closed").m],
+    "uniform": lambda: [build_kernel_table(make_uniform_mesh(1.0, 128), 0.5, backend="closed").m],
+    "contrast-1e100": lambda: [
+        build_kernel_table(TimeMesh(np.cumsum([0.0] + [1e-100] * 64 + [1.0] * 64)), alpha, backend="closed").m
+        for alpha in (0.3, 0.9)
+    ],
+    # one block, block edges and a partial last block
+    **{
+        f"n{n}": (lambda n=n: _operator_fuzz_tables(n, count=3, levels=n))
+        for n in (1, 2, 31, 32, 33, 65, 400)
+    },
+}
+
+
+@pytest.mark.parametrize("case", _SWEEP_CASES)
+def test_complementary_kernel_matches_a_triangular_solve(case):
+    for m in _SWEEP_CASES[case]():
+        n = m.shape[0]
+        p = build_complementary_kernel(m)
+        want = solve_triangular(m.T, np.triu(np.ones((n, n))), lower=False).T
+        assert np.max(np.abs(p - want)) <= 1e-14 * np.max(np.abs(want))
+        rows, cols = np.tril_indices(n)
+        assert np.max(np.abs((p @ m)[rows, cols] - 1.0)) <= 1e-13
+        assert np.array_equal(np.triu(p, 1), np.zeros((n, n)))
 
 
 def test_check_psd_fails_a_negative_eigenvalue_below_the_raw_rounding_scale(monkeypatch):

@@ -48,10 +48,12 @@ print(json.dumps([at_import, code, scipy_modules()]))
 """
 
 
-def test_only_analyze_loads_scipy(tmp_path):
-    # SciPy is the test oracle; at run time only analyze's triangular solve
-    # (scipy.linalg) needs it, and the quadrature oracle and caputo_reference
-    # import theirs when first called.  Each command runs in a fresh process.
+def test_no_command_loads_scipy(tmp_path):
+    # SciPy is the test oracle.  At run time only the quadrature oracle and
+    # caputo_reference use it, importing theirs when first called, so a
+    # closed-backend analyze loads no scipy module and a quadrature one only
+    # what scipy.integrate itself imports.  Each command runs in a fresh
+    # process.
     src = str(Path(subdiff.__file__).resolve().parents[1])
     commands = [
         ["soak", "--alpha", "0.5", "--K", "40", "--split-steps", "8", "--space", "d1:32"],
@@ -59,7 +61,13 @@ def test_only_analyze_loads_scipy(tmp_path):
         ["mesh-certify", "--mesh", "graded:r=2", "--K", "16"],
         ["reproduce-tables", "--paper-exact", "--alpha", "0.5"],
         ["analyze", "--alpha", "0.5", "--mesh", "graded:r=2", "--K", "16"],
+        ["analyze", "--alpha", "0.5", "--mesh", "graded:r=2", "--K", "16", "--backend", "quadrature"],
     ]
+    integrate_alone = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.integrate; "
+         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    )
     for argv in commands:
         run = subprocess.run(
             [sys.executable, "-c", _SCIPY_PROBE, src, *argv],
@@ -67,10 +75,9 @@ def test_only_analyze_loads_scipy(tmp_path):
         )
         at_import, code, loaded = json.loads(run.stdout)
         assert (at_import, code) == ([], EXIT_OK), argv
-        if argv[0] == "analyze":
-            assert "scipy.linalg" in loaded
-            oracles = {"scipy.fft", "scipy.special", "scipy.optimize", "scipy.integrate"}
-            assert oracles.isdisjoint(loaded)
+        if "quadrature" in argv:
+            assert "scipy.integrate" in loaded
+            assert loaded == json.loads(integrate_alone.stdout)
         else:
             assert loaded == [], argv
 
