@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import logging
 import sys
 from pathlib import Path
@@ -216,26 +217,30 @@ def build_parser() -> argparse.ArgumentParser:
             "H1 trajectory.  Exit 3 when the verdict fails."
         ),
     )
+    # the soak defaults are run_stability_soak's own
+    soak = {k: v.default for k, v in inspect.signature(run_stability_soak).parameters.items()}
     p.add_argument("--alpha", type=float, required=True, help="fractional order in (0,1)")
     p.add_argument("--horizon", type=float,
-                   help="final time (default 50, or a mesh file's; a file's other is refused)")
+                   help=f"final time (default {soak['horizon']}, or a mesh file's; "
+                        f"a file's other is refused)")
     p.add_argument("--K", type=int,
-                   help="total steps (default 500, or a mesh file's; any other is refused)")
-    p.add_argument("--grading", type=float, default=2.0,
-                   help="grading exponent of the initial layer (default 2)")
-    p.add_argument("--split-time", type=float, default=1.0,
-                   help="end of the graded head (default 1)")
-    p.add_argument("--split-steps", type=int, default=100,
-                   help="steps in the graded head (default 100)")
-    p.add_argument("--space", default="d1:512", metavar="KIND:N",
-                   help="spatial discretization (default d1:512)")
+                   help=f"total steps (default {soak['num_steps']}, or a mesh file's; "
+                        f"any other is refused)")
+    p.add_argument("--grading", type=float, default=soak["grading"],
+                   help="grading exponent of the initial layer (default %(default)s)")
+    p.add_argument("--split-time", type=float, default=soak["split_time"],
+                   help="end of the graded head (default %(default)s)")
+    p.add_argument("--split-steps", type=int, default=soak["split_steps"],
+                   help="steps in the graded head (default %(default)s)")
+    p.add_argument("--space", default=soak["space"], metavar="KIND:N",
+                   help="spatial discretization (default %(default)s)")
     p.add_argument("--zero-source", action="store_true",
                    help="decay run: zero forcing, monotone norms expected")
     p.add_argument("--mesh-file", metavar="PATH",
                    help="march on this stored mesh instead of the built one; "
                         "the grading and split flags are then unused")
-    p.add_argument("--plateau-factor", type=float, default=1.01,
-                   help="allowed late-window growth factor (default 1.01)")
+    p.add_argument("--plateau-factor", type=float, default=soak["plateau_factor"],
+                   help="allowed late-window growth factor (default %(default)s)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write soak_trajectory.csv and soak_summary.json under DIR")
     p.set_defaults(func=_cmd_soak)
@@ -411,14 +416,16 @@ def _cmd_reproduce_tables(args) -> int:
 
 
 def _cmd_soak(args) -> int:
+    # --horizon and --K go on only when given, so run_stability_soak's
+    # defaults hold; a mesh file refuses any other than its own
+    given = {k: v for k, v in (("horizon", args.horizon), ("num_steps", args.K)) if v is not None}
     mesh = None
     if args.mesh_file:
         family = MeshFamily(kind="file", path=args.mesh_file)
         mesh = family.build(alpha=None, horizon=args.horizon, num_steps=args.K)
     report = run_stability_soak(
         args.alpha,
-        horizon=50.0 if args.horizon is None else args.horizon,
-        num_steps=500 if args.K is None else args.K,
+        **given,
         grading=args.grading,
         split_time=args.split_time,
         split_steps=args.split_steps,

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
@@ -103,6 +104,20 @@ _MODE_FLOOR = 1e-13
 _PART_ENTRIES = 2**15
 
 
+def _check_length(length: float) -> float:
+    """``length`` as a float; a bool, a value that is not a real number, and
+    a non-finite or non-positive one are refused with a ValidationError."""
+    if isinstance(length, bool) or not isinstance(length, numbers.Real):
+        raise ValidationError(f"length must be a real number, got {length!r}")
+    try:
+        value = float(length)
+    except OverflowError:  # an int or a fraction past the float range
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"length must be positive and finite, got {length!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DirichletLine:
     """1-D interval ``[0, length]`` with homogeneous Dirichlet boundaries.
@@ -117,9 +132,7 @@ class DirichletLine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _check_count(self.intervals, "intervals", 3))
-        if not float(self.length) > 0.0:
-            raise ValidationError(f"length must be positive, got {self.length}")
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", _check_length(self.length))
 
     @property
     def h(self) -> float:
@@ -192,9 +205,7 @@ class PeriodicSquare:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", _check_count(self.modes, "modes", 3))
-        if not float(self.length) > 0.0:
-            raise ValidationError(f"length must be positive, got {self.length}")
-        object.__setattr__(self, "length", float(self.length))
+        object.__setattr__(self, "length", _check_length(self.length))
 
     @property
     def h(self) -> float:

@@ -88,7 +88,7 @@ def test_version_flag(capsys):
     assert out.strip() == "subdiff 0.1.0"
 
 
-def test_every_default_backend_is_closed():
+def test_every_default_backend_is_closed(capsys):
     # quadrature is the oracle, reached only by asking for it
     sites = (
         build_kernel_table, solve, ExperimentSpec,
@@ -100,6 +100,35 @@ def test_every_default_backend_is_closed():
         required = [] if command == "reproduce-tables" else ["--alpha", "0.5"]
         defaults[command] = parser.parse_args([command, *required]).backend
     assert defaults == dict.fromkeys(defaults, "closed")
+    # and each command's help says so
+    for command in ("analyze", "solve", "reproduce-tables", "soak"):
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert "closed forms (default)" in " ".join(out.split()), command
+
+
+def test_every_soak_default_is_run_stability_soaks(capsys):
+    # the soak flags take run_stability_soak's defaults, and the help states
+    # them; --horizon and --K are passed on only when given
+    params = inspect.signature(run_stability_soak).parameters
+    args = vars(build_parser().parse_args(["soak", "--alpha", "0.5"]))
+    shared = {name: value for name, value in args.items() if name in params}
+    assert set(shared) == {
+        "horizon", "grading", "split_time", "split_steps", "space", "zero_source", "backend",
+        "plateau_factor", "out_dir",
+    }
+    assert (shared.pop("horizon"), args["K"], shared.pop("out_dir")) == (None, None, None)
+    assert shared == {name: params[name].default for name in shared}
+    code, out, _ = run_cli(capsys, "soak", "--help")
+    help_text = " ".join(out.split())
+    assert code == EXIT_OK
+    for name in ("horizon", "num_steps", "grading", "split_time", "split_steps", "space",
+                 "plateau_factor"):
+        assert f"(default {params[name].default}" in help_text, name
+    code, out, _ = run_cli(capsys, "soak", "--alpha", "0.5")
+    payload = json.loads(out)
+    assert (payload["num_steps"], payload["horizon"]) == (
+        params["num_steps"].default, params["horizon"].default
+    )
 
 
 def test_no_command_is_invalid(capsys):

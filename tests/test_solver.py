@@ -59,6 +59,25 @@ def test_space_validation_and_descriptors():
         DirichletLine(8, length=0.0)
 
 
+@pytest.mark.parametrize("space", [DirichletLine, PeriodicSquare])
+@pytest.mark.parametrize(
+    "length",
+    [math.inf, -math.inf, math.nan, 10**400, "abc", "2.0", None, 1j, True, 0, -1.0],
+    ids=["inf", "-inf", "nan", "1e400-int", "abc", "str-2.0", "None", "1j", "True", "0", "-1.0"],
+)
+def test_space_refuses_a_length_that_is_not_a_positive_finite_real(space, length):
+    # an infinite length used to march into NaN norms, "abc" leaked a plain
+    # ValueError and True was taken as 1.0
+    with pytest.raises(ValidationError, match="length"):
+        space(8, length=length)
+
+
+def test_space_takes_a_real_length_as_float():
+    for length in (3, np.float32(1.5), np.int64(2)):
+        assert DirichletLine(8, length=length).length == float(length)
+        assert type(PeriodicSquare(8, length=length).length) is float
+
+
 def test_line_norms_of_first_mode():
     # ||sin||_{L2} = sqrt(pi) on [0, 2*pi]; the H1 seminorm of sin equals
     # its L2 norm, and the grid norms converge at second order

@@ -3,7 +3,9 @@
 The traced benchmark run wraps program functions by module attribute
 (``perfbench/spans.py``) and stops when one of them is gone; a refactor that
 renames or drops such a name must fail here first.  The same holds for the
-names each module exports in ``__all__`` and for the demo scripts."""
+public names and for the demo scripts.  Each module's ``__all__`` is the one
+list of its public names: the package star-imports the modules and builds
+its own ``__all__`` from their lists."""
 import importlib
 import importlib.util
 import os
@@ -59,7 +61,27 @@ def test_every_package_export_is_listed_in_its_module_all():
     assert unlisted == []
 
 
-@pytest.mark.parametrize("name", ["analysis", "errors", "harness", "kernel", "meshes", "solver"])
+# the modules the package exports from, in the order of its __all__
+EXPORTING = ["errors", "meshes", "kernel", "analysis", "solver", "harness"]
+
+
+def test_package_all_is_the_module_lists_in_order():
+    expected = ["__version__", "benchmarks"]
+    for name in EXPORTING:
+        expected += importlib.import_module(f"subdiff.{name}").__all__
+    assert subdiff.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_star_import_binds_exactly_the_package_all():
+    # no np, logging, submodule or private name leaks into the caller
+    namespace = {}
+    exec("from subdiff import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(subdiff.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTING))
 def test_every_module_export_is_a_package_export(name):
     # the other direction of the check above: a module lists in its __all__
     # only names the package exports too
