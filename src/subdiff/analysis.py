@@ -56,6 +56,11 @@ _EPS = float(np.finfo(float).eps)
 # Comparisons whose sides are small differences of full-magnitude entries
 # cannot be decided in f64 below a few ulps of the entries themselves.
 _ROUNDING_ALLOWANCE = 8.0 * _EPS
+# The verdict tolerances: the least Jacobi-scaled eigenvalue check_psd
+# passes is -_PSD_TOL, and the P and Q suites pass x > y when
+# x - y > -_PQ_TOL*max(|x|, |y|).
+_PSD_TOL = 1e-10
+_PQ_TOL = 1e-12
 # Columns per block of the complementary-kernel sweep (16 and 64 were slower
 # on 128-level tables).
 _COMPLEMENTARY_BLOCK = 32
@@ -111,13 +116,13 @@ def ratio_condition_holds(mesh: TimeMesh, n: int | None = None) -> bool:
     return bool(np.all(ratio_condition_margins(rho) >= 0.0))
 
 
-def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation]:
+def check_properties_P(table: KernelTable) -> list[Violation]:
     """Sign and monotonicity checks P1-P10 on the coefficient tables.
 
     P1-P8 hold on every mesh; P9/P10 are guaranteed only under the
     consecutive-ratio condition and are skipped (with a log note) when
     :func:`ratio_condition_holds` is false.  A strict inequality ``x > y``
-    passes when ``x - y > -tol*max(|x|, |y|)``; the two checks whose sides
+    passes when ``x - y > -1e-12*max(|x|, |y|)``; the two checks whose sides
     are themselves tiny differences of full-magnitude coefficients (P4, P10)
     additionally allow a few ulps of the differenced operands.
     """
@@ -132,34 +137,34 @@ def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation
     k, j, f, x = sets["tri"]
     zero = np.zeros(k.size)
     a_kj = a[f]
-    _collect_flat("P1", zero, a_kj, k, j, tol, viol)
-    _collect_flat("P2", a[n:][f[:x]], a_kj[:x], k[:x], j[:x], tol, viol)
+    _collect_flat("P1", zero, a_kj, k, j, viol)
+    _collect_flat("P2", a[n:][f[:x]], a_kj[:x], k[:x], j[:x], viol)
 
     k, j, f, x = sets["inner"]
     a_kj, a_r = a[f], a[1:][f]
-    _collect_flat("P3", a_kj, a_r, k, j, tol, viol)
+    _collect_flat("P3", a_kj, a_r, k, j, viol)
     k, j, f, a_kj, a_r = k[:x], j[:x], f[:x], a_kj[:x], a_r[:x]
     a_up, a_ur = a[n:][f], a[n + 1:][f]
     floor = _ROUNDING_ALLOWANCE * _max_abs(a_ur, a_up, a_r, a_kj)
-    _collect_flat("P4", a_ur - a_up, a_r - a_kj, k, j, tol, viol, floor=floor)
+    _collect_flat("P4", a_ur - a_up, a_r - a_kj, k, j, viol, floor=floor)
 
     k, j, f, x = sets["tri"]
     c_kj = c[f]
-    _collect_flat("P5", c_kj, zero, k, j, tol, viol)
-    _collect_flat("P6", c_kj[:x], c[n:][f[:x]], k[:x], j[:x], tol, viol)
+    _collect_flat("P5", c_kj, zero, k, j, viol)
+    _collect_flat("P6", c_kj[:x], c[n:][f[:x]], k[:x], j[:x], viol)
 
     k, j, f, x = sets["dtri"]
     d_kj = d[f]
-    _collect_flat("P7", d_kj, np.zeros(k.size), k, j, tol, viol)
-    _collect_flat("P8", d_kj[:x], d[n:][f[:x]], k[:x], j[:x], tol, viol)
+    _collect_flat("P7", d_kj, np.zeros(k.size), k, j, viol)
+    _collect_flat("P8", d_kj[:x], d[n:][f[:x]], k[:x], j[:x], viol)
     if ratio_condition_holds(table.mesh, n):
         k, j, f, x = sets["dinner"]
         d_kj, d_r = d[f], d[1:][f]
-        _collect_flat("P9", d_r, d_kj, k, j, tol, viol)
+        _collect_flat("P9", d_r, d_kj, k, j, viol)
         k, j, f, d_kj, d_r = k[:x], j[:x], f[:x], d_kj[:x], d_r[:x]
         d_up, d_ur = d[n:][f], d[n + 1:][f]
         floor = _ROUNDING_ALLOWANCE * _max_abs(d_r, d_kj, d_ur, d_up)
-        _collect_flat("P10", d_r - d_kj, d_ur - d_up, k, j, tol, viol, floor=floor)
+        _collect_flat("P10", d_r - d_kj, d_ur - d_up, k, j, viol, floor=floor)
     else:
         logger.info(
             "ratio condition fails on the first %d levels; P9/P10 skipped", n
@@ -167,7 +172,7 @@ def check_properties_P(table: KernelTable, tol: float = 1e-12) -> list[Violation
     return viol
 
 
-def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation]:
+def check_properties_Q(table: KernelTable) -> list[Violation]:
     """Integral lower-bound checks Q1-Q3 on the history rows.
 
     Q1 bounds every row entry from below by a weighted kernel integral over
@@ -203,7 +208,7 @@ def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation
         w0 > 0.0, w0 ** (1.0 - alpha) * factor / (1.0 - alpha), 0.0
     )
     rhs = rho_star / ((1.0 + rho_star) * tau[j]) * integral
-    _collect_flat("Q1", m_flat[f], rhs, k, j, tol, viol)
+    _collect_flat("Q1", m_flat[f], rhs, k, j, viol)
 
     # Q2 interior: row increments against the remainder identity of a_j
     k, j, f, _ = sets["dtri"]
@@ -212,13 +217,13 @@ def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation
     m_left, m_kj = m_flat[f - 1], m_flat[f]
     rhs = -a_flat[f] - w0 ** (-alpha)
     floor = _ROUNDING_ALLOWANCE * np.maximum(np.abs(m_kj), np.abs(m_left))
-    _collect_flat("Q2", m_kj - m_left, rhs, k, j, tol, viol, floor=floor)
+    _collect_flat("Q2", m_kj - m_left, rhs, k, j, viol, floor=floor)
 
     # Q2 diagonal increment, k >= 2
     k = np.arange(1, n)
     lhs = m_tab[k, k] - m_tab[k, k - 1]
     rhs = alpha / (2.0 * (1.0 - alpha) * (sigma * tau[k]) ** alpha)
-    _collect_flat("Q2diag", lhs, rhs, k, k, tol, viol)
+    _collect_flat("Q2diag", lhs, rhs, k, k, viol)
 
     # Q3 weighted diagonal dominance, premise rho_k >= eta
     ks_all = np.arange(2, n + 1)
@@ -227,7 +232,7 @@ def check_properties_Q(table: KernelTable, tol: float = 1e-12) -> list[Violation
     if ks.size < ks_all.size:
         logger.info("Q3 skipped at %d levels with ratio below eta", ks_all.size - ks.size)
     lhs = (1.0 - alpha) / sigma * m_tab[ks - 1, ks - 1] - m_tab[ks - 1, ks - 2]
-    slack = tol * np.abs(m_tab[ks - 1, ks - 1])
+    slack = _PQ_TOL * np.abs(m_tab[ks - 1, ks - 1])
     bad = ~(lhs >= -slack)
     for i in np.nonzero(bad)[0]:
         viol.append(Violation("Q3", int(ks[i]), int(ks[i]), float(lhs[i])))
@@ -273,11 +278,11 @@ def positivity_certificate(table: KernelTable) -> np.ndarray:
     return np.array(g)
 
 
-def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
+def check_psd(table: KernelTable) -> PsdReport:
     """Eigenvalue positivity of the symmetrized history matrix.
 
     ``passed`` requires the smallest eigenvalue of the Jacobi-scaled
-    ``D^-1/2 (M + M^T) D^-1/2`` to be at least ``-rel_tol``.  By Sylvester's
+    ``D^-1/2 (M + M^T) D^-1/2`` to be at least ``-1e-10``.  By Sylvester's
     law of inertia it has the sign pattern of ``M + M^T``, but its spectrum
     is O(1), so its sign is far above the rounding floor of ``eigvalsh``
     (about ``n * eps`` of the largest eigenvalue), where the smallest
@@ -300,9 +305,9 @@ def check_psd(table: KernelTable, rel_tol: float = 1e-10) -> PsdReport:
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         scaled_min_eigenvalue=scaled_min,
-        passed=scaled_min >= -rel_tol,
+        passed=scaled_min >= -_PSD_TOL,
         mesh_admissible=certify_mesh(table.mesh).satisfied,
-        rel_tol=float(rel_tol),
+        rel_tol=_PSD_TOL,
         g=g,
         diagonal_B_lower=g / (2.0 * (1.0 - table.order.alpha)),
     )
@@ -390,12 +395,11 @@ def _collect_flat(
     rhs: np.ndarray,
     ks: np.ndarray,
     js: np.ndarray,
-    tol: float,
     viol: list[Violation],
     floor: np.ndarray | None = None,
 ) -> None:
     """Record ``lhs > rhs`` failures; ``ks, js`` are 0-based, records 1-based."""
-    slack = tol * np.maximum(np.abs(lhs), np.abs(rhs))
+    slack = _PQ_TOL * np.maximum(np.abs(lhs), np.abs(rhs))
     if floor is not None:
         slack = slack + floor
     slack = np.maximum(slack, 1e-300)

@@ -28,7 +28,6 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import (
-    _entry_sets,
     build_complementary_kernel,
     check_properties_P,
     check_properties_Q,
@@ -300,7 +299,7 @@ def _cmd_analyze(args) -> int:
     complementary = build_complementary_kernel(table)
     product = complementary @ table.m
     # Every lower-triangle entry of P*M must be 1 (all-ones target).
-    lower = _entry_sets(n)["lower"][:2]
+    lower = np.tril_indices(n)
     identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
     min_entry = float(np.min(complementary[lower]))
     # rounding in P scales with its largest entry (up to ~1e9 on steep meshes)

@@ -255,11 +255,6 @@ class ExperimentSpec:
         object.__setattr__(self, "space", str(self.space))
         object.__setattr__(self, "horizon", float(self.horizon))
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, str]) -> "ExperimentSpec":
-        """Build a spec from config-file keys (see :func:`parse_config_file`)."""
-        return _custom_spec(_config_settings({}, mapping))
-
     def parameters(self) -> dict:
         """Header-ready parameter mapping (deterministic order)."""
         return {
@@ -341,19 +336,6 @@ def _config_settings(flags: Mapping[str, object], config: Mapping[str, str]) -> 
     return settings
 
 
-def _custom_spec(settings: dict) -> "ExperimentSpec":
-    table = [key for key in _TABLE_KEYS if key in settings]
-    if table:
-        raise ValidationError(
-            f"the benchmark-table keys {table} do not mix with the "
-            f"custom-experiment keys {list(_CUSTOM_KEYS)}"
-        )
-    missing = {"alphas", "meshes", "step_counts"} - set(settings)
-    if missing:
-        raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
-    return ExperimentSpec(families=settings.pop("meshes"), **settings)
-
-
 def _tables_or_experiment(
     flags: Mapping[str, object], config: Mapping[str, str]
 ) -> "ExperimentSpec | dict":
@@ -361,9 +343,19 @@ def _tables_or_experiment(
     key is set (over every benchmark alpha by default), else the keyword
     arguments of :func:`reproduce_tables`."""
     settings = _config_settings(flags, config)
-    if any(key in settings for key in _CUSTOM_KEYS):
-        return _custom_spec({"alphas": benchmarks.ALPHAS, **settings})
-    return settings
+    if not any(key in settings for key in _CUSTOM_KEYS):
+        return settings
+    table = [key for key in _TABLE_KEYS if key in settings]
+    if table:
+        raise ValidationError(
+            f"the benchmark-table keys {table} do not mix with the "
+            f"custom-experiment keys {list(_CUSTOM_KEYS)}"
+        )
+    missing = {"meshes", "step_counts"} - set(settings)
+    if missing:
+        raise ValidationError(f"experiment spec missing keys: {sorted(missing)}")
+    settings = {"alphas": benchmarks.ALPHAS, **settings}
+    return ExperimentSpec(families=settings.pop("meshes"), **settings)
 
 
 def parse_config_file(path: "str | Path") -> dict[str, str]:

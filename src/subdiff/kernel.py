@@ -96,20 +96,18 @@ class FractionalOrder:
     """Fractional order ``alpha`` with its derived scheme constants.
 
     ``sigma = 1 - alpha/2`` is the intra-step offset of the evaluation points;
-    the two gamma values appear in every operator and scheme formula.
+    ``Gamma(1 - alpha)`` divides every operator and scheme formula.
     """
 
     alpha: float
     sigma: float = field(init=False)
     gamma_1ma: float = field(init=False)
-    gamma_2ma: float = field(init=False)
 
     def __post_init__(self) -> None:
         alpha = _check_alpha(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", 1.0 - 0.5 * alpha)
         object.__setattr__(self, "gamma_1ma", math.gamma(1.0 - alpha))
-        object.__setattr__(self, "gamma_2ma", math.gamma(2.0 - alpha))
 
 
 def as_fractional_order(value: "float | FractionalOrder") -> FractionalOrder:
@@ -666,12 +664,11 @@ def caputo_reference(
     derivative: Callable[[float], float],
     t: float,
     order: "float | FractionalOrder",
-    rel_tol: float = 1e-10,
 ) -> float:
     """High-accuracy fractional derivative of a known function at time ``t``.
 
     Integrates ``derivative(s) * (t - s)^{-alpha}`` over ``[0, t]`` by
-    adaptive quadrature, splitting at ``t/2`` and handing the weak endpoint
+    adaptive quadrature to a relative tolerance of 1e-11, splitting at ``t/2`` and handing the weak endpoint
     singularity at ``s = t`` to a weighted algebraic rule, then divides by
     ``Gamma(1-alpha)``.  Serves as the independent oracle for
     :func:`apply_operator` in consistency tests.
@@ -685,14 +682,13 @@ def caputo_reference(
     if t == 0.0:
         return 0.0
     alpha = order.alpha
-    eps = max(min(rel_tol / 10.0, 1e-11), 1e-13)
     mid = 0.5 * t
     res1 = quad(
         lambda s: derivative(s) * (t - s) ** (-alpha),
         0.0,
         mid,
         epsabs=1e-30,
-        epsrel=eps,
+        epsrel=1e-11,
         limit=4000,
         full_output=1,
     )
@@ -705,7 +701,7 @@ def caputo_reference(
         weight="alg",
         wvar=(0.0, -alpha),
         epsabs=1e-30,
-        epsrel=eps,
+        epsrel=1e-11,
         limit=4000,
         full_output=1,
     )

@@ -118,6 +118,26 @@ def _check_length(length: float) -> float:
     return value
 
 
+def _check_scales(space, zero_modes: int) -> None:
+    """Refuse ``space`` unless ``h``, ``h**ndim`` and every entry of its
+    symbol after the first ``zero_modes`` (raveled) are finite and at least
+    the smallest normal float: beyond that range the norms overflow, or
+    underflow to a field that reads as zero (a subnormal has lost most of
+    its bits) with no error."""
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            h = space.h
+            symbol = space.laplacian_symbol.ravel()[zero_modes:]
+            scales = np.concatenate([[h, h**space.ndim], symbol])
+        except ArithmeticError:  # overflow, or h == 0, in Python float arithmetic
+            scales = np.array([math.inf])
+    if not (np.all(np.isfinite(scales)) and np.min(scales) >= np.finfo(float).tiny):
+        raise ValidationError(
+            f"length {space.length!r} is out of range for {space.descriptor}: h, "
+            f"h**{space.ndim} or a Laplacian eigenvalue leaves the normal float range"
+        )
+
+
 @dataclass(frozen=True)
 class DirichletLine:
     """1-D interval ``[0, length]`` with homogeneous Dirichlet boundaries.
@@ -133,6 +153,7 @@ class DirichletLine:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _check_count(self.intervals, "intervals", 3))
         object.__setattr__(self, "length", _check_length(self.length))
+        _check_scales(self, zero_modes=0)
 
     @property
     def h(self) -> float:
@@ -206,6 +227,7 @@ class PeriodicSquare:
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", _check_count(self.modes, "modes", 3))
         object.__setattr__(self, "length", _check_length(self.length))
+        _check_scales(self, zero_modes=1)  # the constant mode's symbol is 0
 
     @property
     def h(self) -> float:

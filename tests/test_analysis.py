@@ -1,5 +1,7 @@
 """Structural properties of the coefficient tables, eigenvalue positivity,
 and the complementary (resolvent) kernel."""
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -9,6 +11,7 @@ from subdiff import (
     admissibility_thresholds,
     build_complementary_kernel,
     build_kernel_table,
+    certify_mesh,
     check_properties_P,
     check_properties_Q,
     check_psd,
@@ -18,6 +21,7 @@ from subdiff import (
     positivity_certificate,
 )
 from subdiff.analysis import Violation, ratio_condition_holds
+from subdiff.cli import EXIT_VERDICT, dispatch
 from subdiff.errors import SingularDiagonalError, ValidationError
 from subdiff.kernel import KernelTable
 
@@ -298,6 +302,22 @@ def test_check_psd_fails_a_negative_eigenvalue_below_the_raw_rounding_scale(monk
     assert report.scaled_min_eigenvalue == pytest.approx(-1e-5, rel=1e-6)
     assert not report.passed
     assert report.to_dict()["scaled_min_eigenvalue"] == report.scaled_min_eigenvalue
+
+
+def test_check_psd_fails_an_alternating_mesh(tmp_path, capsys):
+    # steps 1, 1e-3, 1, 1e-3, ...: a real kernel whose symmetrized history
+    # matrix is indefinite (scaled minimum eigenvalue -0.265 at alpha 0.5)
+    steps = np.tile([1.0, 1e-3], 12)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    report = check_psd(build_kernel_table(mesh, 0.5, backend="closed"))
+    assert report.scaled_min_eigenvalue == pytest.approx(-0.265, abs=1e-3)
+    assert not report.passed
+    assert not certify_mesh(mesh).satisfied
+    path = tmp_path / "mesh.txt"
+    path.write_text("".join(f"{t:.17g}\n" for t in mesh.nodes))
+    code = dispatch(["analyze", "--file", str(path), "--alpha", "0.5"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["passed"], payload["psd"]["passed"]) == (EXIT_VERDICT, False, False)
 
 
 def test_check_psd_records_inadmissibility():

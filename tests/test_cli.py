@@ -222,6 +222,7 @@ def test_analyze_passes_on_graded_mesh(tmp_path, capsys):
     assert payload["integral_bound_violations"] == 0
     assert payload["complementary_identity_residual"] <= 1e-11
     assert payload["psd"]["passed"] is True
+    assert payload["psd"]["rel_tol"] == 1e-10
     assert (tmp_path / "analysis.json").exists()
     kernel_lines = (tmp_path / "kernel.csv").read_text().splitlines()
     assert any(line.startswith("# subdiff 0.1.0") for line in kernel_lines)
@@ -322,6 +323,7 @@ def test_reproduce_tables_custom_config(tmp_path, capsys):
         "step_counts = 8, 16\n"
         "space = d1:32\n"
         "backend = closed\n"
+        "workers = 2\n"
         f"out_dir = {tmp_path / 'results'}\n"
     )
     code, stdout, _ = run_cli(capsys, "reproduce-tables", "--config", str(config))
@@ -331,6 +333,16 @@ def test_reproduce_tables_custom_config(tmp_path, capsys):
     results = tmp_path / "results"
     assert (results / "convergence_alpha0p5.csv").exists()
     assert (results / "convergence_summary.json").exists()
+
+
+def test_reproduce_tables_custom_config_needs_step_counts(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("meshes = uniform\nspace = d1:16\n")
+    code, stdout, err = run_cli(capsys, "reproduce-tables", "--config", str(config))
+    assert (code, stdout) == (EXIT_INVALID, "")
+    assert err == (
+        "subdiff: error: invalid-parameter: experiment spec missing keys: ['step_counts']\n"
+    )
 
 
 def test_printed_tables_show_the_written_column_error_and_order_rows(tmp_path, capsys):

@@ -148,33 +148,6 @@ def test_alphas_keep_every_digit_in_file_names_and_order_keys(tmp_path):
     assert sorted(payload["orders"]) == ["alpha=0.1234567|uniform", "alpha=0.1234568|uniform"]
 
 
-def test_experiment_spec_from_mapping():
-    spec = ExperimentSpec.from_mapping(
-        {
-            "alphas": "0.3, 0.5",
-            "meshes": "uniform, graded:r=2",
-            "step_counts": "8, 16",
-            "space": "d1:32",
-            "backend": "closed",
-            "workers": "2",
-        }
-    )
-    assert spec.alphas == (0.3, 0.5)
-    assert spec.step_counts == (8, 16)
-    assert spec.workers == 2
-    # quadrature tolerances are no experiment setting: quadrature is the oracle
-    with pytest.raises(ValidationError, match=r"unknown experiment keys: \['quad_rel_tol'\]"):
-        ExperimentSpec.from_mapping(
-            {"alphas": "0.5", "meshes": "uniform", "step_counts": "8", "quad_rel_tol": "1e-11"}
-        )
-    with pytest.raises(ValidationError):
-        ExperimentSpec.from_mapping({"alphas": "0.5"})
-    with pytest.raises(ValidationError):
-        ExperimentSpec.from_mapping(
-            {"alphas": "0.5", "meshes": "uniform", "step_counts": "8", "shape": "x"}
-        )
-
-
 def test_parse_config_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(

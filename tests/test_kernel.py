@@ -120,7 +120,6 @@ def test_fractional_order_derived_constants():
     order = FractionalOrder(0.4)
     assert order.sigma == pytest.approx(0.8)
     assert order.gamma_1ma == pytest.approx(math.gamma(0.6))
-    assert order.gamma_2ma == pytest.approx(math.gamma(1.6))
     for bad in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValidationError):
             FractionalOrder(bad)

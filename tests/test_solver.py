@@ -78,6 +78,53 @@ def test_space_takes_a_real_length_as_float():
         assert type(PeriodicSquare(8, length=length).length) is float
 
 
+def _decay_norms(space):
+    problem = Problem(order=0.5, space=space, source=None, initial=space.first_mode())
+    norms = discrete_norms(solve(problem, make_uniform_mesh(1.0, 4)))
+    return [x.hex() for x in norms.h1_seminorm], [x.hex() for x in norms.l2_norm]
+
+
+@pytest.mark.parametrize(
+    "space, length",
+    [
+        (DirichletLine, 1e-300),  # (2/h)**2 overflowed: a plain OverflowError
+        (DirichletLine, 5e-324),  # h == 0: a plain ZeroDivisionError
+        (DirichletLine, 1e300),  # the symbol underflowed: |u|_1 read 0 after level 0
+        (PeriodicSquare, 1e-300),  # k**2 overflowed: |u|_1 read nan, then 0
+        (PeriodicSquare, 1e300),  # h**2 overflowed: a plain OverflowError
+    ],
+    ids=["d1-1e-300", "d1-5e-324", "d1-1e300", "p2-1e-300", "p2-1e300"],
+)
+def test_space_refuses_a_length_past_the_normal_float_range(space, length):
+    with pytest.raises(ValidationError, match="^length "):
+        _decay_norms(space(16 if space is DirichletLine else 8, length=length))
+
+
+@pytest.mark.parametrize(
+    "space, h1, l2",
+    [
+        (DirichletLine(16, length=1e-150),
+         ["0x1.c075f92ac913fp-248", "0x1.2af950c730b7fp-249", "0x1.8ea1c109964aap-251",
+          "0x1.09c12b5bb9871p-252", "0x1.6256e47a4cb41p-254"],
+         ["0x0.0p+0"] * 5),
+        (DirichletLine(16, length=1e150),
+         ["0x1.d8de0f37afb1dp-246", "0x1.d8de0f37afb1ep-246", "0x1.d8de0f37afb1ep-246",
+          "0x1.d8de0f37afb1dp-246", "0x1.d8de0f37afb1dp-246"],
+         ["0x1.7077508e86d6dp+248"] * 5),
+        (PeriodicSquare(8, length=1e-150), ["0x0.0p+0"] * 5, ["0x0.0p+0"] * 5),
+        (PeriodicSquare(8, length=1e150),
+         ["0x1.20eb0000c5d76p+4", "0x1.20eb0000c5d77p+4", "0x1.20eb0000c5d77p+4",
+          "0x1.20eb0000c5d76p+4", "0x1.20eb0000c5d76p+4"],
+         ["0x1.611265344a1b9p+497"] * 5),
+    ],
+    ids=["d1-1e-150", "d1-1e150", "p2-1e-150", "p2-1e150"],
+)
+def test_space_keeps_the_bits_at_lengths_inside_the_float_range(space, h1, l2):
+    # frozen from the solver before spaces checked their scales; sin x on
+    # the 1e-150 grids is so small that its l2 norm underflows to 0
+    assert _decay_norms(space) == (h1, l2)
+
+
 def test_line_norms_of_first_mode():
     # ||sin||_{L2} = sqrt(pi) on [0, 2*pi]; the H1 seminorm of sin equals
     # its L2 norm, and the grid norms converge at second order
