@@ -29,6 +29,7 @@ from .kernel import KernelTable, build_kernel_table
 from .meshes import (
     TimeMesh,
     _check_count,
+    _check_reals,
     admissibility_thresholds,
     certify_mesh,
     ratio_condition_margins,
@@ -339,11 +340,9 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
     no row is swapped, the factor ``U`` is ``M[J, J]^T`` itself and the
     solve is plain back substitution.
     """
-    m = source.m if isinstance(source, KernelTable) else np.asarray(source, dtype=float)
+    m = _check_reals(source.m if isinstance(source, KernelTable) else source, "history matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("history matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("history matrix must be finite")
     if np.any(np.triu(m, 1)):
         raise ValidationError("history matrix must be lower triangular")
     if np.any(np.diag(m) <= 0.0):

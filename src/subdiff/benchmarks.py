@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .meshes import _check_real
 
 __all__ = [
     "ALPHAS",
@@ -79,7 +80,7 @@ TOLERANCE_LADDER = {
 
 
 def _key(alpha: float, label: str) -> tuple[float, str]:
-    alpha = float(alpha)
+    alpha = _check_real(alpha, "alpha", 0, 1)
     for known in ALPHAS:
         if abs(alpha - known) < 1e-12:
             alpha = known
@@ -115,9 +116,11 @@ def tolerance_ladder(reference_value: float) -> float:
     close to the spatial-resolution floor and get 5 percent.
     """
     at_or_above, below = TOLERANCE_LADDER.values()
+    reference_value = _check_real(reference_value, "reference_value", 0)
     return at_or_above if reference_value >= LADDER_SPLIT else below
 
 
 def theoretical_order(alpha: float, grading: float) -> float:
     """Predicted convergence order ``min(grading * alpha, 2)``."""
-    return min(float(grading) * float(alpha), 2.0)
+    alpha = _check_real(alpha, "alpha", 0, 1)
+    return min(_check_real(grading, "grading", 1, closed=True) * alpha, 2.0)

@@ -42,8 +42,8 @@ from .kernel import _check_backend, as_fractional_order
 from .meshes import (
     TimeMesh,
     _check_count,
-    _check_grading,
-    _check_horizon,
+    _check_real,
+    _check_reals,
     certify_mesh,
     make_graded_mesh,
     make_graded_then_uniform,
@@ -111,12 +111,11 @@ class MeshFamily:
                     "graded family needs exactly one of grading, grading_numerator"
                 )
             if self.grading is not None:
-                _check_grading(self.grading)
-            # whether n/alpha >= 1 holds depends on the alpha a build is given
-            elif not 0.0 < float(self.grading_numerator) < math.inf:
-                raise ValidationError(
-                    f"grading numerator must be finite and > 0, got {self.grading_numerator}"
-                )
+                grading = _check_real(self.grading, "grading", 1, closed=True)
+                object.__setattr__(self, "grading", grading)
+            else:  # whether n/alpha >= 1 holds depends on the alpha a build is given
+                numerator = _check_real(self.grading_numerator, "grading_numerator", 0)
+                object.__setattr__(self, "grading_numerator", numerator)
         else:
             if self.grading is not None or self.grading_numerator is not None:
                 raise ValidationError(f"{self.kind} family takes no grading")
@@ -138,8 +137,8 @@ class MeshFamily:
         if self.kind != "graded":
             raise ValidationError(f"{self.kind} family has no grading exponent")
         if self.grading is not None:
-            return float(self.grading)
-        return float(self.grading_numerator) / float(alpha)
+            return self.grading
+        return self.grading_numerator / _check_real(alpha, "alpha", 0, 1)
 
     def build(self, alpha: float | None, horizon: float | None, num_steps: int | None) -> TimeMesh:
         """Construct the mesh.  ``alpha`` may be None where the family does not
@@ -163,7 +162,9 @@ class MeshFamily:
                 f"mesh file {self.path} has {mesh.num_steps} steps, "
                 f"not the {num_steps} asked for"
             )
-        if horizon is not None and not math.isclose(mesh.horizon, horizon, rel_tol=1e-9):
+        if horizon is not None and not math.isclose(
+            mesh.horizon, _check_real(horizon, "horizon", 0), rel_tol=1e-9
+        ):
             raise ValidationError(
                 f"mesh file {self.path} has horizon {mesh.horizon}, "
                 f"not the {horizon} asked for"
@@ -245,7 +246,7 @@ class ExperimentSpec:
         if any(b <= a for a, b in zip(step_counts, step_counts[1:])):
             raise ValidationError(f"step_counts must be strictly increasing: {step_counts}")
         parse_space(self.space)
-        _check_horizon(self.horizon)
+        horizon = _check_real(self.horizon, "horizon", 0)
         _check_backend(self.backend)
         if self.workers is not None:
             object.__setattr__(self, "workers", _check_count(self.workers, "workers"))
@@ -253,7 +254,7 @@ class ExperimentSpec:
         object.__setattr__(self, "families", families)
         object.__setattr__(self, "step_counts", step_counts)
         object.__setattr__(self, "space", str(self.space))
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", horizon)
 
     def parameters(self) -> dict:
         """Header-ready parameter mapping (deterministic order)."""
@@ -440,7 +441,8 @@ class ErrorReport:
 
     def cell(self, alpha: float, family_label: str, num_steps: int) -> CellResult:
         """The cell at exactly one of the spec's alphas, families and step counts."""
-        key = (float(alpha), family_label, _check_count(num_steps, "num_steps"))
+        alpha = _check_real(alpha, "alpha", 0, 1)
+        key = (alpha, family_label, _check_count(num_steps, "num_steps"))
         cell = self._cells_by_key.get(key)
         if cell is None:
             raise ValidationError(
@@ -457,7 +459,7 @@ class ErrorReport:
         )
 
     def observed_orders(self, alpha: float, family_label: str) -> np.ndarray:
-        orders = self.orders.get((float(alpha), family_label))
+        orders = self.orders.get((_check_real(alpha, "alpha", 0, 1), family_label))
         if orders is None:
             raise ValidationError(f"no orders for alpha={alpha!r}, family={family_label!r}")
         return orders
@@ -481,18 +483,18 @@ def compute_orders(errors: Sequence[float], step_counts: Sequence[int]) -> np.nd
     ``order_i = ln(e_{i-1}/e_i) / ln(K_i/K_{i-1})``; a constant error
     sequence gives all zeros.
     """
-    e = np.asarray(errors, dtype=float)
-    k = np.asarray(step_counts, dtype=float)
+    e = _check_reals(errors, "errors")
+    k = _check_reals(step_counts, "step_counts")
     if e.ndim != 1 or k.ndim != 1 or e.size != k.size:
         raise ValidationError(
             f"errors and step counts need equal 1-d shapes, got {e.shape} vs {k.shape}"
         )
     if e.size < 2:
         raise ValidationError("need at least two error values to compute an order")
-    if not np.all(np.isfinite(e)) or np.any(e <= 0.0):
-        raise ValidationError("errors must be finite and positive")
+    if np.any(e <= 0.0):
+        raise ValidationError("errors must be positive")
     if np.any(k <= 0.0) or np.any(np.diff(k) <= 0.0):
-        raise ValidationError("step counts must be positive and strictly increasing")
+        raise ValidationError("step_counts must be positive and strictly increasing")
     return np.log(e[:-1] / e[1:]) / np.log(k[1:] / k[:-1])
 
 
@@ -506,9 +508,7 @@ def _resolve_workers(explicit: int | None) -> int:
         value = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-    return value
+    return _check_count(value, WORKERS_ENV_VAR)
 
 
 def _run_cell(
@@ -657,6 +657,10 @@ def _verdict(cell: CellResult) -> Verdict:
 def _run_report(spec: ExperimentSpec, kind: str, with_verdicts: bool) -> ErrorReport:
     """Run the spec's cells and assemble orders, plus reference verdicts when
     asked; write the ``kind`` files when the spec names an output directory."""
+    if with_verdicts:  # a cell without reference data fails before any cell marches
+        for alpha in spec.alphas:
+            for family in spec.families:
+                benchmarks.reference_errors(alpha, family.label, spec.step_counts)
     _, cells = _execute_cells(spec)
     verdicts = tuple(_verdict(cell) for cell in cells) if with_verdicts else ()
     report = ErrorReport(spec=spec, cells=tuple(cells), verdicts=verdicts)
@@ -840,14 +844,11 @@ def run_stability_soak(
     be nonincreasing.
 
     An inadmissible mesh triggers a RuntimeWarning (sourced from the
-    certifier) before the run starts; a non-finite or non-positive
-    ``plateau_factor`` is refused with ValidationError.
+    certifier) before the run starts; a ``plateau_factor`` that is not a
+    finite positive real is refused with ValidationError.
     """
     order = as_fractional_order(order)
-    if not (math.isfinite(plateau_factor) and plateau_factor > 0.0):
-        raise ValidationError(
-            f"plateau_factor must be finite and positive, got {plateau_factor}"
-        )
+    plateau_factor = _check_real(plateau_factor, "plateau_factor", 0)
     if mesh is None:
         mesh = make_graded_then_uniform(
             horizon=horizon,

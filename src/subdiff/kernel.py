@@ -54,7 +54,7 @@ from .errors import (
     SingularDiagonalError,
     ValidationError,
 )
-from .meshes import TimeMesh, _check_alpha, _check_count
+from .meshes import TimeMesh, _check_count, _check_real, _check_reals
 from .provenance import write_csv
 
 __all__ = [
@@ -104,7 +104,7 @@ class FractionalOrder:
     gamma_1ma: float = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha = _check_alpha(self.alpha)
+        alpha = _check_real(self.alpha, "alpha", 0, 1)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", 1.0 - 0.5 * alpha)
         object.__setattr__(self, "gamma_1ma", math.gamma(1.0 - alpha))
@@ -114,7 +114,7 @@ def as_fractional_order(value: "float | FractionalOrder") -> FractionalOrder:
     """Coerce a bare ``alpha`` or an existing order object to FractionalOrder."""
     if isinstance(value, FractionalOrder):
         return value
-    return FractionalOrder(float(value))
+    return FractionalOrder(value)
 
 
 @dataclass(frozen=True)
@@ -646,12 +646,11 @@ def apply_operator(
     level's history row ``m``.
     """
     order = as_fractional_order(order)
-    hist = np.asarray(history, dtype=float)
+    hist = _check_reals(history, "history")
     k = row.k
-    if hist.shape[0] < k + 1:
-        raise DimensionMismatchError(
-            f"history needs at least {k + 1} levels, got {hist.shape[0]}"
-        )
+    levels = hist.shape[0] if hist.ndim else 0
+    if levels < k + 1:
+        raise DimensionMismatchError(f"history needs at least {k + 1} levels, got {levels}")
     m = row.m_row
     value = m[-1] * hist[k] - m[0] * hist[0]
     if k >= 2:
@@ -676,9 +675,7 @@ def caputo_reference(
     from scipy.integrate import quad  # oracle only: not loaded with the package
 
     order = as_fractional_order(order)
-    t = float(t)
-    if t < 0.0:
-        raise ValidationError(f"time must be nonnegative, got {t}")
+    t = _check_real(t, "t", 0, closed=True)
     if t == 0.0:
         return 0.0
     alpha = order.alpha

@@ -18,7 +18,10 @@ semidefinite.  Two universal constants control it:
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -63,10 +66,7 @@ def pair_ratio_bound(rho: float) -> float:
     Only defined for ``rho`` in ``(0, eta)`` where the denominator
     ``1 - 3*rho^2*(1+rho)`` is positive.
     """
-    rho = float(rho)
-    _, eta = admissibility_thresholds()
-    if not 0.0 < rho < eta:
-        raise ValidationError(f"pair bound needs 0 < rho < eta={eta:.6f}, got {rho}")
+    rho = _check_real(rho, "rho", 0, admissibility_thresholds()[1])
     return rho * rho * (1.0 + rho) / (1.0 - 3.0 * rho * rho * (1.0 + rho))
 
 
@@ -78,7 +78,7 @@ def ratio_condition_margins(ratios: np.ndarray) -> np.ndarray:
     the left side minus the right side for the pair starting at ``ratios[i]``.
     Nonnegative everywhere means the condition holds.
     """
-    rho = np.asarray(ratios, dtype=float)
+    rho = _check_reals(ratios, "ratios")
     if rho.ndim != 1:
         raise ValidationError("ratios must be a 1-D array")
     if rho.size < 2:
@@ -96,11 +96,9 @@ class TimeMesh:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = _check_reals(self.nodes, "nodes")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValidationError("mesh needs a 1-D array of at least 2 nodes")
-        if not np.all(np.isfinite(nodes)):
-            raise ValidationError("mesh nodes must be finite")
         if nodes[0] != 0.0:
             raise NonMonotoneMeshError(f"first node must be 0, got {nodes[0]!r}")
         if np.any(np.diff(nodes) <= 0.0):
@@ -203,7 +201,7 @@ def certify_mesh(mesh: TimeMesh) -> AdmissibilityReport:
 
 def make_uniform_mesh(horizon: float, num_steps: int) -> TimeMesh:
     """Equispaced mesh with ``num_steps`` steps on ``[0, horizon]``."""
-    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
+    horizon, num_steps = _check_real(horizon, "horizon", 0), _check_count(num_steps, "num_steps")
     return TimeMesh(np.linspace(0.0, horizon, num_steps + 1))
 
 
@@ -213,8 +211,8 @@ def make_graded_mesh(horizon: float, num_steps: int, grading: float) -> TimeMesh
     ``grading`` >= 1 concentrates steps near t = 0 where the solution of the
     fractional problem has weak regularity; ``grading = 1`` is uniform.
     """
-    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
-    grading = _check_grading(grading)
+    horizon, num_steps = _check_real(horizon, "horizon", 0), _check_count(num_steps, "num_steps")
+    grading = _check_real(grading, "grading", 1, closed=True)
     j = np.arange(num_steps + 1, dtype=float)
     nodes = horizon * (j / num_steps) ** grading
     nodes[0], nodes[-1] = 0.0, horizon
@@ -231,8 +229,8 @@ def make_r_variable_mesh(horizon: float, num_steps: int, alpha: float) -> TimeMe
     decreasing, which keeps the nodes strictly increasing for any
     ``alpha`` in (0, 1).
     """
-    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
-    alpha = _check_alpha(alpha)
+    horizon, num_steps = _check_real(horizon, "horizon", 0), _check_count(num_steps, "num_steps")
+    alpha = _check_real(alpha, "alpha", 0, 1)
     j = np.arange(1, num_steps + 1, dtype=float)
     if num_steps == 1:
         profile = np.array([2.0 / alpha + 1.5])
@@ -259,12 +257,8 @@ def make_graded_then_uniform(
     ``[split_time, horizon]``.  Useful for long-horizon runs that still need
     initial-layer resolution.
     """
-    horizon, num_steps = _check_horizon(horizon), _check_count(num_steps, "num_steps")
-    split_time = float(split_time)
-    if not 0.0 < split_time < horizon:
-        raise ValidationError(
-            f"split_time must lie in (0, horizon={horizon}), got {split_time}"
-        )
+    horizon, num_steps = _check_real(horizon, "horizon", 0), _check_count(num_steps, "num_steps")
+    split_time = _check_real(split_time, "split_time", 0, horizon)
     split_steps = _check_count(split_steps, "split_steps", high=num_steps - 1)
     head = make_graded_mesh(split_time, split_steps, grading)
     tail = np.linspace(split_time, horizon, num_steps - split_steps + 1)
@@ -308,13 +302,6 @@ def read_mesh(path: str | Path) -> TimeMesh:
     return TimeMesh(np.asarray(nodes))
 
 
-def _check_horizon(horizon: float) -> float:
-    horizon = float(horizon)
-    if not np.isfinite(horizon) or horizon <= 0.0:
-        raise ValidationError(f"horizon must be positive and finite, got {horizon}")
-    return horizon
-
-
 def _check_count(value: int, name: str, low: int = 1, high: int | None = None) -> int:
     """``value`` as an int in ``[low, high]`` (no upper bound for None).
 
@@ -335,15 +322,42 @@ def _check_count(value: int, name: str, low: int = 1, high: int | None = None) -
     return count
 
 
-def _check_grading(grading: float) -> float:
-    grading = float(grading)
-    if not np.isfinite(grading) or grading < 1.0:
-        raise ValidationError(f"grading must be >= 1, got {grading}")
-    return grading
+def _check_real(value: float, name: str, low=-math.inf, high=math.inf, *, closed=False) -> float:
+    """``value`` as a finite float in ``(low, high)``, or in ``[low, high)``
+    when ``closed``.
+
+    Python and numpy reals are taken; a bool, anything that is not a real
+    number (a string, None, a complex, an array), an int past the float
+    range, a non-finite value and a value out of range are refused with a
+    ValidationError that names the input.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int or a fraction past the float range
+        real = math.inf if value > 0 else -math.inf
+    if not math.isfinite(real):
+        raise ValidationError(f"{name} must be finite, got {real}")
+    if not ((real >= low if closed else real > low) and real < high):
+        interval = f"{'[' if closed else '('}{low}, {high})"
+        raise ValidationError(f"{name} must lie in {interval}, got {real}")
+    return real
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"fractional order must lie in (0, 1), got {alpha}")
-    return alpha
+def _check_reals(values, name: str) -> np.ndarray:
+    """``values`` as a float array, by the rule of :func:`_check_real`: a
+    ragged nesting, a dtype that is not integer or float (bool, string,
+    complex, object) and a non-finite entry are refused."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = np.empty(0, dtype=object)
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"{name} must be an array of real numbers, got {reprlib.repr(values)}"
+        )
+    array = array.astype(float, copy=False)
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{name} has non-finite entries")
+    return array

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, ClassVar, Sequence
@@ -72,7 +71,7 @@ from .kernel import (
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
-from .meshes import TimeMesh, _check_count
+from .meshes import TimeMesh, _check_count, _check_real, _check_reals
 from .provenance import reproducibility_header, write_csv
 
 __all__ = [
@@ -102,20 +101,6 @@ _MODE_FLOOR = 1e-13
 # active modes.  It bounds the march's temporaries (the differenced history
 # rows, the right sides and one work array) to twice this many floats.
 _PART_ENTRIES = 2**15
-
-
-def _check_length(length: float) -> float:
-    """``length`` as a float; a bool, a value that is not a real number, and
-    a non-finite or non-positive one are refused with a ValidationError."""
-    if isinstance(length, bool) or not isinstance(length, numbers.Real):
-        raise ValidationError(f"length must be a real number, got {length!r}")
-    try:
-        value = float(length)
-    except OverflowError:  # an int or a fraction past the float range
-        value = math.inf
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"length must be positive and finite, got {length!r}")
-    return value
 
 
 def _check_scales(space, zero_modes: int) -> None:
@@ -152,7 +137,7 @@ class DirichletLine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _check_count(self.intervals, "intervals", 3))
-        object.__setattr__(self, "length", _check_length(self.length))
+        object.__setattr__(self, "length", _check_real(self.length, "length", 0))
         _check_scales(self, zero_modes=0)
 
     @property
@@ -226,7 +211,7 @@ class PeriodicSquare:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", _check_count(self.modes, "modes", 3))
-        object.__setattr__(self, "length", _check_length(self.length))
+        object.__setattr__(self, "length", _check_real(self.length, "length", 0))
         _check_scales(self, zero_modes=1)  # the constant mode's symbol is 0
 
     @property
@@ -394,13 +379,11 @@ def _separable_terms(space, terms, what: str) -> tuple[tuple[Term, ...], np.ndar
 def _space_field(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``value`` as a float array, refused unless it has the space's
     ``shape`` and finite entries; ``name`` opens the refusal message."""
-    values = np.asarray(value, dtype=float)
+    values = _check_reals(value, name)
     if values.shape != shape:
         raise DimensionMismatchError(
             f"{name} shape {values.shape} does not match space shape {shape}"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} has non-finite entries")
     return values
 
 

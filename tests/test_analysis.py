@@ -230,7 +230,7 @@ def test_complementary_kernel_errors():
 )
 def test_complementary_kernel_refuses_non_finite_entries(m):
     # a NaN diagonal passes a "<= 0" test, so finiteness is checked first
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match="^history matrix has non-finite entries$"):
         build_complementary_kernel(np.array(m))
 
 

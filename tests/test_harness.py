@@ -123,7 +123,7 @@ def test_experiment_spec_validation():
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), backend="odd")
     with pytest.raises(ValidationError):
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), space="d1:bad")
-    with pytest.raises(ValidationError, match="horizon must be positive and finite"):
+    with pytest.raises(ValidationError, match="^horizon must be finite, got inf$"):
         ExperimentSpec(alphas=(0.5,), families=("uniform",), step_counts=(8,), horizon=math.inf)
 
 
@@ -199,7 +199,7 @@ def test_resolve_workers_env(monkeypatch):
     with pytest.raises(ValidationError):
         _resolve_workers(None)
     monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=rf"^{WORKERS_ENV_VAR} must be >= 1, got 0$"):
         _resolve_workers(None)
 
 
@@ -354,7 +354,10 @@ def test_failed_experiment_flushes_finished_cells(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     ("bad", "message"),
-    [("graded:r=0.2/alpha", "grading must be >= 1"), ("file", "has 4 steps, not the 8 asked for")],
+    [
+        ("graded:r=0.2/alpha", r"^grading must lie in \[1, inf\), got 0\.4$"),
+        ("file", "has 4 steps, not the 8 asked for"),
+    ],
     ids=["graded", "file"],
 )
 def test_a_family_that_cannot_build_a_mesh_fails_before_any_cell_marches(
@@ -389,6 +392,24 @@ def test_a_family_that_cannot_build_a_mesh_fails_before_any_cell_marches(
     assert not (out_dir / "partial_cells.csv").exists()
     with pytest.raises(ValidationError, match=message):
         run_pointwise_comparison(0.5, families=("uniform", family), num_steps=8, space="d1:16")
+    assert marched == []
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["ci", "extended"])
+def test_paper_exact_tables_refuse_an_alpha_without_reference_data_before_any_march(
+    monkeypatch, extended
+):
+    # the verdicts need a reference for every cell; at alpha 0.4 there is
+    # none, and all 12 (or 24) cells used to march before that was found
+    marched = []
+
+    def solve(problem, mesh, backend):
+        marched.append(mesh.num_steps)
+        raise AssertionError("a cell marched")
+
+    monkeypatch.setattr(harness, "solve", solve)
+    with pytest.raises(ValidationError, match=r"^no reference data for order 0\.4$"):
+        reproduce_tables(alphas=(0.4,), extended=extended, paper_exact=True, workers=1)
     assert marched == []
 
 

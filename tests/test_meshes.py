@@ -1,9 +1,11 @@
 """Mesh construction, admissibility certification, and file round-trips."""
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
 
@@ -370,3 +372,297 @@ def test_check_count_takes_integers_only_and_applies_its_bounds():
         _check_count(0, "k")
     with pytest.raises(ValidationError, match=r"^k must lie in \[0, 3\], got 4$"):
         _check_count(4, "k", 0, 3)
+
+
+@functools.cache
+def _small_report():
+    import subdiff
+
+    spec = subdiff.ExperimentSpec(
+        alphas=(0.5,), families=("uniform",), step_counts=(4, 8), space="d1:16"
+    )
+    return subdiff.run_convergence(spec)
+
+
+@functools.cache
+def _level_two_row():
+    import subdiff
+
+    return subdiff.build_kernel_table(make_uniform_mesh(1.0, 4), 0.5).row(2)
+
+
+def _soak(**kwargs):
+    import subdiff
+
+    # an admissible 8-step graded-then-uniform mesh on [0, 2]
+    base = dict(horizon=2.0, num_steps=8, split_time=1.0, split_steps=4, space="d1:16")
+    return subdiff.run_stability_soak(**{"order": 0.5, **base, **kwargs})
+
+
+def _real_sites(tmp_path):
+    """Each site that takes a real number, keyed ``callable.parameter`` as the
+    public walk in ``tests/test_tooling.py`` names it: (name in its message,
+    call, a value out of range, a good value).  ``tmp_path`` is read only
+    when a call runs."""
+    import subdiff
+    from subdiff import benchmarks
+
+    def file_family():
+        write_mesh(make_uniform_mesh(1.0, 4), tmp_path / "m4.txt")
+        return subdiff.MeshFamily(kind="file", path=str(tmp_path / "m4.txt"))
+
+    spec = dict(families=("uniform",), step_counts=(8,))
+    graded = subdiff.MeshFamily(kind="graded", grading_numerator=2.0)
+    return {
+        "pair_ratio_bound.rho": ("rho", pair_ratio_bound, 0.5, 0.36),
+        "make_uniform_mesh.horizon": ("horizon", lambda v: make_uniform_mesh(v, 8), -1.0, 2.0),
+        "make_graded_mesh.horizon": ("horizon", lambda v: make_graded_mesh(v, 8, 2.0), 0.0, 2.0),
+        "make_graded_mesh.grading": ("grading", lambda v: make_graded_mesh(1.0, 8, v), 0.5, 2.0),
+        "make_r_variable_mesh.horizon": (
+            "horizon", lambda v: make_r_variable_mesh(v, 8, 0.5), -1.0, 2.0
+        ),
+        "make_r_variable_mesh.alpha": (
+            "alpha", lambda v: make_r_variable_mesh(1.0, 8, v), 1.0, 0.5
+        ),
+        "make_graded_then_uniform.horizon": (
+            "horizon", lambda v: make_graded_then_uniform(v, 8, 2.0, 1.0, 4), -1.0, 2.0
+        ),
+        "make_graded_then_uniform.grading": (
+            "grading", lambda v: make_graded_then_uniform(2.0, 8, v, 1.0, 4), 0.5, 2.0
+        ),
+        "make_graded_then_uniform.split_time": (
+            "split_time", lambda v: make_graded_then_uniform(2.0, 8, 2.0, v, 4), 2.0, 1.0
+        ),
+        "FractionalOrder.alpha": ("alpha", subdiff.FractionalOrder, 0.0, 0.5),
+        "as_fractional_order.value": ("alpha", subdiff.as_fractional_order, 1.0, 0.5),
+        "build_kernel_table.order": (
+            "alpha", lambda v: subdiff.build_kernel_table(make_uniform_mesh(1.0, 4), v), 1.0, 0.5
+        ),
+        "apply_operator.order": (
+            "alpha", lambda v: subdiff.apply_operator(_level_two_row(), np.ones(3), v), 1.0, 0.5
+        ),
+        "caputo_reference.order": (
+            "alpha", lambda v: subdiff.caputo_reference(lambda s: 1.0, 0.5, v), 1.0, 0.5
+        ),
+        "caputo_reference.t": (
+            "t", lambda v: subdiff.caputo_reference(lambda s: 1.0, v, 0.5), -1.0, 0.5
+        ),
+        "manufactured_problem.order": (
+            "alpha", lambda v: subdiff.manufactured_problem(v, subdiff.DirichletLine(4)), 1.0, 0.5
+        ),
+        "manufactured_problem_1d.order": (
+            "alpha", lambda v: subdiff.manufactured_problem_1d(v, 4), 1.0, 0.5
+        ),
+        "Problem.order": (
+            "alpha", lambda v: subdiff.Problem(order=v, space=subdiff.DirichletLine(4)), 1.0, 0.5
+        ),
+        "DirichletLine.length": ("length", lambda v: subdiff.DirichletLine(8, length=v), 0.0, 2.0),
+        "PeriodicSquare.length": (
+            "length", lambda v: subdiff.PeriodicSquare(8, length=v), -1.0, 2.0
+        ),
+        "MeshFamily.grading": (
+            "grading", lambda v: subdiff.MeshFamily(kind="graded", grading=v), 0.5, 2.0
+        ),
+        "MeshFamily.grading_numerator": (
+            "grading_numerator",
+            lambda v: subdiff.MeshFamily(kind="graded", grading_numerator=v),
+            0.0,
+            2.0,
+        ),
+        "MeshFamily.grading_at.alpha": ("alpha", graded.grading_at, 1.0, 0.5),
+        "MeshFamily.build.horizon": (
+            "horizon", lambda v: file_family().build(None, v, None), -1.0, 1.0
+        ),
+        "ExperimentSpec.alphas": (
+            "alpha", lambda v: subdiff.ExperimentSpec(alphas=(v,), **spec), 1.0, 0.5
+        ),
+        "ExperimentSpec.horizon": (
+            "horizon",
+            lambda v: subdiff.ExperimentSpec(alphas=(0.5,), horizon=v, **spec),
+            -1.0,
+            2.0,
+        ),
+        "ErrorReport.cell.alpha": (
+            "alpha", lambda v: _small_report().cell(v, "uniform", 4), 1.5, 0.5
+        ),
+        "ErrorReport.observed_orders.alpha": (
+            "alpha", lambda v: _small_report().observed_orders(v, "uniform"), 0.0, 0.5
+        ),
+        "run_pointwise_comparison.order": (
+            "alpha",
+            lambda v: subdiff.run_pointwise_comparison(v, ("uniform",), 4, space="d1:16"),
+            1.0,
+            0.5,
+        ),
+        "run_pointwise_comparison.horizon": (
+            "horizon",
+            lambda v: subdiff.run_pointwise_comparison(
+                0.5, ("uniform",), 4, space="d1:16", horizon=v
+            ),
+            -1.0,
+            2.0,
+        ),
+        "run_stability_soak.order": ("alpha", lambda v: _soak(order=v), 1.0, 0.5),
+        "run_stability_soak.horizon": ("horizon", lambda v: _soak(horizon=v), -1.0, 2.0),
+        "run_stability_soak.grading": ("grading", lambda v: _soak(grading=v), 0.5, 2.0),
+        "run_stability_soak.split_time": ("split_time", lambda v: _soak(split_time=v), 2.0, 1.0),
+        "run_stability_soak.plateau_factor": (
+            "plateau_factor", lambda v: _soak(plateau_factor=v), 0.0, 1.01
+        ),
+        "benchmarks.reference_errors.alpha": (
+            "alpha", lambda v: benchmarks.reference_errors(v, "r=1"), 1.0, 0.5
+        ),
+        "benchmarks.reference_orders.alpha": (
+            "alpha", lambda v: benchmarks.reference_orders(v, "r=1"), 0.0, 0.5
+        ),
+        "benchmarks.tolerance_ladder.reference_value": (
+            "reference_value", benchmarks.tolerance_ladder, 0.0, 1e-3
+        ),
+        "benchmarks.theoretical_order.alpha": (
+            "alpha", lambda v: benchmarks.theoretical_order(v, 2.0), 1.0, 0.5
+        ),
+        "benchmarks.theoretical_order.grading": (
+            "grading", lambda v: benchmarks.theoretical_order(0.5, v), 0.5, 2.0
+        ),
+    }
+
+
+REAL_SITES = list(_real_sites(tmp_path=None))
+# what no real-number input may be: the cases each leaked a plain ValueError,
+# TypeError or OverflowError, or was taken, at some site before one check
+# served them all
+NOT_FINITE_REALS = [True, "1", None, 1j, math.nan, math.inf, -math.inf, 10**400]
+# where None stands for a parameter not given
+NONE_MEANS_ABSENT = {"MeshFamily.grading", "MeshFamily.grading_numerator", "MeshFamily.build.horizon"}
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_site_refuses_a_value_that_is_not_a_finite_real_in_range(site, tmp_path):
+    name, call, out_of_range, good = _real_sites(tmp_path)[site]
+    for bad in (*NOT_FINITE_REALS, out_of_range):
+        if bad is None and site in NONE_MEANS_ABSENT:
+            continue
+        with pytest.raises(ValidationError, match=rf"^{name} must "):
+            call(bad)
+    for value in (good, np.float64(good), np.float32(good)):
+        call(value)
+
+
+def _array_sites():
+    """Each site that takes an array of reals, keyed as :func:`_real_sites`:
+    (name in its message, call that puts one entry into an otherwise good
+    array, a good entry)."""
+    import subdiff
+
+    def problem(**fields):
+        return subdiff.Problem(order=0.5, space=subdiff.DirichletLine(4), **fields)
+
+    return {
+        "TimeMesh.nodes": ("nodes", lambda x: TimeMesh([0.0, x, 2.0]), 1.0),
+        "ratio_condition_margins.ratios": (
+            "ratios", lambda x: ratio_condition_margins([1.0, x]), 0.5
+        ),
+        "build_complementary_kernel.source": (
+            "history matrix",
+            lambda x: subdiff.build_complementary_kernel([[2.0, 0.0], [x, 2.0]]),
+            1.0,
+        ),
+        "compute_orders.errors": ("errors", lambda x: subdiff.compute_orders([1.0, x], [8, 16]), 0.5),
+        "compute_orders.step_counts": (
+            "step_counts", lambda x: subdiff.compute_orders([1.0, 0.5], [8, x]), 16
+        ),
+        "apply_operator.history": (
+            "history", lambda x: subdiff.apply_operator(_level_two_row(), [0.0, x, 1.0], 0.5), 0.5
+        ),
+        "Problem.initial": ("initial field", lambda x: problem(initial=[0.0, x, 0.0]), 1.0),
+        "Problem.source": (
+            "source term 0: profile",
+            lambda x: problem(source=[(lambda t: 1.0, [0.0, x, 0.0])]),
+            1.0,
+        ),
+        "Problem.exact": (
+            "exact term 0: profile",
+            lambda x: problem(exact=[(lambda t: 1.0, [0.0, x, 0.0])]),
+            1.0,
+        ),
+    }
+
+
+ARRAY_SITES = list(_array_sites())
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_array_site_refuses_an_entry_that_is_not_a_finite_real(site):
+    # [0, "1"] was taken as [0, 1] and ["0", "a"] or [0, 1j] leaked a plain
+    # ValueError or TypeError; a list inside the array makes it ragged
+    name, call, good = _array_sites()[site]
+    for bad in (*NOT_FINITE_REALS[1:], [1.0, 2.0]):
+        with pytest.raises(ValidationError, match=rf"^{name} (must be an array of|has non-finite)"):
+            call(bad)
+    for value in (good, np.float64(good), np.float32(good)):
+        call(value)
+
+
+def test_check_reals_refuses_a_non_numeric_dtype():
+    from subdiff.meshes import _check_reals
+
+    for bad in (np.array([True, False]), np.array(["1.0"]), np.array([1j]), [0.0, None]):
+        with pytest.raises(ValidationError, match="^v must be an array of real numbers, got "):
+            _check_reals(bad, "v")
+    assert _check_reals(np.arange(3, dtype=np.int32), "v").dtype == np.float64
+
+
+def test_check_real_takes_reals_only_and_applies_its_bounds():
+    from fractions import Fraction
+
+    from subdiff.meshes import _check_real
+
+    assert _check_real(Fraction(1, 2), "x", 0, 1) == 0.5
+    assert type(_check_real(np.float32(0.5), "x")) is float
+    assert _check_real(1, "x", 1, closed=True) == 1.0
+    refusals = [
+        (lambda: _check_real(np.array(0.5), "x"), "must be a real number, got array(0.5)"),
+        (lambda: _check_real(-(10**400), "x"), "must be finite, got -inf"),
+        (lambda: _check_real(1, "x", 1), "must lie in (1, inf), got 1.0"),
+        (lambda: _check_real(0.5, "x", 1, closed=True), "must lie in [1, inf), got 0.5"),
+        (lambda: _check_real(2.0, "x", 0, 2.0), "must lie in (0, 2.0), got 2.0"),
+        (lambda: _check_real(-1.0, "x", 0, 2.0, closed=True), "must lie in [0, 2.0), got -1.0"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValidationError, match=f"^x {re.escape(message)}$"):
+            call()
+
+
+_NOT_A_FINITE_REAL_ENTRY = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.complex_numbers(),
+    st.decimals(),
+    st.sampled_from([math.nan, math.inf, -math.inf, np.float32("nan"), np.float64("-inf")]),
+    st.integers(min_value=2**1024),
+    st.integers(max_value=-(2**1024)),
+    st.lists(st.floats(), max_size=3),
+)
+# a bool and a 0-d array are refused as a scalar; inside an array numpy
+# takes them as a number
+_NOT_A_FINITE_REAL = st.one_of(
+    _NOT_A_FINITE_REAL_ENTRY, st.booleans(), st.builds(np.array, st.floats())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_value_that_is_not_a_finite_real_escapes_the_package_errors(data, tmp_path_factory):
+    from subdiff.errors import SubdiffError
+
+    site = data.draw(st.sampled_from(REAL_SITES + ARRAY_SITES), label="site")
+    if site in REAL_SITES:
+        _, call, _, _ = _real_sites(tmp_path_factory.getbasetemp())[site]
+        value = data.draw(_NOT_A_FINITE_REAL, label="value")
+        assume(not (value is None and site in NONE_MEANS_ABSENT))
+    else:
+        _, call, _ = _array_sites()[site]
+        value = data.draw(_NOT_A_FINITE_REAL_ENTRY, label="entry")
+    with pytest.raises(SubdiffError):
+        call(value)

@@ -8,6 +8,7 @@ list of its public names: the package star-imports the modules and builds
 its own ``__all__`` from their lists."""
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import shutil
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import subdiff
+from subdiff import benchmarks, errors
 import subdiff.cli  # noqa: F401  (imports every module the span sites name)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,6 +90,44 @@ def test_every_module_export_is_a_package_export(name):
     # only names the package exports too
     module = importlib.import_module(f"subdiff.{name}")
     assert [attr for attr in module.__all__ if attr not in subdiff.__all__] == []
+
+
+# public parameters annotated float that the real-site table in
+# tests/test_meshes.py does not drive, each with the reason
+_RESULT_RECORD = "a result record: the package fills its floats in, a caller does not"
+_NOT_A_REAL_SITE = {
+    "reproduce_tables.alphas": "each alpha goes through ExperimentSpec.alphas",
+    "caputo_reference.derivative": "a callable, not a number",
+    **dict.fromkeys(
+        [
+            "AdmissibilityReport", "KernelRow", "Violation", "PsdReport", "SolverState",
+            "NormReport", "CellResult", "Verdict", "PointwiseCurve", "SoakReport",
+        ],
+        _RESULT_RECORD,
+    ),
+}
+
+
+def test_every_real_parameter_is_a_real_site():
+    # a real-number parameter added to a public callable without the one
+    # check fails here until it is a row of the table or exempt with a reason
+    spec = importlib.util.spec_from_file_location("real_sites", ROOT / "tests" / "test_meshes.py")
+    sites = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sites)
+    rows = {*sites.REAL_SITES, *sites.ARRAY_SITES}
+    # the exception classes take a message only
+    public = [(name, getattr(subdiff, name)) for name in subdiff.__all__ if name not in errors.__all__]
+    public += [(f"benchmarks.{name}", getattr(benchmarks, name)) for name in benchmarks.__all__]
+    uncovered = [
+        f"{name}.{param.name}"
+        for name, obj in public
+        if callable(obj) and name not in _NOT_A_REAL_SITE
+        for param in inspect.signature(obj).parameters.values()
+        if "float" in str(param.annotation)
+        and f"{name}.{param.name}" not in rows
+        and f"{name}.{param.name}" not in _NOT_A_REAL_SITE
+    ]
+    assert uncovered == []
 
 
 # 07 takes several seconds; the rest run in a few seconds together.  Each
