@@ -9,7 +9,8 @@ provably positive semidefinite (after symmetrization) on meshes that pass
 * pointwise sign/monotonicity checks (P1-P10) on the coefficient families,
 * integral lower-bound checks (Q1-Q3) on the history rows,
 * the complementary (discrete resolvent) kernel, whose rows sum against
-  ``M`` to the unit lower triangle and whose entries are nonnegative.
+  ``M`` to the unit lower triangle and whose entries are nonnegative,
+* :func:`analyze_operator`, the one verdict over them, which ``analyze`` prints.
 
 Check functions return explicit violation records instead of raising, so
 sweeps over many meshes can aggregate results cheaply.
@@ -49,6 +50,7 @@ __all__ = [
     "ratio_condition_holds",
     "positivity_certificate",
     "build_complementary_kernel",
+    "analyze_operator",
 ]
 
 logger = logging.getLogger(__name__)
@@ -62,6 +64,10 @@ _ROUNDING_ALLOWANCE = 8.0 * _EPS
 # x - y > -_PQ_TOL*max(|x|, |y|).
 _PSD_TOL = 1e-10
 _PQ_TOL = 1e-12
+# analyze_operator's bounds on P M - L and on min P relative to max(1, max P)
+# (rounding in P scales with its largest entry, up to ~1e9 on steep meshes)
+_IDENTITY_TOL = 1e-11
+_MIN_ENTRY_REL_FLOOR = 1e-13
 # Columns per block of the complementary-kernel sweep (16 and 64 were slower
 # on 128-level tables).
 _COMPLEMENTARY_BLOCK = 32
@@ -355,6 +361,31 @@ def build_complementary_kernel(source: "KernelTable | np.ndarray") -> np.ndarray
         rhs = ones[j0:, j0:j1] - p[j0:, j1:] @ m[j1:, j0:j1]
         p[j0:, j0:j1] = np.linalg.solve(m[j0:j1, j0:j1].T, rhs.T).T
     return p
+
+
+def analyze_operator(table: KernelTable) -> dict:
+    """The verdict ``subdiff analyze`` prints: ``passed`` holds when every
+    check of this module passes on ``table``, each certificate value is
+    positive, ``P M`` is within 1e-11 of ``L`` and ``min P`` is at least
+    ``-1e-13 * max(1, max P)`` (``P`` the complementary kernel)."""
+    psd = check_psd(table)
+    p_violations, q_violations = check_properties_P(table), check_properties_Q(table)
+    complementary = build_complementary_kernel(table)
+    lower = np.tril_indices(table.n)
+    identity_residual = float(np.max(np.abs((complementary @ table.m)[lower] - 1.0)))
+    min_entry = float(np.min(complementary[lower]))
+    floor = -_MIN_ENTRY_REL_FLOOR * max(1.0, float(np.max(complementary)))
+    passed = (psd.passed and not p_violations and not q_violations and min_entry >= floor
+              and identity_residual <= _IDENTITY_TOL and bool(np.all(psd.g > 0.0)))
+    return {
+        "psd": psd.to_dict(),
+        "sign_monotonicity_violations": len(p_violations),
+        "integral_bound_violations": len(q_violations),
+        "complementary_min_entry": min_entry,
+        "complementary_identity_residual": identity_residual,
+        "diagonal_certificate_min": float(np.min(psd.g)),
+        "passed": passed,
+    }
 
 
 @functools.lru_cache(maxsize=8)

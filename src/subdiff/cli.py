@@ -24,15 +24,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ._version import __version__
-from .analysis import (
+from .analysis import (  # only analyze_operator is called; perfbench/spans.py wraps the rest
+    analyze_operator,
     build_complementary_kernel,
     check_properties_P,
     check_properties_Q,
     check_psd,
-    positivity_certificate,  # not called here; perfbench/spans.py wraps this name in this module
+    positivity_certificate,
 )
 from .errors import SubdiffError, ValidationError
 from .harness import (
@@ -293,49 +292,15 @@ def _cmd_analyze(args) -> int:
     family, mesh = _mesh_from_args(args)
     n = args.levels if args.levels is not None else min(mesh.num_steps, 128)
     table = build_kernel_table(mesh, args.alpha, n=n, backend=args.backend)
-    psd = check_psd(table)
-    p_violations = check_properties_P(table)
-    q_violations = check_properties_Q(table)
-    complementary = build_complementary_kernel(table)
-    product = complementary @ table.m
-    # Every lower-triangle entry of P*M must be 1 (all-ones target).
-    lower = np.tril_indices(n)
-    identity_residual = float(np.max(np.abs(product[lower] - 1.0)))
-    min_entry = float(np.min(complementary[lower]))
-    # rounding in P scales with its largest entry (up to ~1e9 on steep meshes)
-    min_entry_floor = -1e-13 * max(1.0, float(np.max(complementary)))
-    g = psd.g
-    checks_ok = (
-        psd.passed
-        and not p_violations
-        and not q_violations
-        and min_entry >= min_entry_floor
-        and identity_residual <= 1e-11
-        and bool(np.all(g > 0.0))
-    )
-    payload = {
-        "mesh": family.label,
-        "alpha": args.alpha,
-        "levels": n,
-        "backend": args.backend,
-        "psd": psd.to_dict(),
-        "sign_monotonicity_violations": len(p_violations),
-        "integral_bound_violations": len(q_violations),
-        "complementary_min_entry": min_entry,
-        "complementary_identity_residual": identity_residual,
-        "diagonal_certificate_min": float(np.min(g)),
-        "passed": checks_ok,
-    }
+    context = {"mesh": family.label, "alpha": args.alpha, "levels": n, "backend": table.backend}
+    payload = {**context, **analyze_operator(table)}
     print(json_text("operator-analysis", payload))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         write_json(out_dir / "analysis.json", "operator-analysis", payload)
-        header = reproducibility_header(
-            "kernel-coefficients",
-            {"mesh": family.label, "alpha": args.alpha, "levels": n, "backend": table.backend},
-        )
+        header = reproducibility_header("kernel-coefficients", context)
         dump_kernel_csv(table, out_dir / "kernel.csv", header_lines=header)
-    return EXIT_OK if checks_ok else EXIT_VERDICT
+    return EXIT_OK if payload["passed"] else EXIT_VERDICT
 
 
 def _build_problem(args, space) -> Problem:

@@ -348,12 +348,16 @@ def _check_real(value: float, name: str, low=-math.inf, high=math.inf, *, closed
 def _check_reals(values, name: str) -> np.ndarray:
     """``values`` as a float array, by the rule of :func:`_check_real`: a
     ragged nesting, a dtype that is not integer or float (bool, string,
-    complex, object) and a non-finite entry are refused."""
+    complex, object), a bool entry and a non-finite entry are refused."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nesting
         array = np.empty(0, dtype=object)
-    if array.dtype.kind not in "iuf":
+    # numpy reads a bool among numbers as a number (an ndarray holds none)
+    if array.dtype.kind not in "iuf" or (
+        not isinstance(values, np.ndarray)
+        and any(isinstance(v, (bool, np.bool_)) for v in np.array(values, dtype=object).flat)
+    ):
         raise ValidationError(
             f"{name} must be an array of real numbers, got {reprlib.repr(values)}"
         )

@@ -1,6 +1,8 @@
 """Structural properties of the coefficient tables, eigenvalue positivity,
 and the complementary (resolvent) kernel."""
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.linalg import solve_triangular
 from subdiff import (
     TimeMesh,
     admissibility_thresholds,
+    analyze_operator,
     build_complementary_kernel,
     build_kernel_table,
     certify_mesh,
@@ -20,6 +23,7 @@ from subdiff import (
     make_uniform_mesh,
     positivity_certificate,
 )
+import subdiff.analysis
 from subdiff.analysis import Violation, ratio_condition_holds
 from subdiff.cli import EXIT_VERDICT, dispatch
 from subdiff.errors import SingularDiagonalError, ValidationError
@@ -309,15 +313,61 @@ def test_check_psd_fails_an_alternating_mesh(tmp_path, capsys):
     # matrix is indefinite (scaled minimum eigenvalue -0.265 at alpha 0.5)
     steps = np.tile([1.0, 1e-3], 12)
     mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
-    report = check_psd(build_kernel_table(mesh, 0.5, backend="closed"))
+    table = build_kernel_table(mesh, 0.5, backend="closed")
+    report = check_psd(table)
     assert report.scaled_min_eigenvalue == pytest.approx(-0.265, abs=1e-3)
     assert not report.passed
     assert not certify_mesh(mesh).satisfied
+    assert analyze_operator(table)["passed"] is False
     path = tmp_path / "mesh.txt"
     path.write_text("".join(f"{t:.17g}\n" for t in mesh.nodes))
     code = dispatch(["analyze", "--file", str(path), "--alpha", "0.5"])
     payload = json.loads(capsys.readouterr().out)
     assert (code, payload["passed"], payload["psd"]["passed"]) == (EXIT_VERDICT, False, False)
+
+
+_PASSING_PSD = check_psd(build_kernel_table(make_uniform_mesh(1.0, 2), 0.5))
+
+
+def _verdict(monkeypatch, psd=_PASSING_PSD, p=(), q=(), p_factor=1.0, p_lower=0.0):
+    """analyze_operator with its four checks replaced, each passing unless
+    an argument says otherwise, on the history matrix ``M = 1e-9 [[1, 0],
+    [1, 1]]``.  Its complementary kernel ``P = 1e9 I`` has its (1, 1)
+    entry scaled by ``p_factor`` and its (2, 1) entry set to ``p_lower``."""
+    complementary = 1e9 * np.diag([p_factor, 1.0])
+    complementary[1, 0] = p_lower
+    for name, value in (
+        ("check_psd", psd),
+        ("check_properties_P", list(p)),
+        ("check_properties_Q", list(q)),
+        ("build_complementary_kernel", complementary),
+    ):
+        monkeypatch.setattr(subdiff.analysis, name, lambda table, value=value: value)
+    return analyze_operator(SimpleNamespace(n=2, m=1e-9 * np.tri(2)))
+
+
+def test_analyze_operator_passes_only_when_every_condition_holds(monkeypatch):
+    assert _PASSING_PSD.passed and np.all(_PASSING_PSD.g > 0.0)
+    # the floor on P is relative to max(1, max P) = 1e9, and the residual
+    # bound is 1e-11: just inside both, every condition holds
+    verdict = _verdict(monkeypatch, p_factor=1.0 + 0.5e-11, p_lower=-0.5e-13 * 1e9)
+    assert verdict["passed"] is True
+    assert verdict["complementary_min_entry"] == -0.5e-4
+    assert verdict["complementary_identity_residual"] == pytest.approx(0.5e-11, rel=1e-3)
+    # each condition flipped alone fails the verdict
+    bad = Violation("P1", 2, 1, -1.0)
+    flips = {
+        "psd": dict(psd=dataclasses.replace(_PASSING_PSD, passed=False)),
+        "certificate": dict(psd=dataclasses.replace(_PASSING_PSD, g=np.array([1.0, 0.0]))),
+        "P": dict(p=[bad]),
+        "Q": dict(q=[bad._replace(check="Q1")]),
+        "min entry": dict(p_lower=-2e-13 * 1e9),
+        "identity residual": dict(p_factor=1.0 + 2e-11),
+    }
+    for name, flip in flips.items():
+        assert _verdict(monkeypatch, **flip)["passed"] is False, name
+    verdict = _verdict(monkeypatch, **flips["certificate"])
+    assert verdict["diagonal_certificate_min"] == 0.0
 
 
 def test_check_psd_records_inadmissibility():

@@ -15,6 +15,7 @@ from subdiff import (
     ExperimentSpec,
     TimeMesh,
     admissibility_thresholds,
+    analyze_operator,
     build_kernel_table,
     make_graded_mesh,
     read_mesh,
@@ -25,6 +26,7 @@ from subdiff import (
     write_mesh,
 )
 from subdiff.cli import EXIT_INVALID, EXIT_OK, EXIT_VERDICT, build_parser, dispatch
+from subdiff.provenance import json_text
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,25 @@ def test_analyze_floor_scales_with_the_complementary_kernel(tmp_path, capsys, se
     )
     payload = json.loads(stdout)
     assert code == EXIT_OK and payload["passed"] is True
+
+
+def test_analyze_prints_its_context_and_the_library_verdict(tmp_path, capsys):
+    # the 64 meshes of the operator-fuzz benchmark at seed 1, built as
+    # criteria 04/05 build theirs: analyze adds only mesh, alpha, levels and
+    # backend to what analyze_operator returns, and exits on its verdict
+    rng = np.random.default_rng(1)
+    _, eta = admissibility_thresholds()
+    path = tmp_path / "mesh.txt"
+    for i in range(64):
+        alpha = (0.3, 0.5, 0.7)[i % 3]
+        steps = np.cumprod(np.concatenate([[1.0], rng.uniform(eta, 3.0, size=127)]))
+        path.write_text("".join(f"{t:.17g}\n" for t in np.concatenate([[0.0], np.cumsum(steps)])))
+        code, stdout, _ = run_cli(capsys, "analyze", "--file", str(path), "--alpha", str(alpha))
+        table = build_kernel_table(read_mesh(path), alpha, n=128)
+        context = {"mesh": f"file:{path}", "alpha": alpha, "levels": 128, "backend": "closed"}
+        verdict = analyze_operator(table)
+        assert stdout == json_text("operator-analysis", {**context, **verdict}) + "\n"
+        assert (code, verdict["passed"]) == (EXIT_OK, True)
 
 
 def test_solve_manufactured_known_error(tmp_path, capsys):

@@ -593,10 +593,11 @@ ARRAY_SITES = list(_array_sites())
 
 @pytest.mark.parametrize("site", ARRAY_SITES)
 def test_every_array_site_refuses_an_entry_that_is_not_a_finite_real(site):
-    # [0, "1"] was taken as [0, 1] and ["0", "a"] or [0, 1j] leaked a plain
-    # ValueError or TypeError; a list inside the array makes it ragged
+    # [0, "1"] and [0, True] were taken as [0, 1], and ["0", "a"] or
+    # [0, 1j] leaked a plain ValueError or TypeError; a list inside the
+    # array makes it ragged
     name, call, good = _array_sites()[site]
-    for bad in (*NOT_FINITE_REALS[1:], [1.0, 2.0]):
+    for bad in (*NOT_FINITE_REALS, np.True_, [1.0, 2.0]):
         with pytest.raises(ValidationError, match=rf"^{name} (must be an array of|has non-finite)"):
             call(bad)
     for value in (good, np.float64(good), np.float32(good)):
@@ -606,7 +607,10 @@ def test_every_array_site_refuses_an_entry_that_is_not_a_finite_real(site):
 def test_check_reals_refuses_a_non_numeric_dtype():
     from subdiff.meshes import _check_reals
 
-    for bad in (np.array([True, False]), np.array(["1.0"]), np.array([1j]), [0.0, None]):
+    for bad in (
+        np.array([True, False]), np.array(["1.0"]), np.array([1j]), [0.0, None], [0.0, True],
+        [np.array([0.0, 1.0]), np.array([False, True])],
+    ):
         with pytest.raises(ValidationError, match="^v must be an array of real numbers, got "):
             _check_reals(bad, "v")
     assert _check_reals(np.arange(3, dtype=np.int32), "v").dtype == np.float64
@@ -643,12 +647,11 @@ _NOT_A_FINITE_REAL_ENTRY = st.one_of(
     st.integers(min_value=2**1024),
     st.integers(max_value=-(2**1024)),
     st.lists(st.floats(), max_size=3),
+    st.booleans(),
 )
-# a bool and a 0-d array are refused as a scalar; inside an array numpy
-# takes them as a number
-_NOT_A_FINITE_REAL = st.one_of(
-    _NOT_A_FINITE_REAL_ENTRY, st.booleans(), st.builds(np.array, st.floats())
-)
+# a 0-d array is refused as a scalar; inside an array numpy takes it as a
+# number
+_NOT_A_FINITE_REAL = st.one_of(_NOT_A_FINITE_REAL_ENTRY, st.builds(np.array, st.floats()))
 
 
 @settings(max_examples=200, deadline=None)
