@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh-file", metavar="PATH",
                    help="march on this stored mesh instead of the built one; "
                         "the grading and split flags are then unused")
-    p.add_argument("--plateau-factor", type=float, default=soak["plateau_factor"],
-                   help="allowed late-window growth factor (default %(default)s)")
     p.add_argument("--out-dir", metavar="DIR",
                    help="write soak_trajectory.csv and soak_summary.json under DIR")
     p.set_defaults(func=_cmd_soak)
@@ -397,7 +395,6 @@ def _cmd_soak(args) -> int:
         zero_source=args.zero_source,
         backend=args.backend,
         mesh=mesh,
-        plateau_factor=args.plateau_factor,
         out_dir=args.out_dir,
     )
     print(json_text("stability-soak", report.to_dict()))

@@ -8,11 +8,11 @@ applied to it.
 
 Two spatial discretizations are provided:
 
-* :class:`DirichletLine`: second-order central differences on ``[0, length]``
+* :class:`DirichletLine`: second-order central differences on ``[0, 2*pi]``
   with homogeneous Dirichlet ends; its eigenbasis is the sine modes
   ``sin(j*pi*i/N)`` (an orthonormal DST-I).
 * :class:`PeriodicSquare`: Fourier spectral discretization on
-  ``[0, length]^2``; its eigenbasis is the Hartley modes
+  ``[0, 2*pi]^2``; its eigenbasis is the Hartley modes
   ``cas(k . x) = cos(k . x) + sin(k . x)`` (an orthonormal 2-D Hartley
   transform, built from a real FFT).
 
@@ -71,7 +71,7 @@ from .kernel import (
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
-from .meshes import TimeMesh, _check_count, _check_real, _check_reals
+from .meshes import TimeMesh, _check_count, _check_reals
 from .provenance import reproducibility_header, write_csv
 
 __all__ = [
@@ -103,42 +103,20 @@ _MODE_FLOOR = 1e-13
 _PART_ENTRIES = 2**15
 
 
-def _check_scales(space, zero_modes: int) -> None:
-    """Refuse ``space`` unless ``h``, ``h**ndim`` and every entry of its
-    symbol after the first ``zero_modes`` (raveled) are finite and at least
-    the smallest normal float: beyond that range the norms overflow, or
-    underflow to a field that reads as zero (a subnormal has lost most of
-    its bits) with no error."""
-    with np.errstate(over="ignore", under="ignore"):
-        try:
-            h = space.h
-            symbol = space.laplacian_symbol.ravel()[zero_modes:]
-            scales = np.concatenate([[h, h**space.ndim], symbol])
-        except ArithmeticError:  # overflow, or h == 0, in Python float arithmetic
-            scales = np.array([math.inf])
-    if not (np.all(np.isfinite(scales)) and np.min(scales) >= np.finfo(float).tiny):
-        raise ValidationError(
-            f"length {space.length!r} is out of range for {space.descriptor}: h, "
-            f"h**{space.ndim} or a Laplacian eigenvalue leaves the normal float range"
-        )
-
-
 @dataclass(frozen=True)
 class DirichletLine:
-    """1-D interval ``[0, length]`` with homogeneous Dirichlet boundaries.
+    """1-D interval ``[0, 2*pi]`` with homogeneous Dirichlet boundaries.
 
     ``intervals`` is the number of spatial cells; unknowns live at the
     ``intervals - 1`` interior nodes ``x_i = i*h``.
     """
 
     intervals: int
-    length: float = 2.0 * math.pi
+    length: ClassVar[float] = 2.0 * math.pi
     ndim: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _check_count(self.intervals, "intervals", 3))
-        object.__setattr__(self, "length", _check_real(self.length, "length", 0))
-        _check_scales(self, zero_modes=0)
 
     @property
     def h(self) -> float:
@@ -203,16 +181,14 @@ class DirichletLine:
 
 @dataclass(frozen=True)
 class PeriodicSquare:
-    """Periodic square ``[0, length]^2`` sampled on a ``modes x modes`` grid."""
+    """Periodic square ``[0, 2*pi]^2`` sampled on a ``modes x modes`` grid."""
 
     modes: int
-    length: float = 2.0 * math.pi
+    length: ClassVar[float] = 2.0 * math.pi
     ndim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "modes", _check_count(self.modes, "modes", 3))
-        object.__setattr__(self, "length", _check_real(self.length, "length", 0))
-        _check_scales(self, zero_modes=1)  # the constant mode's symbol is 0
 
     @property
     def h(self) -> float:

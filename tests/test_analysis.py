@@ -308,14 +308,12 @@ def test_check_psd_fails_a_negative_eigenvalue_below_the_raw_rounding_scale(monk
     assert report.to_dict()["scaled_min_eigenvalue"] == report.scaled_min_eigenvalue
 
 
-def test_check_psd_fails_an_alternating_mesh(tmp_path, capsys):
-    # steps 1, 1e-3, 1, 1e-3, ...: a real kernel whose symmetrized history
-    # matrix is indefinite (scaled minimum eigenvalue -0.265 at alpha 0.5)
-    steps = np.tile([1.0, 1e-3], 12)
-    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+def _assert_indefinite_witness(mesh, scaled_min, tmp_path, capsys):
+    """At alpha 0.5 the mesh's real kernel has a symmetrized history matrix
+    with the given scaled minimum eigenvalue, and every check refuses it."""
     table = build_kernel_table(mesh, 0.5, backend="closed")
     report = check_psd(table)
-    assert report.scaled_min_eigenvalue == pytest.approx(-0.265, abs=1e-3)
+    assert report.scaled_min_eigenvalue == pytest.approx(scaled_min, abs=1e-3)
     assert not report.passed
     assert not certify_mesh(mesh).satisfied
     assert analyze_operator(table)["passed"] is False
@@ -324,6 +322,30 @@ def test_check_psd_fails_an_alternating_mesh(tmp_path, capsys):
     code = dispatch(["analyze", "--file", str(path), "--alpha", "0.5"])
     payload = json.loads(capsys.readouterr().out)
     assert (code, payload["passed"], payload["psd"]["passed"]) == (EXIT_VERDICT, False, False)
+
+
+def test_check_psd_fails_an_alternating_mesh(tmp_path, capsys):
+    # steps 1, 1e-3, 1, 1e-3, ...
+    steps = np.tile([1.0, 1e-3], 12)
+    mesh = TimeMesh(np.concatenate([[0.0], np.cumsum(steps)]))
+    _assert_indefinite_witness(mesh, -0.265, tmp_path, capsys)
+
+
+# The 23 step ratios, rounded to three decimals, of the most indefinite
+# 24-level mesh a Powell search found at alpha 0.5 with every ratio in
+# [0.02, 3] (two seeded starts of 800 evaluations, as demo 07 searches)
+_SEARCHED_RATIOS = [
+    0.02, 0.02, 0.227, 1.001, 2.422, 1.738, 1.11, 2.006, 1.174, 1.188, 0.02, 0.617,
+    1.94, 2.739, 2.821, 2.843, 2.712, 1.952, 1.067, 2.495, 2.166, 2.607, 2.755,
+]
+
+
+def test_check_psd_fails_a_searched_mesh_with_ratios_down_to_0_02(tmp_path, capsys):
+    # ratios no smaller than 0.02 already break the form, so at alpha 0.5 no
+    # ratio bound below 0.02 can replace the paper's sufficient 0.475329
+    assert min(_SEARCHED_RATIOS) == 0.02 and max(_SEARCHED_RATIOS) <= 3.0
+    mesh = mesh_from_ratios(_SEARCHED_RATIOS)
+    _assert_indefinite_witness(mesh, -0.0365, tmp_path, capsys)
 
 
 _PASSING_PSD = check_psd(build_kernel_table(make_uniform_mesh(1.0, 2), 0.5))

@@ -116,15 +116,14 @@ def test_every_soak_default_is_run_stability_soaks(capsys):
     shared = {name: value for name, value in args.items() if name in params}
     assert set(shared) == {
         "horizon", "grading", "split_time", "split_steps", "space", "zero_source", "backend",
-        "plateau_factor", "out_dir",
+        "out_dir",
     }
     assert (shared.pop("horizon"), args["K"], shared.pop("out_dir")) == (None, None, None)
     assert shared == {name: params[name].default for name in shared}
     code, out, _ = run_cli(capsys, "soak", "--help")
     help_text = " ".join(out.split())
     assert code == EXIT_OK
-    for name in ("horizon", "num_steps", "grading", "split_time", "split_steps", "space",
-                 "plateau_factor"):
+    for name in ("horizon", "num_steps", "grading", "split_time", "split_steps", "space"):
         assert f"(default {params[name].default}" in help_text, name
     code, out, _ = run_cli(capsys, "soak", "--alpha", "0.5")
     payload = json.loads(out)
@@ -484,16 +483,6 @@ def test_reproduce_tables_refuses_table_settings_with_a_custom_config(tmp_path, 
             "mix with the custom-experiment keys ['meshes', 'step_counts', 'space', "
             "'horizon']\n"
         )
-
-
-@pytest.mark.parametrize("factor", ["nan", "inf", "-1", "0"])
-def test_soak_refuses_a_bad_plateau_factor(capsys, factor):
-    code, stdout, err = run_cli(
-        capsys, "soak", "--alpha", "0.5", "--K", "40", "--plateau-factor", factor
-    )
-    assert code == EXIT_INVALID
-    assert stdout == ""
-    assert err.startswith("subdiff: error: invalid-parameter: plateau_factor")
 
 
 def test_soak_quick_run(tmp_path, capsys):

@@ -456,10 +456,6 @@ def _real_sites(tmp_path):
         "Problem.order": (
             "alpha", lambda v: subdiff.Problem(order=v, space=subdiff.DirichletLine(4)), 1.0, 0.5
         ),
-        "DirichletLine.length": ("length", lambda v: subdiff.DirichletLine(8, length=v), 0.0, 2.0),
-        "PeriodicSquare.length": (
-            "length", lambda v: subdiff.PeriodicSquare(8, length=v), -1.0, 2.0
-        ),
         "MeshFamily.grading": (
             "grading", lambda v: subdiff.MeshFamily(kind="graded", grading=v), 0.5, 2.0
         ),
@@ -506,9 +502,6 @@ def _real_sites(tmp_path):
         "run_stability_soak.horizon": ("horizon", lambda v: _soak(horizon=v), -1.0, 2.0),
         "run_stability_soak.grading": ("grading", lambda v: _soak(grading=v), 0.5, 2.0),
         "run_stability_soak.split_time": ("split_time", lambda v: _soak(split_time=v), 2.0, 1.0),
-        "run_stability_soak.plateau_factor": (
-            "plateau_factor", lambda v: _soak(plateau_factor=v), 0.0, 1.01
-        ),
         "benchmarks.reference_errors.alpha": (
             "alpha", lambda v: benchmarks.reference_errors(v, "r=1"), 1.0, 0.5
         ),

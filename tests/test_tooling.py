@@ -23,20 +23,40 @@ from subdiff import benchmarks, errors
 import subdiff.cli  # noqa: F401  (imports every module the span sites name)
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = ["subdiff", *(f"subdiff.{m.name}" for m in pkgutil.iter_modules(subdiff.__path__))]
 
 
+def _load(name, path):
+    """The module at ``path``, imported under ``name`` without a package
+    (and registered, as its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_span_site_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load("perfbench_spans", ROOT / "perfbench" / "spans.py")
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in spans._SITES
         if getattr(sys.modules.get(module), attr, None) is None
     ]
     assert spans._SITES and missing == []
+
+
+def test_every_benchmark_workload_passes_its_own_check(tmp_path):
+    # one pass of each workload, judged by the check the benchmark applies
+    # to its outputs: the fields it reads (a soak's plateau_factor, a
+    # space's length) must still be there
+    spans = _load("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    assert len(workloads.WORKLOADS) == 4
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class()
+        workload.setup(1, tmp_path / name)
+        result = workload.run_pass(spans.PassClock(None))
+        assert (result.failed, result.problems) == (0, []), name
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -111,9 +131,7 @@ _NOT_A_REAL_SITE = {
 def test_every_real_parameter_is_a_real_site():
     # a real-number parameter added to a public callable without the one
     # check fails here until it is a row of the table or exempt with a reason
-    spec = importlib.util.spec_from_file_location("real_sites", ROOT / "tests" / "test_meshes.py")
-    sites = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sites)
+    sites = _load("real_sites", ROOT / "tests" / "test_meshes.py")
     rows = {*sites.REAL_SITES, *sites.ARRAY_SITES}
     # the exception classes take a message only
     public = [(name, getattr(subdiff, name)) for name in subdiff.__all__ if name not in errors.__all__]
