@@ -485,6 +485,19 @@ def test_reproduce_tables_refuses_table_settings_with_a_custom_config(tmp_path, 
         )
 
 
+@pytest.mark.parametrize("factor", ["1.01", "nan"])
+def test_soak_has_no_plateau_factor_flag(capsys, factor):
+    # the plateau bound is fixed: the parser refuses the flag whatever its value
+    code, stdout, err = run_cli(
+        capsys, "soak", "--alpha", "0.5", "--K", "40", "--plateau-factor", factor
+    )
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert err.startswith(
+        f"subdiff: error: invalid-parameter: unrecognized arguments: --plateau-factor {factor}"
+    )
+
+
 def test_soak_quick_run(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,

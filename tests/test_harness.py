@@ -500,6 +500,21 @@ def test_soak_quick_pass(tmp_path):
     assert len(data) == 1 + 121
 
 
+def test_soak_plateau_bound_is_fixed(tmp_path):
+    # the bound is the module constant: reported in the summary and the CSV
+    # header, and not a parameter
+    with pytest.raises(TypeError, match="plateau_factor"):
+        run_stability_soak(0.5, plateau_factor=1.01)
+    report = run_stability_soak(
+        0.5, horizon=5.0, num_steps=40, split_steps=10, space="d1:16", out_dir=tmp_path
+    )
+    assert report.plateau_factor == harness._PLATEAU_FACTOR == 1.01
+    assert report.plateau_ok == (report.max_second_window <= 1.01 * report.max_first_window)
+    assert json.loads((tmp_path / "soak_summary.json").read_text())["plateau_factor"] == 1.01
+    header = (tmp_path / "soak_trajectory.csv").read_text().splitlines()
+    assert "# tolerance:plateau_factor = 1.01" in header
+
+
 def test_soak_zero_source_decays():
     report = run_stability_soak(
         0.5,

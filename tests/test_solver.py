@@ -61,26 +61,114 @@ def test_space_validation_and_descriptors():
 def test_space_domain_is_fixed_at_two_pi(space):
     # the domain is [0, 2*pi] (per axis), a class constant and not a field
     assert space(8).length == 2 * math.pi
+    assert space(8).h == 2 * math.pi / 8
+
+
+@pytest.mark.parametrize("space", [DirichletLine, PeriodicSquare])
+@pytest.mark.parametrize("length", [1.0, 2 * math.pi], ids=["1.0", "two-pi"])
+def test_space_refuses_a_length_keyword(space, length):
+    # the domain's own value is refused too: there is no field to set
     with pytest.raises(TypeError, match="length"):
-        space(8, length=1.0)
+        space(8, length=length)
 
 
-@pytest.mark.parametrize(
-    "space, eigenvalue",
-    [
-        # the central difference's eigenvalue on sin x: (4/h^2) sin^2(h/2)
-        (DirichletLine(16), 4 / (2 * math.pi / 16) ** 2 * math.sin(math.pi / 16) ** 2),
-        # the spectral Laplacian is exact on sin x sin y
-        (PeriodicSquare(8), 2.0),
-    ],
-    ids=["d1:16", "p2:8"],
-)
+def _line_eigenvalue(intervals):
+    """The central difference's eigenvalue on ``sin x``: ``(4/h^2) sin^2(h/2)``."""
+    h = 2 * math.pi / intervals
+    return 4 / h**2 * math.sin(h / 2) ** 2
+
+
+# (space, eigenvalue of -laplacian on first_mode()); the spectral Laplacian
+# is exact on sin x sin y
+_FIRST_MODES = [
+    *((DirichletLine(n), _line_eigenvalue(n)) for n in (3, 4, 8, 16, 64)),
+    *((PeriodicSquare(n), 2.0) for n in (3, 4, 8, 16)),
+]
+_FIRST_MODE_IDS = [space.descriptor for space, _ in _FIRST_MODES]
+
+
+@pytest.mark.parametrize("space, eigenvalue", _FIRST_MODES, ids=_FIRST_MODE_IDS)
 def test_first_mode_is_an_eigenvector_of_the_laplacian(space, eigenvalue):
     # first_mode() is a mode because the domain is a multiple of pi (line)
     # and of 2*pi (square); small grids keep the rounding of /h^2 small
     mode = space.first_mode()
     residual = space.laplacian(mode) + eigenvalue * mode
     assert np.max(np.abs(residual)) <= 1e-12 * eigenvalue * np.max(np.abs(mode))
+
+
+@pytest.mark.parametrize("space, eigenvalue", _FIRST_MODES, ids=_FIRST_MODE_IDS)
+def test_first_mode_grid_norms_are_exact_on_the_fixed_domain(space, eigenvalue):
+    # on [0, 2*pi] every grid of at least 3 points sums sin^2 to half its
+    # point count, so ||first_mode||^2 is pi (line) or pi^2 (square) and
+    # |first_mode|_1^2 is the eigenvalue times that
+    l2_squared = math.pi**space.ndim
+    mode = space.first_mode()
+    assert space.l2_norm(mode) == pytest.approx(math.sqrt(l2_squared), rel=1e-14)
+    assert space.h1_seminorm(mode) == pytest.approx(
+        math.sqrt(eigenvalue * l2_squared), rel=1e-14
+    )
+
+
+@pytest.mark.parametrize("modes", [3, 4, 8, 16])
+def test_square_symbol_is_the_integer_wavenumbers(modes):
+    # 2*pi / length is exactly 1.0, so the symbol is kx^2 + ky^2 over the
+    # integer wavenumbers with no rounding
+    space = PeriodicSquare(modes)
+    assert 2.0 * math.pi / space.length == 1.0
+    k = np.concatenate([np.arange((modes + 1) // 2), np.arange(-(modes // 2), 0)])
+    np.testing.assert_array_equal(space.laplacian_symbol, k[:, None] ** 2 + k[None, :] ** 2)
+
+
+def _uniform_norm_bits(problem):
+    norms = discrete_norms(solve(problem, make_uniform_mesh(1.0, 4)))
+    return [x.hex() for x in norms.h1_seminorm], [x.hex() for x in norms.l2_norm]
+
+
+@pytest.mark.parametrize(
+    "space, kind, h1, l2",
+    [
+        (DirichletLine(16), "decay",
+         ["0x1.c2d6965172a28p+0", "0x1.1daddcc8a5a8fp+0", "0x1.e52c98de9402ap-1",
+          "0x1.af7af3bc55e59p-1", "0x1.89fed62a29e3dp-1"],
+         ["0x1.c5bf891b4ef6cp+0", "0x1.1f85e8780cf33p+0", "0x1.e84e47f1dfc7ap-1",
+          "0x1.b243ea0430094p-1", "0x1.8c89dc2df896fp-1"]),
+        (DirichletLine(16), "manufactured",
+         ["0x0.0p+0", "0x1.b9698f2591679p-1", "0x1.3c011a4bdeec2p+0",
+          "0x1.85b5c83efc8eap+0", "0x1.c3759a9c82bc4p+0"],
+         ["0x0.0p+0", "0x1.bc42eebcb6e11p-1", "0x1.3e0b41ac15dbep+0",
+          "0x1.8839b98766c4cp+0", "0x1.c65f94273f40bp+0"]),
+        (PeriodicSquare(8), "decay",
+         ["0x1.1c5831add62e4p+2", "0x1.dedec591f7d6ep+0", "0x1.88382b8917a21p+0",
+          "0x1.4cabfe3e3b24bp+0", "0x1.26d279fb2055ap+0"],
+         ["0x1.921fb54442d18p+1", "0x1.529cc419f9d46p+0", "0x1.15574c458f312p+0",
+          "0x1.d67812f98c2dcp-1", "0x1.a0f1073c36872p-1"]),
+        (PeriodicSquare(8), "manufactured",
+         ["0x0.0p+0", "0x1.2077ccdd38ab8p+1", "0x1.90dd110df8c98p+1",
+          "0x1.ebdc546ef5853p+1", "0x1.1c1c7ace0755ap+2"],
+         ["0x0.0p+0", "0x1.97f48f87cad23p+0", "0x1.1b740d565f9c5p+1",
+          "0x1.5bcc4a69c671cp+1", "0x1.91cb425c9be87p+1"]),
+    ],
+    ids=["d1-decay", "d1-manufactured", "p2-decay", "p2-manufactured"],
+)
+def test_fixed_domain_keeps_the_bits(space, kind, h1, l2):
+    # frozen from the solver while the length was still a field (at its
+    # default 2*pi): making it a class constant changed no bit of the norms
+    if kind == "decay":
+        problem = Problem(order=0.5, space=space, source=None, initial=space.first_mode())
+    else:
+        problem = manufactured_problem(0.5, space)
+    assert _uniform_norm_bits(problem) == (h1, l2)
+
+
+@pytest.mark.parametrize(
+    "space, max_error", [(DirichletLine(256), 9.08e-5), (PeriodicSquare(32), 1.24e-4)],
+    ids=["d1:256", "p2:32"],
+)
+def test_manufactured_error_is_small_on_the_fixed_domain(space, max_error):
+    # t^alpha times first_mode() solves the manufactured problem only where
+    # first_mode() is a mode; on [0, 1] these runs read 0.458 and 0.389
+    norms = discrete_norms(solve(manufactured_problem(0.5, space), make_graded_mesh(1.0, 80, 4.0)))
+    assert norms.max_l2_error == pytest.approx(max_error, rel=1e-2)
 
 
 def test_line_norms_of_first_mode():
