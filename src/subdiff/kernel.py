@@ -19,22 +19,24 @@ Two independent evaluation backends are provided:
   are checked against (acceptance criterion 08), several times slower.
 
 The kernel is computed in slabs of consecutive rows, each bounded by a fixed
-entry budget.  A slab's per-entry inputs ``(tau_j, tau_{j+1}, t_k* -
-t_{j-1})`` are formed once, as one dense block of its rows by the columns
-``j < k1``; the backend only chooses the function that maps the valid
-(lower-triangular) entries to ``a`` and ``c``.  :func:`build_kernel_table`
-collects the slabs into dense tables for the analysis checks and is the one
-place rows are read from (:meth:`KernelTable.row`); the solver marches on the
-slabs directly and never holds the table.  Along a run of equal steps, entry
-``(k, j)`` has the same inputs as ``(k-1, j-1)``; the closed backend compares
-each entry with the entry at the same distance ``k - j`` in the previous
-slab's last row and copies its coefficients wherever the inputs are
-bit-equal; where the nodes are exact (a dyadic step), such a run is computed
-once per distance.  Each stream of slabs fills them all in one workspace of
-its own, sized once from the slab edges: the closed forms write every
-entry-sized result into its rows through ``out=``, by the same operations
-in the same order, so a slab is the same bits wherever it is stored, and a
-yielded slab is valid until the next one is requested.
+entry budget.  An entry's ``a`` and ``c`` depend on nothing but its inputs
+``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` and ``alpha``; the backend only
+chooses the function that maps the valid (lower-triangular) entries to
+them.  :func:`build_kernel_table` collects the slabs into dense tables for
+the analysis checks and is the one place rows are read from
+(:meth:`KernelTable.row`); the solver marches on the slabs directly and
+never holds the table.  On an exact run of equal steps (one whose nodes and
+offset points lie on the grid of its largest, with one offset), every entry
+``(k, j)`` inside the run has the inputs of the entry at the same distance
+``k - j`` in the run's first column, computed without rounding.  The closed
+backend computes each such run once per distance, before the first slab,
+and copies it into every slab it meets; every other entry it computes a
+slab at a time.  Each stream of slabs fills them all in one
+workspace of its own, sized once from the slab edges and the runs: the
+closed forms write every entry-sized result into its rows through ``out=``,
+by the same operations in the same order, so a slab is the same bits
+wherever it is stored, and a yielded slab is valid until the next one is
+requested.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatchError,
@@ -472,6 +474,41 @@ def _slab_edges(n: int):
         k0 = k1
 
 
+def _is_exact_run(nodes: np.ndarray, t_star: np.ndarray) -> bool:
+    """Whether a run of bit-equal steps has its entries' spans without rounding.
+
+    ``nodes`` are the left ends of the run's steps and ``t_star`` their offset
+    points ``nodes + sigma*tau``.  When every one of them is a multiple of the
+    spacing of the largest (zero is), every difference of two is computed
+    exactly; when ``t_star - nodes`` is also the same all along the run, the
+    span ``t_k* - t_{j-1}`` of an entry inside it depends on ``k - j`` alone.
+    Nodes are never negative, so no such difference exceeds the largest.
+    """
+    points = np.concatenate([nodes, t_star])
+    grid = np.spacing(points.max())
+    offset = t_star - nodes
+    return not np.any(np.fmod(points, grid)) and bool(np.all(offset == offset[0]))
+
+
+def _exact_runs(mesh: TimeMesh, n: int, sigma: float) -> list[tuple[int, int]]:
+    """The exact runs of levels ``1..n``, as ``(s, e)`` for the steps ``s..e-1``.
+
+    A run is a maximal stretch of two or more bit-equal steps that
+    :func:`_is_exact_run` accepts.  Its entries ``(k, j)`` with
+    ``s < k-1 < e`` and ``s <= j-1 < k-1`` all have the inputs of the entry at
+    the same distance ``k - j`` in its first column ``j = s + 1``.
+    """
+    tau, nodes = mesh.steps[:n], mesh.nodes
+    cuts = np.flatnonzero(tau[1:] != tau[:-1]) + 1
+    starts, ends = np.concatenate([[0], cuts]), np.concatenate([cuts, [n]])
+    long = ends - starts >= 2
+    runs = []
+    for s, e in zip(starts[long].tolist(), ends[long].tolist()):
+        if _is_exact_run(nodes[s:e], nodes[s:e] + sigma * tau[s:e]):
+            runs.append((s, e))
+    return runs
+
+
 def _kernel_slabs(
     mesh: TimeMesh,
     order: FractionalOrder,
@@ -482,25 +519,34 @@ def _kernel_slabs(
 
     Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
     and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
-    a :class:`KernelTable`, on the edges of :func:`_slab_edges`.  The inputs
-    ``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` of a slab are formed at once, as a
-    dense ``(k1 - k0) x (k1 - 1)`` block by broadcasting; its entries with
-    ``j < k`` are valid.  The closed backend maps them in one vectorized
-    pass; every entry's series stops on its own (see :func:`_phi_psi`), so
-    where slab edges fall does not change a bit.  It computes only the
-    entries whose inputs differ from those of the entry at the same distance
-    ``k - j`` in the previous slab's last row, read through a sliding window
-    of that row, and copies the rest: an entry depends on nothing but its
-    inputs and ``alpha``, so a copy is the same bits.  The quadrature backend
-    integrates every valid entry of a slab, in row-major order, in one
+    a :class:`KernelTable`, on the edges of :func:`_slab_edges`.  Entry
+    ``(i, j-1)`` of a slab is interval ``j`` of level ``k = k0 + i + 1``,
+    valid where ``j < k``, with the inputs ``(tau_j, tau_{j+1}, t_k* -
+    t_{j-1})``.
+
+    The closed backend copies the entries of the exact runs
+    (:func:`_exact_runs`): it computes each run's entries once per distance
+    before the first slab, all runs in one :func:`_closed_a_c` call, and keeps
+    each run's ``a`` and ``c`` by decreasing distance followed by zeros, so
+    the run's part of a slab is one copy of a strided window that also
+    supplies the zeros above the diagonal.  The valid entries outside the
+    runs form a prefix of each row: the columns ``[0, c0)`` that every row of
+    the slab shares, whose inputs are built by broadcasting, and a ragged
+    rest taken through a mask.  One :func:`_closed_a_c` call maps them all.
+    An entry depends on nothing but its inputs and ``alpha``, and every
+    entry's series stops on its own (see :func:`_phi_psi`), so neither a copy
+    nor where slab edges fall changes a bit.  The quadrature backend forms
+    the inputs of a slab as one dense ``(k1 - k0) x (k1 - 1)`` block by
+    broadcasting and integrates its valid entries, in row-major order, in one
     :func:`_quadrature_a_c` call.
 
     The stream fills every slab in one workspace, sized from the slab edges
-    before the first and reused by the rest, so a slab allocates little
-    beyond an index array and a sort order.  The yielded ``a``, ``c`` and
-    ``m`` are views into it: a slab is valid until the next one is
-    requested, and a consumer that keeps one copies it.  The workspace belongs to this
-    generator alone, so streams in other threads share nothing.
+    and the runs before the first slab and reused by the rest, so a slab
+    allocates little beyond an index array, a mask and a sort order.  The
+    yielded ``a``, ``c`` and ``m`` are views into it: a slab is valid until
+    the next one is requested, and a consumer that keeps one copies it.  The
+    workspace belongs to this generator alone, so streams in other threads
+    share nothing.
     Raises SingularDiagonalError when a diagonal entry is not positive,
     NumericalError when a coefficient is not finite, naming the first such
     level, and QuadratureConvergenceError, naming the slab's levels, when the
@@ -511,69 +557,114 @@ def _kernel_slabs(
     tau = mesh.steps
     nodes = mesh.nodes
     edges = list(_slab_edges(n))
+    runs = _exact_runs(mesh, n, sigma) if backend == "closed" else []
+    # row r of the stream computes its columns [0, head[r]): all of its valid
+    # entries, or those left of the run it lies in
+    head = np.arange(n)
+    for s, e in runs:
+        head[s:e] = s
     most_rows = max(k1 - k0 for k0, k1 in edges)
     most_entries = max((k1 - k0) * k1 for k0, k1 in edges)
-    most_valid = max((k1 - k0) * (k0 + k1 - 1) // 2 for k0, k1 in edges)
-    # One float pool holds, in turn, a slab's dense w0 block (from row 3 of
-    # `work`, 11 rows of most_valid floats), the inputs of its missed entries
-    # (rows 0-2), the work of _closed_a_c (rows 3-10, its a and c in rows 9
-    # and 10), and then the slab's a, c and m, packed from the pool's start.
-    # Each is written only once what it overlaps is done with: a slab's valid
-    # entries are at least a quarter of its block when n >= 2, so the slab's
-    # a and c (at most 8 rows) end before row 9.
-    pool = np.empty(max(11 * most_valid, 3 * most_entries))
-    work = pool[: 11 * most_valid].reshape(11, most_valid)
-    # inputs and coefficients of the previous slab's last row by column,
-    # from column most_rows on; the NaN around them matches nothing
-    prev = np.full((5, most_rows + n), np.nan)
+    most_computed = int(np.add.reduceat(head, [k0 for k0, _ in edges]).max())
+    distances = sum(e - s - 1 for s, e in runs)
+    # each run's table: its a and c by decreasing distance, then the zeros a
+    # slab's window reads above the diagonal; `offsets` start them
+    spans = [e - s - 1 + min(e - s - 2, most_rows - 1) for s, e in runs]
+    offsets = np.cumsum([0, *spans]).tolist()
+    # One float pool holds, in turn, a slab's dense block of ragged w0 (from
+    # row 3 of `work`, 11 rows of `stride` floats), the inputs of its computed
+    # entries (rows 0-2), the work of _closed_a_c (rows 3-10, its a and c in
+    # rows 9 and 10), and then the slab's a, c and m, packed from the pool's
+    # start.  Each is written only once what it overlaps is done with: the
+    # stride is at least 2/9 of the largest block, so a slab's a and c end
+    # before row 9.  The runs' tables take the pool's end; the one
+    # _closed_a_c call that fills them works, before the first slab, in 11
+    # rows of `distances` floats from the pool's start.
+    stride = max(most_computed, -(-2 * most_entries // 9))
+    slab_floats = max(11 * stride, 3 * most_entries, 11 * distances)
+    pool = np.empty(slab_floats + 2 * offsets[-1])
+    work = pool[: 11 * stride].reshape(11, stride)
+    tables = pool[slab_floats:].reshape(2, -1)
+    if runs:
+        grid = pool[: 11 * distances].reshape(11, distances)
+        at = 0
+        for s, e in runs:
+            w0 = grid[2, at : at + e - s - 1]  # t_k* - t_s for k - 1 = s+1..e-1
+            np.multiply(sigma, tau[s + 1 : e], out=w0)
+            w0 += nodes[s + 1 : e]
+            w0 -= nodes[s]
+            grid[:2, at : at + e - s - 1] = tau[s]
+            at += e - s - 1
+        run_a, run_c = _closed_a_c(*grid[:3], alpha, grid[3:])
+        at = 0
+        for (s, e), off, span in zip(runs, offsets, spans):
+            count = e - s - 1
+            tables[0, off : off + count] = run_a[at : at + count][::-1]
+            tables[1, off : off + count] = run_c[at : at + count][::-1]
+            tables[:, off + count : off + span] = 0.0
+            at += count
+    first_run = 0  # runs before it end before the current slab
     for k0, k1 in edges:
         rows, width = k1 - k0, k1 - 1
         size = rows * k1
-        a = pool[:size].reshape(rows, k1)
-        c = pool[size : 2 * size].reshape(rows, k1)
+        ac = pool[: 2 * size].reshape(2, rows, k1)
+        a, c = ac
         m = pool[2 * size : 3 * size].reshape(rows, k1)
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
-        # entry (i, j-1) of the slab is interval j of level k = k0 + i + 1; the
-        # block holds columns j < k1 of every row and is valid where j < k
-        w0 = pool[3 * most_valid : 3 * most_valid + rows * width].reshape(rows, width)
-        np.subtract(t_star[:, None], nodes[None, :width], out=w0)  # t_k* - t_{j-1}
-        tj = np.broadcast_to(tau[:width], w0.shape)
-        tj1 = np.broadcast_to(tau[1:k1], w0.shape)
-        valid = np.tri(rows, width, k0 - 1, dtype=bool)
-        block_a, block_c = a[:, :width], c[:, :width]
         if backend == "closed":
-            # entry (i, j-1) has the distance k - j of column j-2-i of the
-            # previous slab's last row: row i of the window view is that row
-            # shifted right by i + 1
-            seen = sliding_window_view(prev, width, axis=1)[:, most_rows - rows : most_rows]
-            seen = seen[:, ::-1]
-            hit = w0 == seen[0]
-            hit &= tj == seen[1]
-            hit &= tj1 == seen[2]
-            miss = valid & ~hit
-            last = prev[:, most_rows : most_rows + width]
-            last[:3] = w0[-1], tau[:width], tau[1:k1]
-            at = np.flatnonzero(miss)
-            inputs = work[:3, : at.size]
-            np.take(w0, at, out=inputs[2], mode="clip")
-            at %= width  # the column j - 1 of each missed entry
-            np.take(tau, at, out=inputs[0], mode="clip")
-            np.take(tau[1:], at, out=inputs[1], mode="clip")
+            h = head[k0:k1]
+            c0, top = int(h.min()), int(h.max())
+            rect = rows * c0
+            # the ragged rest: the columns [c0, head) of each row
+            ragged = np.arange(c0, top) < h[:, None]
+            at = np.flatnonzero(ragged)
+            count = rect + at.size
+            inputs = work[:3, :count]
+            w0 = pool[3 * stride : 3 * stride + rows * (top - c0)].reshape(rows, top - c0)
+            np.subtract(t_star[:, None], nodes[None, c0:top], out=w0)  # t_k* - t_{j-1}
+            np.take(w0, at, out=inputs[2, rect:], mode="clip")
+            at %= max(top - c0, 1)
+            at += c0  # the column j - 1 of each ragged entry
+            np.take(tau, at, out=inputs[0, rect:], mode="clip")
+            np.take(tau[1:], at, out=inputs[1, rect:], mode="clip")
             del at  # freed before _closed_a_c allocates its sort order
-            coefficients = _closed_a_c(*inputs, alpha, work[3:, : inputs.shape[1]])
-            a.fill(0.0)
-            c.fill(0.0)
-            np.copyto(block_a, seen[3], where=hit)
-            np.copyto(block_c, seen[4], where=hit)
-            block_a[miss], block_c[miss] = coefficients
-            last[3:] = block_a[-1], block_c[-1]
+            # the columns [0, c0) of every row
+            np.copyto(inputs[0, :rect].reshape(rows, c0), tau[:c0])
+            np.copyto(inputs[1, :rect].reshape(rows, c0), tau[1 : c0 + 1])
+            np.subtract(t_star[:, None], nodes[None, :c0], out=inputs[2, :rect].reshape(rows, c0))
+            computed_a, computed_c = _closed_a_c(*inputs, alpha, work[3:, :count])
+            ac.fill(0.0)
+            a[:, :c0] = computed_a[:rect].reshape(rows, c0)
+            c[:, :c0] = computed_c[:rect].reshape(rows, c0)
+            a[:, c0:top][ragged] = computed_a[rect:]
+            c[:, c0:top][ragged] = computed_c[rect:]
+            while first_run < len(runs) and runs[first_run][1] <= k0:
+                first_run += 1
+            for i in range(first_run, len(runs)):
+                (s, e), off = runs[i], offsets[i]
+                if s + 1 >= k1:
+                    break
+                # rows lo..hi-1 hold the run's distances up to hi-1-s in the
+                # columns s..hi-2; row r reads its table from position e-1-r,
+                # so each next row starts one float earlier
+                lo, hi = max(k0, s + 1), min(k1, e)
+                ac[:, lo - k0 : hi - k0, s : hi - 1] = as_strided(
+                    tables[:, off + e - 1 - lo :],
+                    shape=(2, hi - lo, hi - 1 - s),
+                    strides=(tables.strides[0], -tables.itemsize, tables.itemsize),
+                    writeable=False,
+                )
         else:
+            w0 = pool[3 * stride : 3 * stride + rows * width].reshape(rows, width)
+            np.subtract(t_star[:, None], nodes[None, :width], out=w0)  # t_k* - t_{j-1}
+            tj = np.broadcast_to(tau[:width], w0.shape)
+            tj1 = np.broadcast_to(tau[1:k1], w0.shape)
+            valid = np.tri(rows, width, k0 - 1, dtype=bool)
             inputs = tj[valid], tj1[valid], w0[valid]
-            a.fill(0.0)
-            c.fill(0.0)
+            ac.fill(0.0)
             if k1 > 1:  # level 1 alone has no entries
                 try:
-                    block_a[valid], block_c[valid] = _quadrature_a_c(*inputs, alpha)
+                    a[:, :width][valid], c[:, :width][valid] = _quadrature_a_c(*inputs, alpha)
                 except QuadratureConvergenceError as exc:
                     raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
         # one scalar power per level: a vectorized power can differ in the last

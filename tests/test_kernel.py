@@ -451,8 +451,37 @@ def _fuzzed_mesh(num_steps, seed):
 
 def _contrast_mesh():
     # steps from 1e-140 to 0.25: products of two steps leave the normal range
-    # (the closed forms' low branch), and runs of equal tiny steps give hits
+    # (the closed forms' low branch), and runs of equal tiny steps give exact runs
     return TimeMesh(np.cumsum([0.0] + [1e-140] * 200 + [1e-70] * 50 + [1e-5] * 50 + [0.25] * 300))
+
+
+def _back_to_back_runs_mesh():
+    # two exact runs from node 0: 300 steps of 2^-9, then 300 of 2^-7; the
+    # second starts inside the slab of levels 293..378
+    return TimeMesh(np.concatenate([[0.0], np.cumsum([2.0**-9] * 300 + [2.0**-7] * 300)]))
+
+
+def _run_between_graded_mesh():
+    # 181 graded steps to t = 1, an exact run of 150 steps of 2^-6 whose
+    # first level, 182, is the first row of the second slab, then steps
+    # that grow again
+    run = 1.0 + np.arange(1, 151) / 64
+    tail = run[-1] + np.cumsum(np.linspace(1.0, 3.0, 201)[1:] / 64)
+    return TimeMesh(np.concatenate([make_graded_mesh(1.0, 181, 2.0).nodes, run, tail]))
+
+
+def _off_grid_run_mesh():
+    # 16 bit-equal steps of 2^-4 + 3*2^-52 ending at 2.0625: every node but
+    # the last lies below 2 and is an odd multiple of 2^-52, so at alpha 0.5
+    # the last offset point rounds to the coarser grid above 2 and its spans
+    # are not those of the run's first column; an exact run of 2^-4 follows
+    step = 2.0**-4 + 3 * 2.0**-52
+    start = 2.0625 - 16 * step
+    return TimeMesh(np.concatenate([
+        make_graded_mesh(start, 200, 2.0).nodes,
+        start + step * np.arange(1, 17),
+        2.0625 + np.arange(1, 201) / 16,
+    ]))
 
 
 # (mesh, alpha, first level checked); the reference is the whole triangle of
@@ -468,7 +497,32 @@ _REUSE_CASES = {
     "alpha-0.01": (make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128), 0.01, 0),
     "alpha-0.99": (make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128), 0.99, 0),
     "long": (make_uniform_mesh(11.0, 11264), 0.5, 11000),
+    "back-to-back-runs": (_back_to_back_runs_mesh(), 0.5, 0),
+    "run-between-graded": (_run_between_graded_mesh(), 0.5, 0),
+    "off-grid-run": (_off_grid_run_mesh(), 0.5, 0),
 }
+
+
+def test_exact_runs_need_on_grid_nodes_and_one_offset():
+    step = 2.0**-4
+    nodes = np.arange(8) * step  # from a zero node
+    assert kernel_module._is_exact_run(nodes, nodes + 0.75 * step)
+    assert kernel_module._is_exact_run(1.0 + nodes, 1.0 + nodes + 0.75 * step)
+    # one offset from odd multiples of 2^-52 below 2: the last offset point,
+    # 2.046875, puts the grid at 2^-51
+    off = 2.0 - 2.0**-52 - nodes[::-1]
+    assert np.all((off + (0.75 * step + 2.0**-52)) - off == 0.75 * step + 2.0**-52)
+    assert not kernel_module._is_exact_run(off, off + (0.75 * step + 2.0**-52))
+    # every point on the grid, but one offset point sits a grid step further
+    t_star = 1.0 + nodes + 0.75 * step
+    t_star[3] += 2.0**-52
+    assert not kernel_module._is_exact_run(1.0 + nodes, t_star)
+    # the streams' runs: the soak's whole tail; on the off-grid mesh only the
+    # run of 2^-4 after the off-grid one
+    assert kernel_module._exact_runs(_soak_mesh(), 2560, 0.75) == [(512, 2560)]
+    assert kernel_module._exact_runs(_off_grid_run_mesh(), 416, 0.75) == [(216, 416)]
+    assert kernel_module._exact_runs(_back_to_back_runs_mesh(), 600, 0.75) == [(0, 300), (300, 600)]
+    assert kernel_module._exact_runs(_run_between_graded_mesh(), 531, 0.75) == [(181, 331)]
 
 
 @pytest.mark.parametrize("case", list(_REUSE_CASES))
@@ -534,10 +588,10 @@ def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
     monkeypatch.setattr(kernel_module, "_closed_a_c", counted)
     for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), n, "closed"):
         pass
-    # the 1,179,392 entries with j <= 512 touch the graded head and are all
-    # computed; of the 2,096,128 on the uniform tail only those in the first
-    # slab that reaches their distance there are
-    assert sum(computed) < 0.4 * n * (n - 1) / 2
+    # the entries with j <= 512 touch the graded head and are all computed:
+    # 512 * 2048 in the tail's rows and the head's triangle of 130,816; the
+    # 2,096,128 on the uniform tail are copied from its 2,047 distances
+    assert n == 2560 and sum(computed) == 512 * 2048 + 130_816 + 2_047
 
 
 def test_closed_build_memory_is_bounded_by_the_stored_table():
