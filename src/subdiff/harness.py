@@ -363,20 +363,23 @@ def _tables_or_experiment(
 
 
 def parse_config_file(path: "str | Path") -> dict[str, str]:
-    """Read a key = value experiment file; '#' starts a comment."""
+    """Read a key = value experiment file; '#' starts a comment; a repeated key is refused."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
-    mapping: dict[str, str] = {}
+    entries: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
-        if not sep or not key.strip():
+        key = key.strip().lower()
+        if not sep or not key:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        mapping[key.strip().lower()] = value.strip()
-    return mapping
+        if key in entries:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r} (line {entries[key][1]})")
+        entries[key] = value.strip(), lineno
+    return {key: value for key, (value, _) in entries.items()}
 
 
 # cells and verdicts are written with their family label under this key

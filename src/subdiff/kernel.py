@@ -22,21 +22,22 @@ The kernel is computed in slabs of consecutive rows, each bounded by a fixed
 entry budget.  An entry's ``a`` and ``c`` depend on nothing but its inputs
 ``(tau_j, tau_{j+1}, t_k* - t_{j-1})`` and ``alpha``; the backend only
 chooses the function that maps the valid (lower-triangular) entries to
-them.  :func:`build_kernel_table` collects the slabs into dense tables for
-the analysis checks and is the one place rows are read from
+them, and both lay out and scatter a slab's entries alike.
+:func:`build_kernel_table` collects the slabs into dense tables for the
+analysis checks and is the one place rows are read from
 (:meth:`KernelTable.row`); the solver marches on the slabs directly and
 never holds the table.  On an exact run of equal steps (one whose nodes and
 offset points lie on the grid of its largest, with one offset), every entry
 ``(k, j)`` inside the run has the inputs of the entry at the same distance
 ``k - j`` in the run's first column, computed without rounding.  The closed
 backend computes each such run once per distance, before the first slab,
-and copies it into every slab it meets; every other entry it computes a
-slab at a time.  Each stream of slabs fills them all in one
-workspace of its own, sized once from the slab edges and the runs: the
-closed forms write every entry-sized result into its rows through ``out=``,
-by the same operations in the same order, so a slab is the same bits
-wherever it is stored, and a yielded slab is valid until the next one is
-requested.
+and copies it into every slab it meets; every other entry is computed a
+slab at a time, as is every entry of the quadrature oracle, which so also
+checks the copy.  Each stream of slabs fills them all in one workspace of its own,
+sized once from the slab edges and the runs: the closed forms write every
+entry-sized result into its rows through ``out=``, by the same operations
+in the same order, so a slab is the same bits wherever it is stored, and a
+yielded slab is valid until the next one is requested.
 """
 from __future__ import annotations
 
@@ -411,7 +412,8 @@ def _quadrature_a_c(
     error control of the vectorized integrator delivers uniform RELATIVE
     accuracy across coefficients that differ by many orders of magnitude.
     The scale factors divide out of the quadrature value, so the result stays
-    an independent check on the closed forms.
+    an independent check on the closed forms.  The one-dimensional inputs are
+    only read (a stream passes views of its workspace); it returns new arrays.
     """
     from scipy.integrate import quad_vec  # oracle only: not loaded with the package
 
@@ -530,15 +532,15 @@ def _kernel_slabs(
     each run's ``a`` and ``c`` by decreasing distance followed by zeros, so
     the run's part of a slab is one copy of a strided window that also
     supplies the zeros above the diagonal.  The valid entries outside the
-    runs form a prefix of each row: the columns ``[0, c0)`` that every row of
-    the slab shares, whose inputs are built by broadcasting, and a ragged
-    rest taken through a mask.  One :func:`_closed_a_c` call maps them all.
-    An entry depends on nothing but its inputs and ``alpha``, and every
-    entry's series stops on its own (see :func:`_phi_psi`), so neither a copy
-    nor where slab edges fall changes a bit.  The quadrature backend forms
-    the inputs of a slab as one dense ``(k1 - k0) x (k1 - 1)`` block by
-    broadcasting and integrates its valid entries, in row-major order, in one
-    :func:`_quadrature_a_c` call.
+    runs (all of them for the quadrature backend, which has no runs) form a
+    prefix of each row: the columns ``[0, c0)`` that every row of the slab
+    shares, whose inputs are built by broadcasting, and a ragged rest taken
+    through a mask.  One call of the backend's entry map, :func:`_closed_a_c`
+    or :func:`_quadrature_a_c`, maps them all, and the results are scattered
+    back by the same layout.  An entry depends on nothing but its inputs and
+    ``alpha``, and every entry's series stops on its own (see
+    :func:`_phi_psi`), so neither a copy nor where slab edges fall changes a
+    bit.
 
     The stream fills every slab in one workspace, sized from the slab edges
     and the runs before the first slab and reused by the rest, so a slab
@@ -605,68 +607,60 @@ def _kernel_slabs(
             at += count
     first_run = 0  # runs before it end before the current slab
     for k0, k1 in edges:
-        rows, width = k1 - k0, k1 - 1
+        rows = k1 - k0
         size = rows * k1
         ac = pool[: 2 * size].reshape(2, rows, k1)
         a, c = ac
         m = pool[2 * size : 3 * size].reshape(rows, k1)
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
-        if backend == "closed":
-            h = head[k0:k1]
-            c0, top = int(h.min()), int(h.max())
-            rect = rows * c0
-            # the ragged rest: the columns [c0, head) of each row
-            ragged = np.arange(c0, top) < h[:, None]
-            at = np.flatnonzero(ragged)
-            count = rect + at.size
-            inputs = work[:3, :count]
-            w0 = pool[3 * stride : 3 * stride + rows * (top - c0)].reshape(rows, top - c0)
-            np.subtract(t_star[:, None], nodes[None, c0:top], out=w0)  # t_k* - t_{j-1}
-            np.take(w0, at, out=inputs[2, rect:], mode="clip")
-            at %= max(top - c0, 1)
-            at += c0  # the column j - 1 of each ragged entry
-            np.take(tau, at, out=inputs[0, rect:], mode="clip")
-            np.take(tau[1:], at, out=inputs[1, rect:], mode="clip")
-            del at  # freed before _closed_a_c allocates its sort order
-            # the columns [0, c0) of every row
-            np.copyto(inputs[0, :rect].reshape(rows, c0), tau[:c0])
-            np.copyto(inputs[1, :rect].reshape(rows, c0), tau[1 : c0 + 1])
-            np.subtract(t_star[:, None], nodes[None, :c0], out=inputs[2, :rect].reshape(rows, c0))
+        h = head[k0:k1]
+        c0, top = int(h.min()), int(h.max())
+        rect = rows * c0
+        # the ragged rest: the columns [c0, head) of each row
+        ragged = np.arange(c0, top) < h[:, None]
+        at = np.flatnonzero(ragged)
+        count = rect + at.size
+        inputs = work[:3, :count]
+        w0 = pool[3 * stride : 3 * stride + rows * (top - c0)].reshape(rows, top - c0)
+        np.subtract(t_star[:, None], nodes[None, c0:top], out=w0)  # t_k* - t_{j-1}
+        np.take(w0, at, out=inputs[2, rect:], mode="clip")
+        at %= max(top - c0, 1)
+        at += c0  # the column j - 1 of each ragged entry
+        np.take(tau, at, out=inputs[0, rect:], mode="clip")
+        np.take(tau[1:], at, out=inputs[1, rect:], mode="clip")
+        del at  # freed before _closed_a_c allocates its sort order
+        # the columns [0, c0) of every row
+        np.copyto(inputs[0, :rect].reshape(rows, c0), tau[:c0])
+        np.copyto(inputs[1, :rect].reshape(rows, c0), tau[1 : c0 + 1])
+        np.subtract(t_star[:, None], nodes[None, :c0], out=inputs[2, :rect].reshape(rows, c0))
+        if backend == "closed" or not count:  # nothing to integrate on level 1 alone
             computed_a, computed_c = _closed_a_c(*inputs, alpha, work[3:, :count])
-            ac.fill(0.0)
-            a[:, :c0] = computed_a[:rect].reshape(rows, c0)
-            c[:, :c0] = computed_c[:rect].reshape(rows, c0)
-            a[:, c0:top][ragged] = computed_a[rect:]
-            c[:, c0:top][ragged] = computed_c[rect:]
-            while first_run < len(runs) and runs[first_run][1] <= k0:
-                first_run += 1
-            for i in range(first_run, len(runs)):
-                (s, e), off = runs[i], offsets[i]
-                if s + 1 >= k1:
-                    break
-                # rows lo..hi-1 hold the run's distances up to hi-1-s in the
-                # columns s..hi-2; row r reads its table from position e-1-r,
-                # so each next row starts one float earlier
-                lo, hi = max(k0, s + 1), min(k1, e)
-                ac[:, lo - k0 : hi - k0, s : hi - 1] = as_strided(
-                    tables[:, off + e - 1 - lo :],
-                    shape=(2, hi - lo, hi - 1 - s),
-                    strides=(tables.strides[0], -tables.itemsize, tables.itemsize),
-                    writeable=False,
-                )
         else:
-            w0 = pool[3 * stride : 3 * stride + rows * width].reshape(rows, width)
-            np.subtract(t_star[:, None], nodes[None, :width], out=w0)  # t_k* - t_{j-1}
-            tj = np.broadcast_to(tau[:width], w0.shape)
-            tj1 = np.broadcast_to(tau[1:k1], w0.shape)
-            valid = np.tri(rows, width, k0 - 1, dtype=bool)
-            inputs = tj[valid], tj1[valid], w0[valid]
-            ac.fill(0.0)
-            if k1 > 1:  # level 1 alone has no entries
-                try:
-                    a[:, :width][valid], c[:, :width][valid] = _quadrature_a_c(*inputs, alpha)
-                except QuadratureConvergenceError as exc:
-                    raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
+            try:
+                computed_a, computed_c = _quadrature_a_c(*inputs, alpha)
+            except QuadratureConvergenceError as exc:
+                raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
+        ac.fill(0.0)  # only now: a and c overlap the inputs
+        a[:, :c0] = computed_a[:rect].reshape(rows, c0)
+        c[:, :c0] = computed_c[:rect].reshape(rows, c0)
+        a[:, c0:top][ragged] = computed_a[rect:]
+        c[:, c0:top][ragged] = computed_c[rect:]
+        while first_run < len(runs) and runs[first_run][1] <= k0:
+            first_run += 1
+        for i in range(first_run, len(runs)):
+            (s, e), off = runs[i], offsets[i]
+            if s + 1 >= k1:
+                break
+            # rows lo..hi-1 hold the run's distances up to hi-1-s in the
+            # columns s..hi-2; row r reads its table from position e-1-r,
+            # so each next row starts one float earlier
+            lo, hi = max(k0, s + 1), min(k1, e)
+            ac[:, lo - k0 : hi - k0, s : hi - 1] = as_strided(
+                tables[:, off + e - 1 - lo :],
+                shape=(2, hi - lo, hi - 1 - s),
+                strides=(tables.strides[0], -tables.itemsize, tables.itemsize),
+                writeable=False,
+            )
         # one scalar power per level: a vectorized power can differ in the last
         # bit, which would change every solution the march writes
         diag = np.array([

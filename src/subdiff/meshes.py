@@ -269,7 +269,7 @@ def write_mesh(mesh: TimeMesh, path: str | Path, comments: Mapping[str, object] 
     """Write a mesh to a text file: '#' comment lines, then one node per line.
 
     Nodes are written with 17 significant digits so a read-back reproduces the
-    mesh bit for bit.
+    mesh bit for bit.  The parent directory is created when missing.
     """
     path = Path(path)
     lines = ["# subdiff time mesh"]
@@ -279,6 +279,7 @@ def write_mesh(mesh: TimeMesh, path: str | Path, comments: Mapping[str, object] 
     for key, value in meta.items():
         lines.append(f"# {key}: {value}")
     lines.extend(f"{t:.17g}" for t in mesh.nodes)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     logger.info("wrote mesh with %d steps to %s", mesh.num_steps, path)
 

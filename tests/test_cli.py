@@ -18,6 +18,7 @@ from subdiff import (
     analyze_operator,
     build_kernel_table,
     make_graded_mesh,
+    make_uniform_mesh,
     read_mesh,
     reproduce_tables,
     run_pointwise_comparison,
@@ -179,6 +180,15 @@ def test_mesh_generate_and_certify_round_trip(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["satisfied"] is True
     assert payload["first_violation"] is None
+
+
+def test_mesh_generate_creates_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "m.txt"
+    code, _, err = run_cli(
+        capsys, "mesh-generate", "--mesh", "uniform", "--K", "4", "--out", str(out)
+    )
+    assert code == EXIT_OK, err
+    assert np.array_equal(read_mesh(out).nodes, make_uniform_mesh(1.0, 4).nodes)
 
 
 def test_mesh_generate_requires_alpha_for_alpha_dependent(capsys, tmp_path):

@@ -169,6 +169,22 @@ def test_parse_config_file(tmp_path):
         parse_config_file(tmp_path / "missing.cfg")
 
 
+def test_parse_config_file_refuses_a_repeated_key(tmp_path):
+    # keys are case-insensitive, so Alphas and alphas are the same key; the
+    # refusal names the file and both lines rather than keeping the last
+    path = tmp_path / "twice.cfg"
+    for text, first, second in [
+        ("alphas = 0.3\nalphas = 0.5\n", 1, 2),
+        ("# experiment\nAlphas = 0.3\nstep_counts = 8\n\nalphas = 0.5\n", 2, 5),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            parse_config_file(path)
+        message = str(exc.value)
+        assert f"twice.cfg:{second}: duplicate key 'alphas'" in message
+        assert f"(line {first})" in message
+
+
 def test_compute_orders_known_cases():
     assert compute_orders([4.0, 1.0], [10, 20]) == pytest.approx([2.0])
     assert compute_orders([1.0, 1.0, 1.0], [10, 20, 40]) == pytest.approx([0.0, 0.0])

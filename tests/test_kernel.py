@@ -547,32 +547,74 @@ def test_closed_slabs_reuse_entries_bit_for_bit(case):
     assert slabs >= 3  # slab edges fall inside the uniform runs
 
 
-def test_quadrature_slabs_take_their_entries_in_row_major_order(monkeypatch):
-    mesh = _fuzzed_mesh(300, 3)
-    order = FractionalOrder(0.4)
-    tau, nodes = mesh.steps, mesh.nodes
+def _recorded_batches(monkeypatch, name, mesh, order, backend):
+    """The stream's slabs and the input batch each hands the entry map ``name``.
+
+    The entry map is replaced by the closed forms, so the slabs of both
+    backends are the same bits.  Both are copied: the inputs are views of
+    the stream's workspace, and a slab is valid until the next one is
+    requested.
+    """
+    closed_a_c = kernel_module._closed_a_c
     calls = []
 
-    def recorded(tj, tj1, w0, alpha):
-        calls.append((tj, tj1, w0))
-        return kernel_module._closed_a_c(tj, tj1, w0, alpha)
+    def recorded(tj, tj1, w0, alpha, *work):
+        calls.append((tj.copy(), tj1.copy(), w0.copy()))
+        return closed_a_c(tj, tj1, w0, alpha, *work)
 
-    monkeypatch.setattr(kernel_module, "_quadrature_a_c", recorded)
-    # a slab is valid until the next one is requested, so each is copied
-    slabs = [
-        (k0, k1, a.copy(), c.copy(), m.copy(), t_star.copy())
-        for k0, k1, a, c, m, t_star in kernel_module._kernel_slabs(
-            mesh, order, mesh.num_steps, "quadrature"
-        )
-    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_module, name, recorded)
+        return _copied(kernel_module._kernel_slabs(mesh, order, mesh.num_steps, backend)), calls
+
+
+def test_quadrature_slabs_share_the_closed_layout(monkeypatch):
+    # without exact runs the closed stream makes one _closed_a_c call a
+    # slab; the quadrature must integrate exactly that batch, in that order
+    mesh = _fuzzed_mesh(300, 3)
+    order = FractionalOrder(0.4)
+    assert kernel_module._exact_runs(mesh, mesh.num_steps, order.sigma) == []
+    _, closed_calls = _recorded_batches(monkeypatch, "_closed_a_c", mesh, order, "closed")
+    slabs, calls = _recorded_batches(monkeypatch, "_quadrature_a_c", mesh, order, "quadrature")
     closed = build_kernel_table(mesh, order, backend="closed")
-    assert len(slabs) >= 2 and len(calls) == len(slabs)
-    for (k0, k1, a, c, _, _), (tj, tj1, w0) in zip(slabs, calls):
-        # the entries of np.tril_indices, in its order, and placed back there
-        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-        assert np.array_equal(tj, tau[js]) and np.array_equal(tj1, tau[js + 1])
-        assert np.array_equal(w0, nodes[i + k0] + order.sigma * tau[i + k0] - nodes[js])
+    assert len(slabs) >= 2 and len(calls) == len(closed_calls) == len(slabs)
+    for (k0, k1, a, c, _, _), batch, closed_batch in zip(slabs, calls, closed_calls):
+        assert all(np.array_equal(x, y) for x, y in zip(batch, closed_batch)), (k0, k1)
         assert np.array_equal(a, closed.a[k0:k1, :k1]) and np.array_equal(c, closed.c[k0:k1, :k1])
+
+
+def _dense_block_quadrature_slab(mesh, order, k0, k1):
+    """A quadrature slab's ``a`` and ``c`` from one dense block of inputs.
+
+    The reference layout: the inputs of the whole ``(k1 - k0) x (k1 - 1)``
+    block are broadcast, its valid entries are taken through a ``np.tri``
+    mask in row-major order, integrated in one batch and scattered back
+    through the same mask.
+    """
+    tau, nodes = mesh.steps, mesh.nodes
+    rows, width = k1 - k0, k1 - 1
+    a, c = np.zeros((rows, k1)), np.zeros((rows, k1))
+    t_star = nodes[k0:k1] + order.sigma * tau[k0:k1]
+    w0 = t_star[:, None] - nodes[None, :width]
+    tj = np.broadcast_to(tau[:width], w0.shape)
+    tj1 = np.broadcast_to(tau[1:k1], w0.shape)
+    valid = np.tri(rows, width, k0 - 1, dtype=bool)
+    if valid.any():
+        a[:, :width][valid], c[:, :width][valid] = kernel_module._quadrature_a_c(
+            tj[valid], tj1[valid], w0[valid], order.alpha
+        )
+    return a, c
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 0.999])
+@pytest.mark.parametrize("num_steps", [1, 2, 420])
+def test_quadrature_slabs_match_the_dense_block_reference(num_steps, alpha):
+    mesh = make_graded_mesh(1.0, num_steps, 2.0)
+    order = FractionalOrder(alpha)
+    slabs = _copied(kernel_module._kernel_slabs(mesh, order, num_steps, "quadrature"))
+    assert len(slabs) == (4 if num_steps == 420 else 1)
+    for k0, k1, a, c, _, _ in slabs:
+        ref_a, ref_c = _dense_block_quadrature_slab(mesh, order, k0, k1)
+        assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c), (k0, k1)
 
 
 def test_closed_slabs_compute_a_uniform_run_once_per_distance(monkeypatch):
