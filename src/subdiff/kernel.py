@@ -26,14 +26,18 @@ them, and both lay out and scatter a slab's entries alike.
 :func:`build_kernel_table` collects the slabs into dense tables for the
 analysis checks and is the one place rows are read from
 (:meth:`KernelTable.row`); the solver marches on the slabs directly and
-never holds the table.  On an exact run of equal steps (one whose nodes and
-offset points lie on the grid of its largest, with one offset), every entry
-``(k, j)`` inside the run has the inputs of the entry at the same distance
-``k - j`` in the run's first column, computed without rounding.  The closed
-backend computes each such run once per distance, before the first slab,
-and copies it into every slab it meets; every other entry is computed a
-slab at a time, as is every entry of the quadrature oracle, which so also
-checks the copy.  Each stream of slabs fills them all in one workspace of its own,
+never holds the table.  On an exact run of at least ``_MIN_RUN`` equal
+steps (one whose nodes and offset points lie on the grid of its largest,
+with one offset), every entry ``(k, j)`` inside the run has the inputs of
+the entry at the same distance ``k - j`` in the run's first column,
+computed without rounding, so ``a``, ``c`` and ``m`` there depend on the
+distance alone.  The closed backend keeps each run as one table by
+distance, built before the first slab with the run's history weights, and
+a slab of the run's rows stores only the columns left of the run and the
+one column where ``m`` mixes the two; the march reads the rest of each row
+from the run's table.  Every other entry is computed a slab at a time, as
+is every entry of the quadrature oracle, which so also checks the run
+tables.  Each stream of slabs fills them all in one workspace of its own,
 sized once from the slab edges and the runs: the closed forms write every
 entry-sized result into its rows through ``out=``, by the same operations
 in the same order, so a slab is the same bits wherever it is stored, and a
@@ -48,7 +52,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatchError,
@@ -87,6 +90,9 @@ _SERIES_CHECK = 4
 # march holds and the workspace of one vectorized closed pass, so the late
 # slabs of a long mesh hold few rows.
 _SLAB_ENTRIES = 2**15
+
+# Exact runs of fewer steps than this are computed like any other entries.
+_MIN_RUN = 128
 
 # Tolerances and subdivision limit of the adaptive Gauss-Kronrod oracle.
 _QUAD_REL_TOL = 1e-13
@@ -462,20 +468,6 @@ def _quadrature_a_c(
 # ---------------------------------------------------------------------------
 
 
-def _slab_edges(n: int):
-    """The slabs of levels ``1..n``, as ``(k0, k1)`` for levels ``k0+1..k1``.
-
-    A slab takes the most rows ``r`` with ``r * (k0 + r) <= _SLAB_ENTRIES``,
-    and at least one.
-    """
-    k0 = 0
-    while k0 < n:
-        rows = (math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2
-        k1 = min(k0 + max(rows, 1), n)
-        yield k0, k1
-        k0 = k1
-
-
 def _is_exact_run(nodes: np.ndarray, t_star: np.ndarray) -> bool:
     """Whether a run of bit-equal steps has its entries' spans without rounding.
 
@@ -495,7 +487,7 @@ def _is_exact_run(nodes: np.ndarray, t_star: np.ndarray) -> bool:
 def _exact_runs(mesh: TimeMesh, n: int, sigma: float) -> list[tuple[int, int]]:
     """The exact runs of levels ``1..n``, as ``(s, e)`` for the steps ``s..e-1``.
 
-    A run is a maximal stretch of two or more bit-equal steps that
+    A run is a maximal stretch of at least ``_MIN_RUN`` bit-equal steps that
     :func:`_is_exact_run` accepts.  Its entries ``(k, j)`` with
     ``s < k-1 < e`` and ``s <= j-1 < k-1`` all have the inputs of the entry at
     the same distance ``k - j`` in its first column ``j = s + 1``.
@@ -503,12 +495,87 @@ def _exact_runs(mesh: TimeMesh, n: int, sigma: float) -> list[tuple[int, int]]:
     tau, nodes = mesh.steps[:n], mesh.nodes
     cuts = np.flatnonzero(tau[1:] != tau[:-1]) + 1
     starts, ends = np.concatenate([[0], cuts]), np.concatenate([cuts, [n]])
-    long = ends - starts >= 2
+    long = ends - starts >= _MIN_RUN
     runs = []
     for s, e in zip(starts[long].tolist(), ends[long].tolist()):
         if _is_exact_run(nodes[s:e], nodes[s:e] + sigma * tau[s:e]):
             runs.append((s, e))
     return runs
+
+
+def _slab_layout(
+    mesh: TimeMesh, n: int, sigma: float, backend: str
+) -> tuple[list[tuple[int, int]], list[tuple[int, int, int, int | None]]]:
+    """The exact runs of levels ``1..n`` (closed backend only) and the slabs.
+
+    A slab is ``(k0, k1, width, i)`` for levels ``k0+1..k1``, whose rows
+    store ``width`` columns.  The rows ``s+1..e-1`` of run ``i = (s, e)``
+    (levels ``s+2..e``) store ``s + 1``: the ``s`` columns left of the run
+    and the one where ``m`` mixes a computed ``c`` with the run's ``a``.
+    A slab takes the most rows ``r`` with ``r * (k0 + r) <= _SLAB_ENTRIES``
+    and at least one; elsewhere ``i`` is None and ``width`` is ``k1``.  The
+    slabs of a run all take the rows that rule gives at its first row
+    ``k0 = s + 1``, up to ``e``, so they compute no more entries than an
+    ordinary slab there would and the stream's workspace does not grow.
+    Outside a run a slab ends where the next run's rows begin, so no slab
+    holds rows both inside and outside a run.
+    """
+
+    def most_rows(k0: int) -> int:
+        return max((math.isqrt(k0 * k0 + 4 * _SLAB_ENTRIES) - k0) // 2, 1)
+
+    runs = _exact_runs(mesh, n, sigma) if backend == "closed" else []
+    edges = []
+    k0 = 0
+    for lo, hi, i in [*((s + 1, e, i) for i, (s, e) in enumerate(runs)), (n, n, None)]:
+        while k0 < lo:
+            k1 = min(k0 + most_rows(k0), lo)
+            edges.append((k0, k1, k1, None))
+            k0 = k1
+        while k0 < hi:
+            k1 = min(k0 + most_rows(lo), hi)
+            edges.append((k0, k1, lo, i))
+            k0 = k1
+    return runs, edges
+
+
+@dataclass(frozen=True)
+class _RunTable:
+    """An exact run's coefficients by distance, the farthest first.
+
+    The run ``(start, end)`` has ``D = end - 1 - start`` distances: ``a[i]``
+    and ``c[i]`` hold its entries at distance ``D - i``, ``m[i]`` its history
+    weight at distance ``D - 1 - i`` (``m[-1]`` is the diagonal) and ``w[i]``
+    is ``(m[i+1] - m[i]) / Gamma(1-alpha)``.  Row ``r`` of the run (level
+    ``r + 1``, ``start < r < end``) reads each as the window from
+    ``end - 1 - r`` on: ``a`` and ``c`` in its columns ``start..r-1``, ``m``
+    in ``start+1..r`` and ``w`` as the weights of the levels ``start+2..r``.
+    """
+
+    start: int
+    end: int
+    a: np.ndarray
+    c: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+
+
+def _run_table(s: int, e: int, a, c, m, gamma_1ma: float) -> _RunTable:
+    """The table of run ``(s, e)`` from its ``a``, ``c`` and ``m`` by
+    distance, the farthest first; the weights ``w`` are derived here."""
+    w = np.subtract(m[1:], m[:-1])
+    w /= gamma_1ma
+    for arr in (a, c, m, w):
+        arr.flags.writeable = False
+    return _RunTable(s, e, a, c, m, w)
+
+
+def _diagonal_term(t: float, sigma: float, alpha: float) -> float:
+    """The part of the diagonal ``m_kk`` that a step of size ``t`` adds to
+    ``c_{k-1}``: one scalar power per level, since a vectorized power can
+    differ in the last bit, which would change every solution the march
+    writes."""
+    return sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha)
 
 
 def _kernel_slabs(
@@ -519,28 +586,33 @@ def _kernel_slabs(
 ):
     """Kernel data for levels ``1..n``, one slab of consecutive rows at a time.
 
-    Yields ``(k0, k1, a, c, m, t_star)`` for levels ``k0+1..k1``: ``a``, ``c``
-    and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid out as those rows of
-    a :class:`KernelTable`, on the edges of :func:`_slab_edges`.  Entry
-    ``(i, j-1)`` of a slab is interval ``j`` of level ``k = k0 + i + 1``,
-    valid where ``j < k``, with the inputs ``(tau_j, tau_{j+1}, t_k* -
-    t_{j-1})``.
+    Yields ``(k0, k1, a, c, m, t_star, run)`` for levels ``k0+1..k1``, on the
+    slabs of :func:`_slab_layout`.  Outside the exact runs ``run`` is None,
+    and ``a``, ``c`` and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid
+    out as those rows of a :class:`KernelTable`: entry ``(i, j-1)`` is
+    interval ``j`` of level ``k = k0 + i + 1``, valid where ``j < k``, with
+    the inputs ``(tau_j, tau_{j+1}, t_k* - t_{j-1})``.
 
-    The closed backend copies the entries of the exact runs
-    (:func:`_exact_runs`): it computes each run's entries once per distance
-    before the first slab, all runs in one :func:`_closed_a_c` call, and keeps
-    each run's ``a`` and ``c`` by decreasing distance followed by zeros, so
-    the run's part of a slab is one copy of a strided window that also
-    supplies the zeros above the diagonal.  The valid entries outside the
-    runs (all of them for the quadrature backend, which has no runs) form a
-    prefix of each row: the columns ``[0, c0)`` that every row of the slab
-    shares, whose inputs are built by broadcasting, and a ragged rest taken
+    Inside exact run ``(s, e)`` (:func:`_exact_runs`, closed backend only)
+    the slab's rows store only their first ``s + 1`` columns: the entries
+    left of the run, which they compute, and column ``s``, where ``m``
+    mixes a computed ``c_s`` with the run's ``a_{s+1}``.  ``run`` is the
+    run's :class:`_RunTable`, which holds the rest of every row by distance.
+    The stream builds each run's table once, before the first slab: all
+    runs' ``a`` and ``c`` in one :func:`_closed_a_c` call, then its ``m`` and
+    the weights ``w``.  Its entries are checked with the slabs that read
+    them: its diagonal with each, and a non-finite entry with the first row
+    whose window reaches it.
+
+    The computed entries of a slab form a prefix of each row: the columns
+    ``[0, c0)`` that every row of the slab shares, whose inputs are built by
+    broadcasting, and outside a run the ragged rest of the triangle, taken
     through a mask.  One call of the backend's entry map, :func:`_closed_a_c`
     or :func:`_quadrature_a_c`, maps them all, and the results are scattered
     back by the same layout.  An entry depends on nothing but its inputs and
     ``alpha``, and every entry's series stops on its own (see
-    :func:`_phi_psi`), so neither a copy nor where slab edges fall changes a
-    bit.
+    :func:`_phi_psi`), so neither a run's table nor where slab edges fall
+    changes a bit.
 
     The stream fills every slab in one workspace, sized from the slab edges
     and the runs before the first slab and reused by the rest, so a slab
@@ -558,35 +630,29 @@ def _kernel_slabs(
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
-    edges = list(_slab_edges(n))
-    runs = _exact_runs(mesh, n, sigma) if backend == "closed" else []
+    runs, edges = _slab_layout(mesh, n, sigma, backend)
     # row r of the stream computes its columns [0, head[r]): all of its valid
     # entries, or those left of the run it lies in
     head = np.arange(n)
     for s, e in runs:
         head[s:e] = s
-    most_rows = max(k1 - k0 for k0, k1 in edges)
-    most_entries = max((k1 - k0) * k1 for k0, k1 in edges)
-    most_computed = int(np.add.reduceat(head, [k0 for k0, _ in edges]).max())
+    most_entries = max((k1 - k0) * width for k0, k1, width, _ in edges)
+    most_computed = int(np.add.reduceat(head, [k0 for k0, *_ in edges]).max())
     distances = sum(e - s - 1 for s, e in runs)
-    # each run's table: its a and c by decreasing distance, then the zeros a
-    # slab's window reads above the diagonal; `offsets` start them
-    spans = [e - s - 1 + min(e - s - 2, most_rows - 1) for s, e in runs]
-    offsets = np.cumsum([0, *spans]).tolist()
     # One float pool holds, in turn, a slab's dense block of ragged w0 (from
     # row 3 of `work`, 11 rows of `stride` floats), the inputs of its computed
     # entries (rows 0-2), the work of _closed_a_c (rows 3-10, its a and c in
     # rows 9 and 10), and then the slab's a, c and m, packed from the pool's
     # start.  Each is written only once what it overlaps is done with: the
     # stride is at least 2/9 of the largest block, so a slab's a and c end
-    # before row 9.  The runs' tables take the pool's end; the one
-    # _closed_a_c call that fills them works, before the first slab, in 11
-    # rows of `distances` floats from the pool's start.
+    # before row 9.  Before the first slab, the one _closed_a_c call of the
+    # runs works in 11 rows of `distances` floats from the pool's start.
     stride = max(most_computed, -(-2 * most_entries // 9))
-    slab_floats = max(11 * stride, 3 * most_entries, 11 * distances)
-    pool = np.empty(slab_floats + 2 * offsets[-1])
+    pool = np.empty(max(11 * stride, 3 * most_entries, 11 * distances))
     work = pool[: 11 * stride].reshape(11, stride)
-    tables = pool[slab_floats:].reshape(2, -1)
+    tables = []
+    # the rows of run i below clean[i] read only finite entries of its m
+    clean = []
     if runs:
         grid = pool[: 11 * distances].reshape(11, distances)
         at = 0
@@ -599,19 +665,24 @@ def _kernel_slabs(
             at += e - s - 1
         run_a, run_c = _closed_a_c(*grid[:3], alpha, grid[3:])
         at = 0
-        for (s, e), off, span in zip(runs, offsets, spans):
+        for s, e in runs:
             count = e - s - 1
-            tables[0, off : off + count] = run_a[at : at + count][::-1]
-            tables[1, off : off + count] = run_c[at : at + count][::-1]
-            tables[:, off + count : off + span] = 0.0
+            a = run_a[at : at + count][::-1].copy()
+            c = run_c[at : at + count][::-1].copy()
+            # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it
+            m = np.empty(count)
+            np.subtract(c[:-1], a[1:], out=m[:-1])
+            m[-1] = c[-1] + _diagonal_term(tau[s], sigma, alpha)
+            tables.append(_run_table(s, e, a, c, m, order.gamma_1ma))
+            bad = np.flatnonzero(~np.isfinite(m))
+            clean.append(e - 1 - int(bad[-1]) if bad.size else e)
             at += count
-    first_run = 0  # runs before it end before the current slab
-    for k0, k1 in edges:
+    for k0, k1, width, i in edges:
         rows = k1 - k0
-        size = rows * k1
-        ac = pool[: 2 * size].reshape(2, rows, k1)
+        size = rows * width
+        ac = pool[: 2 * size].reshape(2, rows, width)
         a, c = ac
-        m = pool[2 * size : 3 * size].reshape(rows, k1)
+        m = pool[2 * size : 3 * size].reshape(rows, width)
         t_star = nodes[k0:k1] + sigma * tau[k0:k1]
         h = head[k0:k1]
         c0, top = int(h.min()), int(h.max())
@@ -640,47 +711,39 @@ def _kernel_slabs(
                 computed_a, computed_c = _quadrature_a_c(*inputs, alpha)
             except QuadratureConvergenceError as exc:
                 raise QuadratureConvergenceError(f"levels {k0 + 1}..{k1}: {exc}") from exc
-        ac.fill(0.0)  # only now: a and c overlap the inputs
+        run = None if i is None else tables[i]
+        if run is None:
+            ac.fill(0.0)  # only now: a and c overlap the inputs
         a[:, :c0] = computed_a[:rect].reshape(rows, c0)
         c[:, :c0] = computed_c[:rect].reshape(rows, c0)
         a[:, c0:top][ragged] = computed_a[rect:]
         c[:, c0:top][ragged] = computed_c[rect:]
-        while first_run < len(runs) and runs[first_run][1] <= k0:
-            first_run += 1
-        for i in range(first_run, len(runs)):
-            (s, e), off = runs[i], offsets[i]
-            if s + 1 >= k1:
-                break
-            # rows lo..hi-1 hold the run's distances up to hi-1-s in the
-            # columns s..hi-2; row r reads its table from position e-1-r,
-            # so each next row starts one float earlier
-            lo, hi = max(k0, s + 1), min(k1, e)
-            ac[:, lo - k0 : hi - k0, s : hi - 1] = as_strided(
-                tables[:, off + e - 1 - lo :],
-                shape=(2, hi - lo, hi - 1 - s),
-                strides=(tables.strides[0], -tables.itemsize, tables.itemsize),
-                writeable=False,
-            )
-        # one scalar power per level: a vectorized power can differ in the last
-        # bit, which would change every solution the march writes
-        diag = np.array([
-            sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha) for t in tau[k0:k1]
-        ])
+        if run is not None:
+            # the run's first column holds its distances k1-1-s down to k0-s
+            e = run.end
+            a[:, -1] = run.a[e - k1 : e - k0][::-1]
+            c[:, -1] = run.c[e - k1 : e - k0][::-1]
         # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it, zero above it
         np.subtract(c[:, :-1], a[:, 1:], out=m[:, 1:])
         # through a temporary: NumPy 2.4's np.negative from one strided column
         # into another reads the wrong entries when both are 8 x 8 blocks
         m[:, 0] = -a[:, 0]
-        on_diag = (np.arange(k1 - k0), np.arange(k0, k1))
-        m[on_diag] += diag
-        diag_m = m[on_diag]
+        if run is None:
+            on_diag = (np.arange(rows), np.arange(k0, k1))
+            m[on_diag] += [_diagonal_term(t, sigma, alpha) for t in tau[k0:k1]]
+            diag_m = m[on_diag]
+        else:
+            diag_m = run.m[-1:]  # every row's
         bad = np.flatnonzero(~(np.isfinite(diag_m) & (diag_m > 0.0)))
         if bad.size:
             raise SingularDiagonalError(
                 f"level {k0 + bad[0] + 1}: diagonal entry {diag_m[bad[0]]!r} is not positive"
             )
         # every a_j and c_j enters one entry of M, so this covers them too
-        bad = np.flatnonzero(~np.all(np.isfinite(m), axis=1))
+        finite = np.all(np.isfinite(m), axis=1)
+        if run is not None:
+            finite &= np.arange(k0, k1) < clean[i]
+        bad = np.flatnonzero(~finite)
         if bad.size:
             raise NumericalError(
                 f"{backend} kernel: {bad.size} of levels {k0 + 1}..{k1} hold non-finite "
@@ -688,7 +751,25 @@ def _kernel_slabs(
             )
         for arr in (a, c, m, t_star):
             arr.flags.writeable = False
-        yield k0, k1, a, c, m, t_star
+        yield k0, k1, a, c, m, t_star, run
+
+
+def _table_slabs(table: KernelTable, n: int):
+    """The slabs :func:`_kernel_slabs` yields for levels ``1..n``, read from
+    ``table``: its first ``n`` rows cut on the same edges, and each exact
+    run's table taken from the run's last row, which holds every distance."""
+    order = table.order
+    runs, edges = _slab_layout(table.mesh, n, order.sigma, table.backend)
+    tables = [
+        _run_table(s, e, table.a[e - 1, s : e - 1], table.c[e - 1, s : e - 1],
+                   table.m[e - 1, s + 1 : e], order.gamma_1ma)
+        for s, e in runs
+    ]
+    for k0, k1, width, i in edges:
+        yield (
+            k0, k1, table.a[k0:k1, :width], table.c[k0:k1, :width], table.m[k0:k1, :width],
+            table.t_star[k0:k1], None if i is None else tables[i],
+        )
 
 
 def build_kernel_table(
@@ -700,12 +781,13 @@ def build_kernel_table(
     """Assemble the kernel table for levels ``1..n`` (default: all steps).
 
     The table collects the slabs of rows the kernel is computed in (one
-    vectorized pass or one batched quadrature per slab), so its build
-    memory is the stored ``a``, ``c`` and ``m`` (three dense ``n x n``
-    arrays) plus one slab.  :func:`solve` does not need a table: it marches
-    on the slabs directly.  Raises :class:`SingularDiagonalError` when a
-    diagonal entry is not positive and :class:`NumericalError` when any
-    coefficient is not finite.
+    vectorized pass or one batched quadrature per slab), and spreads each
+    exact run's table over the run's rows, so its build memory is the
+    stored ``a``, ``c`` and ``m`` (three dense ``n x n`` arrays) plus one
+    slab.  :func:`solve` does not need a table: it marches on the slabs
+    directly.  Raises :class:`SingularDiagonalError` when a diagonal entry is
+    not positive and :class:`NumericalError` when any coefficient is not
+    finite.
     """
     order = as_fractional_order(order)
     n = _check_levels(mesh, n)
@@ -713,8 +795,16 @@ def build_kernel_table(
     c = np.zeros((n, n))
     m = np.zeros((n, n))
     t_star = np.empty(n)
-    for k0, k1, a_s, c_s, m_s, t_s in _kernel_slabs(mesh, order, n, backend):
-        a[k0:k1, :k1], c[k0:k1, :k1], m[k0:k1, :k1], t_star[k0:k1] = a_s, c_s, m_s, t_s
+    for k0, k1, a_s, c_s, m_s, t_s, run in _kernel_slabs(mesh, order, n, backend):
+        width = m_s.shape[1]
+        a[k0:k1, :width], c[k0:k1, :width], m[k0:k1, :width] = a_s, c_s, m_s
+        t_star[k0:k1] = t_s
+        if run is not None:
+            s, e = run.start, run.end
+            for r in range(k0, k1):
+                a[r, s:r], c[r, s:r], m[r, s + 1 : r + 1] = (
+                    run.a[e - 1 - r :], run.c[e - 1 - r :], run.m[e - 1 - r :]
+                )
     logger.debug("built %s kernel table with %d levels", backend, n)
     return KernelTable(mesh, order, backend, a, c, m, t_star)
 

@@ -40,9 +40,11 @@ history rows in slabs of consecutive levels and never holds the dense
 kernel table, only the coefficient history and one slab.  It marches a slab at a time, with no
 transform: the history a slab's levels take from the levels before it is one
 matrix product, and each level adds only a dot over the slab's earlier
-levels and one division per mode.  The time factors are taken once per
-slab, and the finite check, the residual and the H1 seminorm once per part
-of a slab, as array operations.
+levels and one division per mode.  Inside an exact run of equal steps the
+product covers the levels left of the run, and each level's dot covers the
+run's levels, against the run's history weights by distance.  The time
+factors are taken once per slab, and the finite check, the residual and
+the H1 seminorm once per part of a slab, as array operations.
 
 The per-step residual is that of the diagonal system actually solved,
 relative to its right side: rounding level, the march's check on its own
@@ -67,7 +69,9 @@ from .kernel import (
     KernelRow,
     KernelTable,
     _kernel_slabs,
-    _slab_edges,
+    _RunTable,
+    _slab_layout,
+    _table_slabs,
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
 )
@@ -520,20 +524,21 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
     return state
 
 
-def _part_rows(rows: int, k1: int, modes: int) -> int:
-    """Rows per part of a slab of ``rows`` levels up to ``k1`` on ``modes``
-    active modes: as few parts as ``_PART_ENTRIES`` allows, their rows
-    evened out."""
-    parts = -(-rows // max(_PART_ENTRIES // (k1 + modes), 1))
+def _part_rows(rows: int, width: int, modes: int) -> int:
+    """Rows per part of a slab of ``rows`` levels whose differenced history
+    rows are ``width`` wide, on ``modes`` active modes: as few parts as
+    ``_PART_ENTRIES`` allows, their rows evened out."""
+    parts = -(-rows // max(_PART_ENTRIES // (width + modes), 1))
     return -(-rows // parts)
 
 
-def _march_buffers(edges, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _march_buffers(shapes, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The differenced history rows, right sides and work array
-    :func:`_march` needs for every slab ``(k0, k1)`` of ``edges``."""
-    parts = [(_part_rows(k1 - k0, k1, modes), k1) for k0, k1 in edges]
+    :func:`_march` needs for every slab of ``shapes``, given as its rows and
+    the width of its differenced history rows."""
+    parts = [(_part_rows(rows, width, modes), width) for rows, width in shapes]
     rows = max(size for size, _ in parts)
-    dm = np.empty(max(size * k1 for size, k1 in parts))
+    dm = np.empty(max(size * width for size, width in parts))
     return dm, np.empty((rows, modes)), np.empty((rows, modes))
 
 
@@ -542,10 +547,15 @@ def _march(
     m: np.ndarray,
     t_star: np.ndarray,
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    run: _RunTable | None = None,
 ) -> None:
-    """March one slab: levels ``k0+1..k1`` from their history rows ``m``,
-    laid out as those rows of a :class:`KernelTable` (``(k1 - k0) x k1``),
+    """March one slab: levels ``k0+1..k1`` from their history rows ``m``
     and their offset points ``t_star``; ``k0`` must be ``state.level``.
+
+    Outside an exact run (``run`` None) ``m`` is laid out as those rows of a
+    :class:`KernelTable`, ``(k1 - k0) x k1``.  Inside run ``(s, e)`` it holds
+    only the rows' first ``s + 1`` columns, and ``run`` (a slab's last item,
+    see :func:`subdiff.kernel._kernel_slabs`) the rest by distance.
 
     The source's time factors are taken for the whole slab first, so one
     that is not a finite real number is refused before any of its levels is
@@ -556,16 +566,19 @@ def _march(
     in parts of at most ``_PART_ENTRIES`` entries, in ``buffers`` from
     :func:`_march_buffers`, which :func:`solve` allocates once for the whole
     run and reuses from part to part and slab to slab (a one-slab set is
-    allocated when none is given).  The history sum over the levels before
-    a part is one matrix product for the whole part; each level then adds
-    its dot over the part's earlier levels and does its division.  The
-    finite check, the residual (that of the diagonal system, relative to
-    its right side) and the H1 seminorm (by Parseval: the transforms are
-    orthonormal) are taken for the whole part.  A non-finite solution is
-    refused, naming its first level.
+    allocated when none is given).  The history sum over the columns of the
+    part's differenced rows is one matrix product for the whole part: every
+    level before the part, or inside a run the levels ``0..s+1``.  Each level
+    then adds the rest of its history as one dot, over the part's earlier
+    levels or inside a run over the levels ``s+2..k-1`` against a window of
+    the run's weights ``w``, and does its division.  The finite check, the
+    residual (that of the diagonal system, relative to its right side) and
+    the H1 seminorm (by Parseval: the transforms are orthonormal) are taken
+    for the whole part.  A non-finite solution is refused, naming its first
+    level.
     """
-    rows, k1 = m.shape
-    k0 = k1 - rows
+    rows, width = m.shape
+    k0 = width - rows if run is None else state.level
     if k0 != state.level:
         raise DimensionMismatchError(
             f"row level {k0 + 1} does not follow state level {state.level}"
@@ -581,27 +594,40 @@ def _march(
     lam = space.laplacian_symbol.ravel()[state.modes]
     half_lam = 0.5 * order.alpha * lam
     sigma_lam = order.sigma * lam
-    size = _part_rows(rows, k1, lam.size)
+    # the width of the differenced rows: inside a run, the stored columns
+    # and the run's first
+    columns = width if run is None else width + 1
+    size = _part_rows(rows, columns, lam.size)
     if buffers is None:
-        buffers = _march_buffers([(k0, k1)], lam.size)
+        buffers = _march_buffers([(rows, columns)], lam.size)
     dm_buffer, rhs_buffer, work_buffer = buffers
     for p in range(0, rows, size):
         q = min(p + size, rows)
         start, top = k0 + p, k0 + q  # the part's levels are start+1..top
         rhs, work = rhs_buffer[: q - p], work_buffer[: q - p]
         # the history rows differenced, over Gamma(1 - alpha): column j weighs level j
-        dm = dm_buffer[: (q - p) * top].reshape(q - p, top)
+        if run is None:
+            known = start + 1  # the levels before the part
+            dm = dm_buffer[: (q - p) * top].reshape(q - p, top)
+            np.subtract(m[p:q, 1:top], m[p:q, : top - 1], out=dm[:, 1:])
+            diag_m = m[p:q].diagonal(start)
+        else:
+            known, e = columns, run.end
+            dm = dm_buffer[: (q - p) * known].reshape(q - p, known)
+            np.subtract(m[p:q, 1:], m[p:q, :-1], out=dm[:, 1:-1])
+            np.subtract(run.m[e - top : e - start][::-1], m[p:q, -1], out=dm[:, -1])
+            diag_m = np.full(q - p, run.m[-1])
         dm[:, 0] = m[p:q, 0]
-        np.subtract(m[p:q, 1:top], m[p:q, : top - 1], out=dm[:, 1:])
         dm /= order.gamma_1ma
-        np.matmul(dm[:, : start + 1], c[: start + 1], out=rhs)
+        np.matmul(dm[:, :known], c[:known], out=rhs)
         if source is not None:
             rhs += np.matmul(factors[p:q], source, out=work)
-        diag = np.add.outer(m[p:q].diagonal(start) / order.gamma_1ma, sigma_lam, out=work)
+        diag = np.add.outer(diag_m / order.gamma_1ma, sigma_lam, out=work)
         for i, k in enumerate(range(start + 1, top + 1)):
             right = rhs[i]
-            if i:
-                right += dm[i, start + 1 : k] @ c[start + 1 : k]
+            if k > known:
+                weights = dm[i, known:k] if run is None else run.w[run.end - k :]
+                right += weights @ c[known:k]
             right -= half_lam * c[k - 1]
             np.divide(right, diag[i], out=c[k])
         new = c[start + 1 : top + 1]
@@ -634,10 +660,13 @@ def solve(
     The kernel's history rows are computed by ``backend`` in slabs of
     consecutive rows as the march reaches them, each in the one workspace
     of the kernel stream, so the next slab overwrites the one just marched;
-    the march's own buffers are allocated once for the run.  A prebuilt
-    ``table`` may be supplied instead, by callers that reuse one; its first
-    ``mesh.num_steps`` rows are marched on the same slab edges,
-    bit-identical to the streamed run.  A table for
+    the march's own buffers are allocated once for the run.  Inside an exact
+    run of equal steps a slab holds only the columns left of the run, and
+    the march takes the rest of each row from the run's weights by distance
+    (see :func:`subdiff.kernel._kernel_slabs`).  A prebuilt ``table`` may be
+    supplied instead, by callers that reuse one; its first
+    ``mesh.num_steps`` rows are marched on the same slab edges and through
+    the same runs, bit-identical to the streamed run.  A table for
     another order, or on a mesh whose first ``mesh.num_steps + 1`` nodes
     differ, is refused with ValidationError.  The march runs a slab at a
     time on the active modes' coefficients (see :func:`_march`), and the
@@ -646,18 +675,19 @@ def solve(
     its slab is marched, naming its level.
     """
     n = mesh.num_steps
+    order = problem.order
     if table is None:
-        slabs = _kernel_slabs(mesh, problem.order, n, backend)
+        slabs = _kernel_slabs(mesh, order, n, backend)
     else:
         _check_table(table, problem, mesh)
-        slabs = (
-            (k0, k1, None, None, table.m[k0:k1, :k1], table.t_star[k0:k1])
-            for k0, k1 in _slab_edges(n)
-        )
+        slabs, backend = _table_slabs(table, n), table.backend
     state = initialize_state(problem, mesh)
-    buffers = _march_buffers(_slab_edges(n), state.modes.size)
-    for _, _, _, _, m, t_star in slabs:
-        _march(state, m, t_star, buffers)
+    # inside a run the differenced rows take the run's first column too
+    _, edges = _slab_layout(mesh, n, order.sigma, backend)
+    shapes = [(k1 - k0, width + (i is not None)) for k0, k1, width, i in edges]
+    buffers = _march_buffers(shapes, state.modes.size)
+    for *_, m, t_star, run in slabs:
+        _march(state, m, t_star, buffers, run)
     logger.debug(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,

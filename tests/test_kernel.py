@@ -32,6 +32,7 @@ from subdiff.errors import (
     DimensionMismatchError,
     NumericalError,
     QuadratureConvergenceError,
+    SingularDiagonalError,
     ValidationError,
 )
 from subdiff.provenance import reproducibility_header
@@ -252,6 +253,35 @@ def test_non_finite_coefficients_are_refused(monkeypatch):
     monkeypatch.setattr(kernel_module, "_quadrature_a_c", poisoned)
     with pytest.raises(NumericalError, match="first at level 7"):
         build_kernel_table(make_graded_mesh(1.0, 10, 2.0), 0.5, backend="quadrature")
+
+
+@pytest.mark.parametrize(
+    "distance, error, level",
+    [(1, SingularDiagonalError, "level 2"), (7, NumericalError, "first at level 8")],
+)
+def test_a_non_finite_run_entry_is_refused_at_the_first_level_that_reads_it(
+    monkeypatch, distance, error, level
+):
+    # the stream's first _closed_a_c call computes the exact run's entries
+    # by distance 1, 2, ...; a NaN c at distance 1 is the run's diagonal,
+    # which its first level (2) reads, and at distance 7 it enters m at
+    # column 1 of level 8, the first level that far from the run's start
+    mesh = make_uniform_mesh(1.0, 256)
+    assert kernel_module._exact_runs(mesh, 256, 0.75) == [(0, 256)]
+    original = kernel_module._closed_a_c
+    calls = []
+
+    def poisoned(*args):
+        a, c = original(*args)
+        if not calls:
+            c[distance - 1] = np.nan
+        calls.append(c.size)
+        return a, c
+
+    monkeypatch.setattr(kernel_module, "_closed_a_c", poisoned)
+    with pytest.raises(error, match=level):
+        build_kernel_table(mesh, 0.5, backend="closed")
+    assert calls[0] == 255
 
 
 def test_quadrature_refuses_a_missed_tolerance_naming_the_slab(monkeypatch):
@@ -484,8 +514,22 @@ def _off_grid_run_mesh():
     ]))
 
 
-# (mesh, alpha, first level checked); the reference is the whole triangle of
-# each slab, so on the long mesh only its late slabs, of two rows, are checked
+def _long_off_grid_run_mesh():
+    # the same at the shortest length an exact run may have: 128 bit-equal
+    # steps of 2^-6 + 3*2^-52 ending at 2 + 2^-6, whose last offset point
+    # rounds to the coarser grid above 2; an exact run of 2^-6 follows
+    step = 2.0**-6 + 3 * 2.0**-52
+    start = 2.0 + 2.0**-6 - 128 * step
+    return TimeMesh(np.concatenate([
+        make_graded_mesh(start, 100, 2.0).nodes,
+        start + step * np.arange(1, 129),
+        2.0 + 2.0**-6 + np.arange(1, 201) / 64,
+    ]))
+
+
+# (mesh, alpha, first row checked); the reference is the whole triangle, so
+# on the long mesh, whose dense table would take 3 GB, only its last rows
+# are checked, read from the stream
 _REUSE_CASES = {
     "soak": (_soak_mesh(), 0.5, 0),
     "dyadic-uniform": (make_uniform_mesh(1.0, 512), 0.5, 0),
@@ -500,6 +544,7 @@ _REUSE_CASES = {
     "back-to-back-runs": (_back_to_back_runs_mesh(), 0.5, 0),
     "run-between-graded": (_run_between_graded_mesh(), 0.5, 0),
     "off-grid-run": (_off_grid_run_mesh(), 0.5, 0),
+    "long-off-grid-run": (_long_off_grid_run_mesh(), 0.5, 0),
 }
 
 
@@ -521,30 +566,75 @@ def test_exact_runs_need_on_grid_nodes_and_one_offset():
     # run of 2^-4 after the off-grid one
     assert kernel_module._exact_runs(_soak_mesh(), 2560, 0.75) == [(512, 2560)]
     assert kernel_module._exact_runs(_off_grid_run_mesh(), 416, 0.75) == [(216, 416)]
+    assert kernel_module._exact_runs(_long_off_grid_run_mesh(), 428, 0.75) == [(228, 428)]
     assert kernel_module._exact_runs(_back_to_back_runs_mesh(), 600, 0.75) == [(0, 300), (300, 600)]
     assert kernel_module._exact_runs(_run_between_graded_mesh(), 531, 0.75) == [(181, 331)]
+    # a run of fewer than _MIN_RUN = 128 steps is computed like any other
+    assert kernel_module._exact_runs(make_uniform_mesh(127 / 128, 127), 127, 0.75) == []
+    assert kernel_module._exact_runs(make_uniform_mesh(1.0, 128), 128, 0.75) == [(0, 128)]
+
+
+def _reference_rows(mesh, order, r0, r1):
+    """Rows ``r0..r1-1`` of ``a``, ``c`` and ``m`` (``(r1 - r0) x r1``), every
+    valid entry computed by one closed pass and ``m`` formed from them."""
+    tau, nodes, alpha = mesh.steps, mesh.nodes, order.alpha
+    i, js = np.tril_indices(r1 - r0, k=r0 - 1, m=r1)
+    w0 = nodes[i + r0] + order.sigma * tau[i + r0] - nodes[js]
+    a, c = np.zeros((r1 - r0, r1)), np.zeros((r1 - r0, r1))
+    a[i, js], c[i, js] = kernel_module._closed_a_c(tau[js], tau[js + 1], w0, alpha)
+    m = np.zeros_like(a)
+    m[:, 1:] = c[:, :-1] - a[:, 1:]
+    m[:, 0] = -a[:, 0]
+    diag = [order.sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha) for t in tau[r0:r1]]
+    m[np.arange(r1 - r0), np.arange(r0, r1)] += diag
+    return a, c, m
+
+
+def _stream_rows(mesh, order, first):
+    """Rows ``first..n-1`` of ``a``, ``c`` and ``m`` as the closed stream hands
+    them out: a slab's stored columns, and inside a run the run's table from
+    the row's window on."""
+    for k0, k1, a, c, m, _, run in kernel_module._kernel_slabs(
+        mesh, order, mesh.num_steps, "closed"
+    ):
+        for r in range(max(k0, first), k1):
+            i = r - k0
+            if run is None:
+                yield a[i, :r], c[i, :r], m[i, : r + 1]
+            else:
+                at = run.end - 1 - r
+                yield (
+                    np.concatenate([a[i], run.a[at + 1 :]]),
+                    np.concatenate([c[i], run.c[at + 1 :]]),
+                    np.concatenate([m[i], run.m[at:]]),
+                )
 
 
 @pytest.mark.parametrize("case", list(_REUSE_CASES))
 def test_closed_slabs_reuse_entries_bit_for_bit(case):
+    # every entry, the run entries and the column where m mixes a computed
+    # c with a run's a included, against the whole triangle computed entry
+    # by entry: the dense table, and the rows as the stream hands them out
     mesh, alpha, first = _REUSE_CASES[case]
     order = FractionalOrder(alpha)
-    tau, nodes = mesh.steps, mesh.nodes
-    slabs = 0
-    for k0, k1, a, c, _, _ in kernel_module._kernel_slabs(
-        mesh, order, mesh.num_steps, "closed"
-    ):
-        if k0 < first:
-            continue
-        assert first == 0 or k1 - k0 <= 2
-        # reference: the slab's closed fill computes every entry of its triangle
-        i, js = np.tril_indices(k1 - k0, k=k0 - 1, m=k1)
-        w0 = nodes[i + k0] + order.sigma * tau[i + k0] - nodes[js]
-        ref_a, ref_c = np.zeros_like(a), np.zeros_like(c)
-        ref_a[i, js], ref_c[i, js] = kernel_module._closed_a_c(tau[js], tau[js + 1], w0, order.alpha)
-        assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c), (k0, k1)
-        slabs += 1
-    assert slabs >= 3  # slab edges fall inside the uniform runs
+    n = mesh.num_steps
+    # slab edges fall inside the uniform runs
+    assert len(kernel_module._slab_layout(mesh, n, order.sigma, "closed")[1]) >= 3
+    table = build_kernel_table(mesh, order, backend="closed") if first == 0 else None
+    rows = _stream_rows(mesh, order, first)
+    step = max(2**19 // n, 1)
+    for r0 in range(first, n, step):
+        r1 = min(r0 + step, n)
+        ref_a, ref_c, ref_m = _reference_rows(mesh, order, r0, r1)
+        if table is not None:
+            assert np.array_equal(table.a[r0:r1, :r1], ref_a), (r0, r1)
+            assert np.array_equal(table.c[r0:r1, :r1], ref_c), (r0, r1)
+            assert np.array_equal(table.m[r0:r1, :r1], ref_m), (r0, r1)
+        for i, r in enumerate(range(r0, r1)):
+            a, c, m = next(rows)
+            assert np.array_equal(a, ref_a[i, :r]) and np.array_equal(c, ref_c[i, :r]), r
+            assert np.array_equal(m, ref_m[i, : r + 1]), r
+    assert next(rows, None) is None
 
 
 def _recorded_batches(monkeypatch, name, mesh, order, backend):
@@ -577,7 +667,7 @@ def test_quadrature_slabs_share_the_closed_layout(monkeypatch):
     slabs, calls = _recorded_batches(monkeypatch, "_quadrature_a_c", mesh, order, "quadrature")
     closed = build_kernel_table(mesh, order, backend="closed")
     assert len(slabs) >= 2 and len(calls) == len(closed_calls) == len(slabs)
-    for (k0, k1, a, c, _, _), batch, closed_batch in zip(slabs, calls, closed_calls):
+    for (k0, k1, a, c, *_), batch, closed_batch in zip(slabs, calls, closed_calls):
         assert all(np.array_equal(x, y) for x, y in zip(batch, closed_batch)), (k0, k1)
         assert np.array_equal(a, closed.a[k0:k1, :k1]) and np.array_equal(c, closed.c[k0:k1, :k1])
 
@@ -612,7 +702,7 @@ def test_quadrature_slabs_match_the_dense_block_reference(num_steps, alpha):
     order = FractionalOrder(alpha)
     slabs = _copied(kernel_module._kernel_slabs(mesh, order, num_steps, "quadrature"))
     assert len(slabs) == (4 if num_steps == 420 else 1)
-    for k0, k1, a, c, _, _ in slabs:
+    for k0, k1, a, c, *_ in slabs:
         ref_a, ref_c = _dense_block_quadrature_slab(mesh, order, k0, k1)
         assert np.array_equal(a, ref_a) and np.array_equal(c, ref_c), (k0, k1)
 
@@ -694,7 +784,9 @@ def test_a_slab_allocates_almost_nothing_once_the_workspace_exists():
         _, fuzzed_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rises) > 100 and max(rises[1:]) <= 512 * 2**10
+    # 5 slabs up to the run's first row, then 36 of at most 57 rows of 513
+    # stored columns inside the run
+    assert len(rises) == 41 and max(rises[1:]) <= 512 * 2**10
     assert max(abs(now - held_after[0]) for now in held_after) <= 128 * 2**10
     # no more than the per-slab allocations of a fresh fill peaked at:
     # 5.25 MB on the soak mesh, 1.35 MB on a 128-level fuzzed mesh
@@ -702,7 +794,14 @@ def test_a_slab_allocates_almost_nothing_once_the_workspace_exists():
 
 
 def _copied(slabs):
-    return [tuple(np.copy(x) for x in slab) for slab in slabs]
+    """Each slab's items as arrays, copied: inside a run its bounds and
+    table follow the first six."""
+    copies = []
+    for *items, run in slabs:
+        if run is not None:
+            items += [np.array([run.start, run.end]), run.a, run.c, run.m, run.w]
+        copies.append(tuple(np.copy(x) for x in items))
+    return copies
 
 
 def test_two_streams_share_no_buffer():

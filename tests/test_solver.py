@@ -36,6 +36,7 @@ from subdiff.errors import (
     NumericalError,
     ValidationError,
 )
+from test_kernel import _back_to_back_runs_mesh, _run_between_graded_mesh
 
 
 def test_parse_space():
@@ -763,15 +764,39 @@ def _closed_slab_edges(mesh, alpha):
     return [k1 for _, k1, *_ in slabs][:-1]
 
 
+# graded meshes keyed by their step count, and meshes with long exact runs
+# (see subdiff.kernel._exact_runs) keyed by name
+_MARCH_MESHES = {
+    "24": lambda: make_graded_mesh(1.0, 24, 2.0),
+    "400": lambda: make_graded_mesh(1.0, 400, 2.0),
+    # the soak's shape: 512 graded steps on [0, 1], then 1024 of 49/1024
+    "soak": lambda: make_graded_then_uniform(50.0, 1536, 2.0, 1.0, 512),
+    "run-between-graded": _run_between_graded_mesh,
+    "back-to-back-runs": _back_to_back_runs_mesh,
+    "uniform-512": lambda: make_uniform_mesh(1.0, 512),
+}
+
+
 @pytest.mark.parametrize(
-    "backend, num_steps, space",
-    [("closed", 400, "d1:16"), ("quadrature", 24, "p2:8"), ("quadrature", 400, "d1:16")],
+    "backend, mesh_name, space",
+    [
+        ("closed", "400", "d1:16"),
+        ("quadrature", "24", "p2:8"),
+        ("quadrature", "400", "d1:16"),
+        ("closed", "soak", "d1:16"),
+        ("closed", "run-between-graded", "p2:8"),
+        ("closed", "back-to-back-runs", "d1:16"),
+        ("closed", "uniform-512", "p2:8"),
+    ],
 )
-def test_streamed_march_equals_table_march(backend, num_steps, space):
+def test_streamed_march_equals_table_march(backend, mesh_name, space):
     problem = manufactured_problem(0.5, parse_space(space))
-    mesh = make_graded_mesh(1.0, num_steps, 2.0)
+    mesh = _MARCH_MESHES[mesh_name]()
+    num_steps = mesh.num_steps
     if num_steps == 400:
         assert len(_closed_slab_edges(mesh, 0.5)) >= 3
+    runs = kernel_module._exact_runs(mesh, num_steps, 0.75)
+    assert bool(runs) == (mesh_name not in ("24", "400"))
     streamed = solve(problem, mesh, backend=backend)
     table = build_kernel_table(mesh, 0.5, backend=backend)
     tabled = solve(problem, mesh, table=table)
@@ -782,6 +807,46 @@ def test_streamed_march_equals_table_march(backend, num_steps, space):
         closed = build_kernel_table(mesh, 0.5, backend="closed").m
         lower = np.tril_indices(num_steps)
         assert np.max(np.abs(table.m - closed)[lower] / np.abs(closed[lower])) <= 1e-13
+
+
+def test_a_table_on_a_longer_mesh_marches_like_the_stream():
+    # the table's mesh runs on past the run's mesh, so its exact run ends
+    # later: the march reads the run's table from the run's own last row
+    mesh = _MARCH_MESHES["soak"]()
+    head = mesh.head(1000)
+    assert kernel_module._exact_runs(head, 1000, 0.75) == [(512, 1000)]
+    problem = manufactured_problem(0.5, parse_space("d1:16"))
+    streamed = solve(problem, head, backend="closed")
+    tabled = solve(problem, head, table=build_kernel_table(mesh, 0.5, backend="closed"))
+    assert np.array_equal(streamed.coefficients, tabled.coefficients)
+    assert np.array_equal(streamed.residual, tabled.residual)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.99])
+@pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
+def test_run_march_matches_the_one_row_march(descriptor, alpha):
+    # 128 graded steps, then an exact run of 512 steps of 2^-7: inside the
+    # run the march reads each row's history weights from the run's table;
+    # a march of one full table row at a time gives the same coefficients
+    # up to rounding, on every mode of a random field
+    mesh = make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128)
+    order = FractionalOrder(alpha)
+    assert kernel_module._exact_runs(mesh, 640, order.sigma) == [(128, 640)]
+    space = parse_space(descriptor)
+    initial = np.random.default_rng(7).standard_normal(space.zero_field().shape)
+    problem = Problem(
+        order=order, space=space, initial=initial,
+        source=[(lambda t: min(t, 1.0), space.first_mode())],
+    )
+    streamed = solve(problem, mesh, backend="closed")
+    table = build_kernel_table(mesh, order, backend="closed")
+    one_row = initialize_state(problem, mesh)
+    for k in range(1, mesh.num_steps + 1):
+        step(one_row, table.row(k))
+    assert streamed.modes.size == initial.size
+    scale = np.max(np.abs(one_row.coefficients), axis=0)
+    assert np.all(np.abs(streamed.coefficients - one_row.coefficients) <= 1e-13 * scale)
+    assert np.max(streamed.residual) <= 1e-15
 
 
 def test_streamed_march_never_holds_the_table():
