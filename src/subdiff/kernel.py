@@ -216,80 +216,83 @@ def _phi_psi(
     summed as explicit power series with positive terms; above it the direct
     expm1/log1p forms are used.  Inputs must satisfy ``0 < delta < 1``.
 
-    Each series entry stops on its own.  The entries are sorted by the binary
-    exponent of ``delta``, so those still running form a suffix that is
-    updated in place, and every ``_SERIES_CHECK``-th term drops the leading
-    run that has converged.  This gives the same bits as summing every entry
-    until the slowest converges: once an entry passes the test its term and
-    its increment to ``psi`` are below half an ulp of their sums, and both
-    keep shrinking for ``x <= 0.6`` (the term ratio is ``x*(alpha+m-3)/m``),
-    so each later addition rounds back to the same sum.  The order within a
-    binade and the spacing of the tests therefore decide only how many such
-    additions an entry makes.
+    Each series entry stops on its own, summed in place in the rows ``phi``
+    and ``psi`` are returned in.  Every ``_SERIES_CHECK``-th term tests which
+    have converged: while more than half still run, all keep running; once
+    at least half have stopped, the sums are written back and the running
+    entries compacted, in order, into scratch rows.  This gives the same bits
+    as summing every entry until the slowest converges: once an entry passes
+    the test its term and its increment to ``psi`` are below half an ulp of
+    their sums, and both keep shrinking for ``x <= 0.6`` (the term ratio is
+    ``x*(alpha+m-3)/m``), so each later addition rounds back to the same
+    sum.  Where the compactions fall decides only how many such additions
+    an entry makes.
 
     ``delta`` is one-dimensional.  Every entry-sized array goes in the rows
     of ``work``, a ``(7, >= delta.size)`` float array that must not hold
     ``delta`` (allocated when not given): ``phi`` and ``psi`` are returned as
-    views of its first two rows, and the rest is scratch.  The sort order is
-    the one array allocated.
+    views of its first two rows, and the rest is scratch.  It allocates only
+    index arrays: of the direct entries, and of those still running.
     """
     delta = np.asarray(delta, dtype=float)
     size = delta.size
     if work is None:
         work = np.empty((7, size))
-    phi, psi, x, term, sphi, spsi, inc = (row[:size] for row in work)
-    small = phi.view(bool)[:size]
-    np.less_equal(delta, _SERIES_CUTOFF, out=small)
-    # sort on the binary exponent alone, the direct entries last: a stable
-    # radix sort of 16-bit keys
-    exponent = x.view(np.int64)
-    np.right_shift(delta.view(np.int64), 52, out=exponent)
-    keys = term.view(np.uint16)[:size]
-    np.copyto(keys, exponent, casting="unsafe")
-    np.logical_not(small, out=psi.view(bool)[:size])
-    np.copyto(keys, 2047, where=psi.view(bool)[:size])
-    order = np.argsort(keys, kind="stable")
+    phi, psi, *rows = (row[:size] for row in work)
+    flags = rows[-1].view(bool)
+    small = np.less_equal(delta, _SERIES_CUTOFF, out=flags[:size])
     count = int(np.count_nonzero(small))
+    big = None if count == size else np.flatnonzero(~small)
     if count:
-        idx = order[:count]
-        x, term, sphi, spsi, inc = x[:count], term[:count], sphi[:count], spsi[:count], inc[:count]
-        np.take(delta, idx, out=x, mode="clip")
+        # a direct entry sums zero (NaN if delta is not finite) till overwritten
+        x = delta if big is None else np.multiply(delta, small, out=rows[0])
+        # the running entries' x, term, phi and psi sums; at a compaction they
+        # move to the halves of the two scratch rows they are not in
+        term, sphi, spsi = rows[1], phi, psi
+        here, there = rows[0:2], rows[2:4]
+        inc, limit = there
+        pos = None  # where the running entries write back; None: in place
         np.multiply(0.5, x, out=term)
         term *= x
         np.copyto(sphi, term)
         spsi.fill(0.0)
-        # convergence tests: the bound in psi's row, the two flags in phi's
-        bound, passed = psi[:count], phi.view(bool)[:count]
-        also = phi.view(bool)[size : size + count]
-        lo = 0  # entries lo: are still running; term holds their last term
         for m in range(3, 201):
-            term *= x[lo:]
+            term *= x
             term *= alpha + m - 3.0
             term /= m
-            sphi[lo:] += term
-            np.multiply(term, m - 2.0, out=inc[lo:])
-            spsi[lo:] += inc[lo:]
+            sphi += term
+            np.multiply(term, m - 2.0, out=inc)
+            spsi += inc
             if m % _SERIES_CHECK:
                 continue
-            done, other, limit = passed[: count - lo], also[: count - lo], bound[lo:]
-            np.maximum(spsi[lo:], 1e-300, out=limit)
+            done, other = flags[: term.size], flags[term.size : 2 * term.size]
+            np.maximum(spsi, 1e-300, out=limit)
             limit *= 1e-17
-            np.less_equal(inc[lo:], limit, out=done)
-            np.multiply(sphi[lo:], 1e-17, out=limit)
+            np.less_equal(inc, limit, out=done)
+            np.multiply(sphi, 1e-17, out=limit)
             np.less_equal(term, limit, out=other)
             done &= other
-            step = done.size if done.all() else int(np.argmin(done))
-            lo += step
-            if lo == count:
+            left = term.size - int(np.count_nonzero(done))
+            if 2 * left > term.size:
+                continue
+            if not left:
                 break
-            term = term[step:]
-        sphi *= 1.0 - alpha
-        spsi *= 1.0 - alpha
-        phi[idx] = sphi
-        psi[idx] = spsi
-    big = order[count:]
-    if big.size:
-        # the series rows are free again
+            keep = np.flatnonzero(np.logical_not(done, out=done))
+            if pos is not None:
+                phi[pos], psi[pos] = sphi, spsi
+            moved = there[0][:left], there[0][-left:], there[1][:left], there[1][-left:]
+            for src, dst in zip((x, term, sphi, spsi), moved):
+                np.take(src, keep, out=dst, mode="clip")
+            x, term, sphi, spsi = moved
+            pos = keep if pos is None else pos[keep]
+            here, there = there, here
+            inc, limit = (row[:left] for row in there)
+        if pos is not None:
+            phi[pos], psi[pos] = sphi, spsi
+        phi *= 1.0 - alpha
+        psi *= 1.0 - alpha
+    if big is not None:
+        # the scratch rows are free again
         x, lp, e2, value, tail = (row[: big.size] for row in work[2:])
         np.take(delta, big, out=x, mode="clip")
         np.negative(x, out=lp)
@@ -377,6 +380,8 @@ def _closed_a_c(
     np.minimum(phi, psi, out=r4)
     np.multiply(w2, r4, out=r4)
     np.minimum(tau_j, tau_j1, out=r5)
+    if size and r4.min() >= 1e-250 and np.square(r5.min()) >= 1e-250:  # none is low
+        return a, c
     np.square(r5, out=r5)
     np.minimum(r4, r5, out=r4)
     low = r5.view(bool)[:size]
@@ -583,26 +588,27 @@ def _kernel_slabs(
     order: FractionalOrder,
     n: int,
     backend: str,
+    layout: tuple | None = None,
 ):
     """Kernel data for levels ``1..n``, one slab of consecutive rows at a time.
 
-    Yields ``(k0, k1, a, c, m, t_star, run)`` for levels ``k0+1..k1``, on the
-    slabs of :func:`_slab_layout`.  Outside the exact runs ``run`` is None,
-    and ``a``, ``c`` and ``m`` are read-only ``(k1 - k0, k1)`` arrays laid
-    out as those rows of a :class:`KernelTable`: entry ``(i, j-1)`` is
-    interval ``j`` of level ``k = k0 + i + 1``, valid where ``j < k``, with
-    the inputs ``(tau_j, tau_{j+1}, t_k* - t_{j-1})``.
+    Yields ``(k0, k1, a, c, m, t_star, run)`` for levels ``k0+1..k1``, on
+    the slabs of ``layout`` (:func:`_slab_layout`'s unless given).  Outside
+    the exact runs ``run`` is None, and ``a``, ``c`` and ``m`` are read-only
+    ``(k1 - k0, k1)`` arrays laid out as those rows of a :class:`KernelTable`:
+    entry ``(i, j-1)`` is interval ``j`` of level ``k = k0 + i + 1``, valid
+    where ``j < k``, with the inputs ``(tau_j, tau_{j+1}, t_k* - t_{j-1})``.
 
     Inside exact run ``(s, e)`` (:func:`_exact_runs`, closed backend only)
     the slab's rows store only their first ``s + 1`` columns: the entries
     left of the run, which they compute, and column ``s``, where ``m``
     mixes a computed ``c_s`` with the run's ``a_{s+1}``.  ``run`` is the
     run's :class:`_RunTable`, which holds the rest of every row by distance.
-    The stream builds each run's table once, before the first slab: all
-    runs' ``a`` and ``c`` in one :func:`_closed_a_c` call, then its ``m`` and
-    the weights ``w``.  Its entries are checked with the slabs that read
-    them: its diagonal with each, and a non-finite entry with the first row
-    whose window reaches it.
+    The stream builds each run's table once, before the first slab: its
+    ``a`` and ``c`` by :func:`_closed_a_c` calls in the slabs' workspace,
+    then its ``m`` and the weights ``w``.  Its entries are checked with the
+    slabs that read them: its diagonal with each, and a non-finite entry
+    with the first row whose window reaches it.
 
     The computed entries of a slab form a prefix of each row: the columns
     ``[0, c0)`` that every row of the slab shares, whose inputs are built by
@@ -616,7 +622,7 @@ def _kernel_slabs(
 
     The stream fills every slab in one workspace, sized from the slab edges
     and the runs before the first slab and reused by the rest, so a slab
-    allocates little beyond an index array, a mask and a sort order.  The
+    allocates little beyond a mask and a few index arrays.  The
     yielded ``a``, ``c`` and ``m`` are views into it: a slab is valid until
     the next one is requested, and a consumer that keeps one copies it.  The
     workspace belongs to this generator alone, so streams in other threads
@@ -630,7 +636,7 @@ def _kernel_slabs(
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
-    runs, edges = _slab_layout(mesh, n, sigma, backend)
+    runs, edges = layout or _slab_layout(mesh, n, sigma, backend)
     # row r of the stream computes its columns [0, head[r]): all of its valid
     # entries, or those left of the run it lies in
     head = np.arange(n)
@@ -638,45 +644,39 @@ def _kernel_slabs(
         head[s:e] = s
     most_entries = max((k1 - k0) * width for k0, k1, width, _ in edges)
     most_computed = int(np.add.reduceat(head, [k0 for k0, *_ in edges]).max())
-    distances = sum(e - s - 1 for s, e in runs)
     # One float pool holds, in turn, a slab's dense block of ragged w0 (from
     # row 3 of `work`, 11 rows of `stride` floats), the inputs of its computed
     # entries (rows 0-2), the work of _closed_a_c (rows 3-10, its a and c in
     # rows 9 and 10), and then the slab's a, c and m, packed from the pool's
     # start.  Each is written only once what it overlaps is done with: the
     # stride is at least 2/9 of the largest block, so a slab's a and c end
-    # before row 9.  Before the first slab, the one _closed_a_c call of the
-    # runs works in 11 rows of `distances` floats from the pool's start.
+    # before row 9.  Before the first slab, the runs' entries are computed
+    # in the same rows, at most `stride` distances at a time.
     stride = max(most_computed, -(-2 * most_entries // 9))
-    pool = np.empty(max(11 * stride, 3 * most_entries, 11 * distances))
+    pool = np.empty(max(11 * stride, 3 * most_entries))
     work = pool[: 11 * stride].reshape(11, stride)
     tables = []
     # the rows of run i below clean[i] read only finite entries of its m
     clean = []
-    if runs:
-        grid = pool[: 11 * distances].reshape(11, distances)
-        at = 0
-        for s, e in runs:
-            w0 = grid[2, at : at + e - s - 1]  # t_k* - t_s for k - 1 = s+1..e-1
-            np.multiply(sigma, tau[s + 1 : e], out=w0)
-            w0 += nodes[s + 1 : e]
+    for s, e in runs:
+        count = e - s - 1
+        a, c = np.empty(count), np.empty(count)
+        for lo in range(0, count, stride):
+            hi = min(lo + stride, count)
+            inputs = work[:3, : hi - lo]
+            inputs[:2] = tau[s]
+            w0 = inputs[2]  # t_k* - t_s for k - 1 = s+1+lo..s+hi, distances lo+1..hi
+            np.multiply(sigma, tau[s + 1 + lo : s + 1 + hi], out=w0)
+            w0 += nodes[s + 1 + lo : s + 1 + hi]
             w0 -= nodes[s]
-            grid[:2, at : at + e - s - 1] = tau[s]
-            at += e - s - 1
-        run_a, run_c = _closed_a_c(*grid[:3], alpha, grid[3:])
-        at = 0
-        for s, e in runs:
-            count = e - s - 1
-            a = run_a[at : at + count][::-1].copy()
-            c = run_c[at : at + count][::-1].copy()
-            # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it
-            m = np.empty(count)
-            np.subtract(c[:-1], a[1:], out=m[:-1])
-            m[-1] = c[-1] + _diagonal_term(tau[s], sigma, alpha)
-            tables.append(_run_table(s, e, a, c, m, order.gamma_1ma))
-            bad = np.flatnonzero(~np.isfinite(m))
-            clean.append(e - 1 - int(bad[-1]) if bad.size else e)
-            at += count
+            a[::-1][lo:hi], c[::-1][lo:hi] = _closed_a_c(*inputs, alpha, work[3:, : hi - lo])
+        # d_j = c_{j-1} - a_j off the diagonal, c_{k-1} on it
+        m = np.empty(count)
+        np.subtract(c[:-1], a[1:], out=m[:-1])
+        m[-1] = c[-1] + _diagonal_term(tau[s], sigma, alpha)
+        tables.append(_run_table(s, e, a, c, m, order.gamma_1ma))
+        bad = np.flatnonzero(~np.isfinite(m))
+        clean.append(e - 1 - int(bad[-1]) if bad.size else e)
     for k0, k1, width, i in edges:
         rows = k1 - k0
         size = rows * width
@@ -699,7 +699,7 @@ def _kernel_slabs(
         at += c0  # the column j - 1 of each ragged entry
         np.take(tau, at, out=inputs[0, rect:], mode="clip")
         np.take(tau[1:], at, out=inputs[1, rect:], mode="clip")
-        del at  # freed before _closed_a_c allocates its sort order
+        del at  # freed before _closed_a_c allocates its index arrays
         # the columns [0, c0) of every row
         np.copyto(inputs[0, :rect].reshape(rows, c0), tau[:c0])
         np.copyto(inputs[1, :rect].reshape(rows, c0), tau[1 : c0 + 1])
@@ -754,12 +754,12 @@ def _kernel_slabs(
         yield k0, k1, a, c, m, t_star, run
 
 
-def _table_slabs(table: KernelTable, n: int):
-    """The slabs :func:`_kernel_slabs` yields for levels ``1..n``, read from
-    ``table``: its first ``n`` rows cut on the same edges, and each exact
-    run's table taken from the run's last row, which holds every distance."""
+def _table_slabs(table: KernelTable, n: int, layout: tuple):
+    """The slabs :func:`_kernel_slabs` yields for levels ``1..n`` on
+    ``layout``, read from ``table``: its first ``n`` rows cut on the same
+    edges, and each exact run's table taken from the run's last row."""
     order = table.order
-    runs, edges = _slab_layout(table.mesh, n, order.sigma, table.backend)
+    runs, edges = layout
     tables = [
         _run_table(s, e, table.a[e - 1, s : e - 1], table.c[e - 1, s : e - 1],
                    table.m[e - 1, s + 1 : e], order.gamma_1ma)

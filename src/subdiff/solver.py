@@ -676,15 +676,15 @@ def solve(
     """
     n = mesh.num_steps
     order = problem.order
+    layout = _slab_layout(mesh, n, order.sigma, backend if table is None else table.backend)
     if table is None:
-        slabs = _kernel_slabs(mesh, order, n, backend)
+        slabs = _kernel_slabs(mesh, order, n, backend, layout)
     else:
         _check_table(table, problem, mesh)
-        slabs, backend = _table_slabs(table, n), table.backend
+        slabs = _table_slabs(table, n, layout)
     state = initialize_state(problem, mesh)
     # inside a run the differenced rows take the run's first column too
-    _, edges = _slab_layout(mesh, n, order.sigma, backend)
-    shapes = [(k1 - k0, width + (i is not None)) for k0, k1, width, i in edges]
+    shapes = [(k1 - k0, width + (i is not None)) for k0, k1, width, i in layout[1]]
     buffers = _march_buffers(shapes, state.modes.size)
     for *_, m, t_star, run in slabs:
         _march(state, m, t_star, buffers, run)

@@ -262,8 +262,9 @@ def test_non_finite_coefficients_are_refused(monkeypatch):
 def test_a_non_finite_run_entry_is_refused_at_the_first_level_that_reads_it(
     monkeypatch, distance, error, level
 ):
-    # the stream's first _closed_a_c call computes the exact run's entries
-    # by distance 1, 2, ...; a NaN c at distance 1 is the run's diagonal,
+    # the stream's first _closed_a_c calls compute the exact run's entries
+    # by distance 1, 2, ..., at most the stream's stride (40 here) at a time,
+    # before the first slab; a NaN c at distance 1 is the run's diagonal,
     # which its first level (2) reads, and at distance 7 it enters m at
     # column 1 of level 8, the first level that far from the run's start
     mesh = make_uniform_mesh(1.0, 256)
@@ -281,7 +282,7 @@ def test_a_non_finite_run_entry_is_refused_at_the_first_level_that_reads_it(
     monkeypatch.setattr(kernel_module, "_closed_a_c", poisoned)
     with pytest.raises(error, match=level):
         build_kernel_table(mesh, 0.5, backend="closed")
-    assert calls[0] == 255
+    assert calls[:7] == [40] * 6 + [15]
 
 
 def test_quadrature_refuses_a_missed_tolerance_naming_the_slab(monkeypatch):
@@ -422,8 +423,21 @@ _DELTAS = st.one_of(
     deltas=st.lists(_DELTAS, min_size=1, max_size=300),
     alpha=st.floats(1e-3, 0.999),
 )
-# one binade in descending order: the exponent sort keeps the slowest first
+# one binade, the slowest first: fewer than half stop at a test until the
+# last tests, so the entries that stopped keep summing in place
 @example(deltas=[0.5 - 0.01 * i for i in range(1, 25)], alpha=0.5)
+# exactly half stop at the first test (term 4), then half of the rest at a
+# later one: two compactions, each writing back the sums of the stopped
+@example(deltas=[1e-300, 1e-3, 1e-300, 0.3, 1e-300, 1e-3, 1e-300, 0.3], alpha=0.5)
+# a few slow entries among thousands of tiny deltas, compacted at the first
+# test that the tiny ones pass
+@example(deltas=[0.59 if i % 1000 == 0 else 1e-4 * (1 + i % 7) for i in range(3001)], alpha=0.3)
+# series and direct entries interleaved around the cutoff 0.6
+@example(
+    deltas=[0.6 + (-1) ** i * 0.01 * (i // 2) for i in range(1, 13)]
+    + [math.nextafter(0.6, 1.0), 1e-5, 0.6, 0.61],
+    alpha=0.7,
+)
 # at alpha 0.5 these stop on their own after terms 33, 19, 14 and 13, all
 # between two convergence tests
 @example(deltas=[0.3, 0.1, 0.03, 0.02], alpha=0.5)
@@ -435,6 +449,27 @@ def test_phi_psi_stops_each_entry_without_changing_a_bit(deltas, alpha):
     phi, psi = kernel_module._phi_psi(np.array(deltas), alpha)
     ref_phi, ref_psi = _phi_psi_shared_stop(np.array(deltas), alpha)
     assert np.array_equal(phi, ref_phi) and np.array_equal(psi, ref_psi)
+
+
+def test_phi_psi_matches_the_shared_stop_on_every_batch_of_the_soak_stream(monkeypatch):
+    # the batches _closed_a_c hands _phi_psi on the soak stream: each slab's
+    # computed entries, most with delta below 1e-3, and the run's distances
+    original = kernel_module._phi_psi
+    sizes = []
+
+    def checked(delta, alpha, work=None):
+        ref_phi, ref_psi = _phi_psi_shared_stop(delta, alpha)
+        phi, psi = original(delta, alpha, work)
+        assert np.array_equal(phi, ref_phi) and np.array_equal(psi, ref_psi)
+        sizes.append(delta.size)
+        return phi, psi
+
+    monkeypatch.setattr(kernel_module, "_phi_psi", checked)
+    mesh = _soak_mesh()
+    for _ in kernel_module._kernel_slabs(mesh, FractionalOrder(0.5), mesh.num_steps, "closed"):
+        pass
+    # the run's 2047 distances, then the slabs': 1,181,439 entries in all
+    assert sizes[0] == 2047 and sum(sizes) == 1_181_439
 
 
 def test_closed_table_is_the_same_across_block_edges():
@@ -756,7 +791,7 @@ def test_closed_stream_memory_stays_small():
 
 def test_a_slab_allocates_almost_nothing_once_the_workspace_exists():
     # the stream fills every slab in one workspace, allocated with the first:
-    # a later slab may add only an index array, a sort order and small
+    # a later slab may add only a mask, a few index arrays and small
     # temporaries while it is filled (about 0.26 MB here; a fresh fill of
     # every slab rises by up to 4 MB), and holds nothing new once yielded
     mesh = _soak_mesh()

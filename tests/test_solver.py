@@ -822,6 +822,30 @@ def test_a_table_on_a_longer_mesh_marches_like_the_stream():
     assert np.array_equal(streamed.residual, tabled.residual)
 
 
+def test_solve_cuts_the_slabs_once(monkeypatch):
+    # the layout that sizes the march buffers is the one the slabs follow,
+    # with a table or without
+    import subdiff.solver as solver_module
+
+    mesh = make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128)
+    problem = manufactured_problem(0.5, parse_space("d1:16"))
+    table = build_kernel_table(mesh, 0.5, backend="closed")
+    layout, calls = kernel_module._slab_layout, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return layout(*args)
+
+    def refused(*args):
+        raise AssertionError("the stream cut the slabs again")
+
+    monkeypatch.setattr(solver_module, "_slab_layout", counted)
+    monkeypatch.setattr(kernel_module, "_slab_layout", refused)
+    solve(problem, mesh, backend="closed")
+    solve(problem, mesh, table=table)
+    assert calls == [640, 640]
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.99])
 @pytest.mark.parametrize("descriptor", ["d1:16", "p2:8"])
 def test_run_march_matches_the_one_row_march(descriptor, alpha):
