@@ -367,8 +367,12 @@ def parse_config_file(path: "str | Path") -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     entries: dict[str, tuple[str, int]] = {}  # key -> (value, line)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -583,17 +583,11 @@ def _diagonal_term(t: float, sigma: float, alpha: float) -> float:
     return sigma ** (1.0 - alpha) / ((1.0 - alpha) * t**alpha)
 
 
-def _kernel_slabs(
-    mesh: TimeMesh,
-    order: FractionalOrder,
-    n: int,
-    backend: str,
-    layout: tuple | None = None,
-):
+def _kernel_slabs(mesh: TimeMesh, order: FractionalOrder, n: int, backend: str):
     """Kernel data for levels ``1..n``, one slab of consecutive rows at a time.
 
     Yields ``(k0, k1, a, c, m, t_star, run)`` for levels ``k0+1..k1``, on
-    the slabs of ``layout`` (:func:`_slab_layout`'s unless given).  Outside
+    the slabs of :func:`_slab_layout`, which it cuts once.  Outside
     the exact runs ``run`` is None, and ``a``, ``c`` and ``m`` are read-only
     ``(k1 - k0, k1)`` arrays laid out as those rows of a :class:`KernelTable`:
     entry ``(i, j-1)`` is interval ``j`` of level ``k = k0 + i + 1``, valid
@@ -636,7 +630,7 @@ def _kernel_slabs(
     alpha, sigma = order.alpha, order.sigma
     tau = mesh.steps
     nodes = mesh.nodes
-    runs, edges = layout or _slab_layout(mesh, n, sigma, backend)
+    runs, edges = _slab_layout(mesh, n, sigma, backend)
     # row r of the stream computes its columns [0, head[r]): all of its valid
     # entries, or those left of the run it lies in
     head = np.arange(n)
@@ -754,12 +748,12 @@ def _kernel_slabs(
         yield k0, k1, a, c, m, t_star, run
 
 
-def _table_slabs(table: KernelTable, n: int, layout: tuple):
-    """The slabs :func:`_kernel_slabs` yields for levels ``1..n`` on
-    ``layout``, read from ``table``: its first ``n`` rows cut on the same
-    edges, and each exact run's table taken from the run's last row."""
+def _table_slabs(table: KernelTable, n: int):
+    """The slabs :func:`_kernel_slabs` yields for levels ``1..n``, read from
+    ``table``: its first ``n`` rows cut on the same edges, and each exact
+    run's table taken from the run's last row."""
     order = table.order
-    runs, edges = layout
+    runs, edges = _slab_layout(table.mesh, n, order.sigma, table.backend)
     tables = [
         _run_table(s, e, table.a[e - 1, s : e - 1], table.c[e - 1, s : e - 1],
                    table.m[e - 1, s + 1 : e], order.gamma_1ma)

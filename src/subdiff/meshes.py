@@ -287,10 +287,14 @@ def write_mesh(mesh: TimeMesh, path: str | Path, comments: Mapping[str, object] 
 def read_mesh(path: str | Path) -> TimeMesh:
     """Read a mesh from the text format produced by :func:`write_mesh`."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MeshFileError(f"mesh file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeshFileError(f"{path}: not UTF-8 text: {exc}") from exc
     nodes = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -70,7 +70,6 @@ from .kernel import (
     KernelTable,
     _kernel_slabs,
     _RunTable,
-    _slab_layout,
     _table_slabs,
     as_fractional_order,
     build_kernel_table,  # not called here; perfbench/spans.py wraps this name in this module
@@ -102,8 +101,11 @@ _TINY = 1e-300
 # that field's largest: 700x the transforms' own rounding of one mode.
 _MODE_FLOOR = 1e-13
 # Entries rows * (k + |S|) of one part of a slab, for levels up to k on |S|
-# active modes.  It bounds the march's temporaries (the differenced history
-# rows, the right sides and one work array) to twice this many floats.
+# active modes; a part has one row when k + |S| alone is more.  So a _march
+# call's temporaries (the differenced history rows, the right sides and one
+# work array) take size * columns + 2 * size * |S| floats, for its rows per
+# part and its differenced columns: at most twice this many, or k + 2 |S|
+# in one-row parts.
 _PART_ENTRIES = 2**15
 
 
@@ -524,29 +526,10 @@ def step(state: SolverState, row: KernelRow) -> SolverState:
     return state
 
 
-def _part_rows(rows: int, width: int, modes: int) -> int:
-    """Rows per part of a slab of ``rows`` levels whose differenced history
-    rows are ``width`` wide, on ``modes`` active modes: as few parts as
-    ``_PART_ENTRIES`` allows, their rows evened out."""
-    parts = -(-rows // max(_PART_ENTRIES // (width + modes), 1))
-    return -(-rows // parts)
-
-
-def _march_buffers(shapes, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The differenced history rows, right sides and work array
-    :func:`_march` needs for every slab of ``shapes``, given as its rows and
-    the width of its differenced history rows."""
-    parts = [(_part_rows(rows, width, modes), width) for rows, width in shapes]
-    rows = max(size for size, _ in parts)
-    dm = np.empty(max(size * width for size, width in parts))
-    return dm, np.empty((rows, modes)), np.empty((rows, modes))
-
-
 def _march(
     state: SolverState,
     m: np.ndarray,
     t_star: np.ndarray,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     run: _RunTable | None = None,
 ) -> None:
     """March one slab: levels ``k0+1..k1`` from their history rows ``m``
@@ -563,19 +546,18 @@ def _march(
     ``(m_kk / Gamma(1-alpha) + sigma lam) c_k = rhs_k`` with
     ``rhs_k = f_k - (alpha/2) lam c_{k-1} + sum_j (m_{k,j+1} - m_{k,j}) c_j /
     Gamma(1-alpha)`` over ``j = 0..k-1`` (``m_{k,0} = 0``).  The levels go
-    in parts of at most ``_PART_ENTRIES`` entries, in ``buffers`` from
-    :func:`_march_buffers`, which :func:`solve` allocates once for the whole
-    run and reuses from part to part and slab to slab (a one-slab set is
-    allocated when none is given).  The history sum over the columns of the
-    part's differenced rows is one matrix product for the whole part: every
-    level before the part, or inside a run the levels ``0..s+1``.  Each level
-    then adds the rest of its history as one dot, over the part's earlier
-    levels or inside a run over the levels ``s+2..k-1`` against a window of
-    the run's weights ``w``, and does its division.  The finite check, the
-    residual (that of the diagonal system, relative to its right side) and
-    the H1 seminorm (by Parseval: the transforms are orthonormal) are taken
-    for the whole part.  A non-finite solution is refused, naming its first
-    level.
+    in parts of at most ``_PART_ENTRIES`` entries (one level when one alone
+    has more), their rows evened out, through three buffers the call
+    allocates for one part and reuses from part to part.  The history sum
+    over the columns of the part's differenced rows is one matrix product
+    for the whole part: every level before the part, or inside a run the
+    levels ``0..s+1``.  Each level then adds the rest of its history as one
+    dot, over the part's earlier levels or inside a run over the levels
+    ``s+2..k-1`` against a window of the run's weights ``w``, and does its
+    division.  The finite check, the residual (that of the diagonal system,
+    relative to its right side) and the H1 seminorm (by Parseval: the
+    transforms are orthonormal) are taken for the whole part.  A non-finite
+    solution is refused, naming its first level.
     """
     rows, width = m.shape
     k0 = width - rows if run is None else state.level
@@ -597,10 +579,11 @@ def _march(
     # the width of the differenced rows: inside a run, the stored columns
     # and the run's first
     columns = width if run is None else width + 1
-    size = _part_rows(rows, columns, lam.size)
-    if buffers is None:
-        buffers = _march_buffers([(rows, columns)], lam.size)
-    dm_buffer, rhs_buffer, work_buffer = buffers
+    # as few parts as _PART_ENTRIES allows, their rows evened out
+    parts = -(-rows // max(_PART_ENTRIES // (columns + lam.size), 1))
+    size = -(-rows // parts)
+    dm_buffer = np.empty(size * columns)
+    rhs_buffer, work_buffer = np.empty((size, lam.size)), np.empty((size, lam.size))
     for p in range(0, rows, size):
         q = min(p + size, rows)
         start, top = k0 + p, k0 + q  # the part's levels are start+1..top
@@ -660,7 +643,7 @@ def solve(
     The kernel's history rows are computed by ``backend`` in slabs of
     consecutive rows as the march reaches them, each in the one workspace
     of the kernel stream, so the next slab overwrites the one just marched;
-    the march's own buffers are allocated once for the run.  Inside an exact
+    the march allocates its own buffers for each slab.  Inside an exact
     run of equal steps a slab holds only the columns left of the run, and
     the march takes the rest of each row from the run's weights by distance
     (see :func:`subdiff.kernel._kernel_slabs`).  A prebuilt ``table`` may be
@@ -675,19 +658,14 @@ def solve(
     its slab is marched, naming its level.
     """
     n = mesh.num_steps
-    order = problem.order
-    layout = _slab_layout(mesh, n, order.sigma, backend if table is None else table.backend)
     if table is None:
-        slabs = _kernel_slabs(mesh, order, n, backend, layout)
+        slabs = _kernel_slabs(mesh, problem.order, n, backend)
     else:
         _check_table(table, problem, mesh)
-        slabs = _table_slabs(table, n, layout)
+        slabs = _table_slabs(table, n)
     state = initialize_state(problem, mesh)
-    # inside a run the differenced rows take the run's first column too
-    shapes = [(k1 - k0, width + (i is not None)) for k0, k1, width, i in layout[1]]
-    buffers = _march_buffers(shapes, state.modes.size)
     for *_, m, t_star, run in slabs:
-        _march(state, m, t_star, buffers, run)
+        _march(state, m, t_star, run)
     logger.debug(
         "marched %d levels on %d of %d modes; max residual %.2e, largest dropped %.1e",
         n,

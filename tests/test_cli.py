@@ -583,6 +583,31 @@ def test_a_mesh_file_refuses_a_step_count_or_horizon_it_does_not_have(tmp_path, 
         assert code == EXIT_INVALID and "has horizon 1.0" in err
 
 
+@pytest.mark.parametrize(
+    "command, unreadable, category",
+    [
+        (["analyze", "--alpha", "0.5", "--file"], "directory", "mesh-file"),
+        (["soak", "--alpha", "0.5", "--mesh-file"], "directory", "mesh-file"),
+        (["analyze", "--alpha", "0.5", "--file"], "latin-1", "mesh-file"),
+        (["reproduce-tables", "--config"], "latin-1", "invalid-parameter"),
+    ],
+)
+def test_an_unreadable_input_file_is_refused_as_invalid(
+    tmp_path, capsys, command, unreadable, category
+):
+    # a directory, or a file that is not UTF-8, is bad input: exit 1 with
+    # its category, not an I/O failure or a traceback
+    path = tmp_path / "input"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("# r\xe9seau\n0\n1\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == EXIT_INVALID
+    assert err.startswith(f"subdiff: error: {category}: ") and str(path) in err
+    assert out == ""
+
+
 def test_reproduce_tables_headers_keep_every_digit_of_alpha(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("meshes = uniform\nstep_counts = 4, 8\nspace = d1:16\n")

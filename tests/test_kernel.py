@@ -380,6 +380,19 @@ def test_closed_matches_quadrature_on_random_admissible_meshes(ratios, alpha):
         assert np.max(np.abs(x - y) / scale) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_closed_run_tables_match_quadrature(alpha):
+    # criterion 08's bound on a mesh that is one exact run: the closed table
+    # spreads the run's entries by distance, the quadrature computes each
+    mesh = make_uniform_mesh(1.0, 256)
+    assert kernel_module._exact_runs(mesh, 256, FractionalOrder(alpha).sigma) == [(0, 256)]
+    closed = build_kernel_table(mesh, alpha, backend="closed")
+    quad = build_kernel_table(mesh, alpha, backend="quadrature")
+    for x, y in ((closed.a, quad.a), (closed.c, quad.c), (closed.m, quad.m)):
+        scale = np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-300)
+        assert np.max(np.abs(x - y) / scale) <= 1e-10
+
+
 def _phi_psi_shared_stop(delta, alpha):
     # reference: every series entry runs until the slowest one converges
     delta = np.asarray(delta, dtype=float)
@@ -777,7 +790,7 @@ def test_closed_build_memory_is_bounded_by_the_stored_table():
 
 def test_closed_stream_memory_stays_small():
     # the stream's workspace is a few arrays of at most _SLAB_ENTRIES entries
-    # each, whatever K is; at K=2560 the stream peaks near 3.4 MB
+    # each, whatever K is; at K=2560 the stream peaks near 3.08 MB
     mesh = _soak_mesh()
     tracemalloc.start()
     try:

@@ -10,6 +10,7 @@ import pytest
 import scipy.fft
 
 import subdiff.kernel as kernel_module
+import subdiff.solver as solver_module
 from subdiff import (
     DirichletLine,
     FractionalOrder,
@@ -623,6 +624,44 @@ def test_march_holds_one_history_sized_array():
     assert tabled_peak <= history_bytes + 2**20
 
 
+@pytest.mark.parametrize("descriptor", ["d1:512", "p2:64"])
+def test_a_march_call_holds_one_part_of_temporaries(descriptor):
+    # the soak mesh's first slab (181 levels, 181 columns) on one active mode
+    # and on all 4096 of a random p2:64 field: a _march call takes
+    # size * columns + 2 * size * |S| floats for its differenced rows, right
+    # sides and work array (size rows per part), plus NumPy's ufunc buffers
+    # (np.getbufsize() floats for each of at most three operands) and small
+    # per-part vectors; a slab-sized differenced block or right side is more
+    space = parse_space(descriptor)
+    initial = space.first_mode()
+    if descriptor == "p2:64":
+        initial = np.random.default_rng(3).standard_normal(space.zero_field().shape)
+    problem = Problem(
+        order=0.5, space=space, initial=initial,
+        source=[(lambda t: min(t, 1.0), space.first_mode())],
+    )
+    mesh = make_graded_then_uniform(50.0, 2560, 2.0, 1.0, 512)
+    *_, m, t_star, run = next(
+        kernel_module._kernel_slabs(mesh, problem.order, mesh.num_steps, "closed")
+    )
+    state = initialize_state(problem, mesh)
+    rows, columns = m.shape
+    modes = state.modes.size
+    assert (rows, columns, modes) == (181, 181, 1 if descriptor == "d1:512" else 4096)
+    parts = -(-rows // (solver_module._PART_ENTRIES // (columns + modes)))
+    size = -(-rows // parts)
+    assert parts > 1
+    tracemalloc.start()
+    try:
+        solver_module._march(state, m, t_star, run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.level == rows
+    floats = size * columns + 2 * size * modes + 3 * np.getbufsize()
+    assert peak <= 8 * floats + 2**15
+
+
 def _parseval_case(descriptor):
     space = parse_space(descriptor)
     if space.ndim == 1:
@@ -823,10 +862,7 @@ def test_a_table_on_a_longer_mesh_marches_like_the_stream():
 
 
 def test_solve_cuts_the_slabs_once(monkeypatch):
-    # the layout that sizes the march buffers is the one the slabs follow,
-    # with a table or without
-    import subdiff.solver as solver_module
-
+    # the slab source cuts the slabs, once per solve, with a table or without
     mesh = make_graded_then_uniform(5.0, 640, 2.0, 1.0, 128)
     problem = manufactured_problem(0.5, parse_space("d1:16"))
     table = build_kernel_table(mesh, 0.5, backend="closed")
@@ -836,11 +872,7 @@ def test_solve_cuts_the_slabs_once(monkeypatch):
         calls.append(args[1])
         return layout(*args)
 
-    def refused(*args):
-        raise AssertionError("the stream cut the slabs again")
-
-    monkeypatch.setattr(solver_module, "_slab_layout", counted)
-    monkeypatch.setattr(kernel_module, "_slab_layout", refused)
+    monkeypatch.setattr(kernel_module, "_slab_layout", counted)
     solve(problem, mesh, backend="closed")
     solve(problem, mesh, table=table)
     assert calls == [640, 640]
